@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, NumericalError, UsageError
-from .numeric import gaussian_init, svd_square
+from .numeric import dropout_mask, gaussian_init, sigmoid, svd_square
 
 T_TO_S = "t_to_s"
 S_TO_T = "s_to_t"
@@ -95,10 +95,6 @@ def _softplus(z):
     return np.logaddexp(0.0, z)
 
 
-def _sigmoid(z):
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
-
-
 class Discriminator:
     """Two affine layers with a leaky rectifier between and a sigmoid output."""
 
@@ -114,7 +110,7 @@ class Discriminator:
 
     def prob_source(self, x):
         """P(src=1 | x), strictly inside (0, 1)."""
-        p = _sigmoid(self.logits(x))
+        p = sigmoid(self.logits(x))
         return np.clip(p, 1e-12, 1.0 - 1e-12)
 
     def _forward_cache(self, x):
@@ -178,12 +174,6 @@ def orthogonalize(w, beta):
     return (1 + beta) * w - beta * (w @ w.T) @ w
 
 
-def _dropout_mask(rng, shape, rate):
-    if rate <= 0:
-        return None
-    return (rng.uniform(shape) >= rate) / (1.0 - rate)
-
-
 def _play_game(x_rows, y_rows, rng, config, criterion, log):
     """One full adversarial game; returns (best W of the game, discriminator)."""
     dim = x_rows.shape[1]
@@ -201,19 +191,19 @@ def _play_game(x_rows, y_rows, rng, config, criterion, log):
             idx_x = rng.integers(len(x_rows), b)
             np.matmul(y_rows[idx_y], w.T, out=batch[:b])
             batch[b:] = x_rows[idx_x]
-            mask = _dropout_mask(rng, batch.shape, rate)
+            mask = dropout_mask(rng, batch.shape, rate)
             if mask is not None:
                 batch *= mask
             cache = disc._forward_cache(batch)
-            dz = (_sigmoid(cache[2]) - targets) / b
+            dz = (sigmoid(cache[2]) - targets) / b
             grads, _ = disc.backward(batch, dz, cache, need_input_grad=False)
             disc.sgd(grads, config.lr_disc)
         by = y_rows[rng.integers(len(y_rows), b)]
         mapped = by @ w.T
-        mask_t = _dropout_mask(rng, mapped.shape, rate)
+        mask_t = dropout_mask(rng, mapped.shape, rate)
         in_t = mapped * mask_t if mask_t is not None else mapped
         cache = disc._forward_cache(in_t)
-        dz_t = (_sigmoid(cache[2]) - 1.0) / b
+        dz_t = (sigmoid(cache[2]) - 1.0) / b
         _, d_input = disc.backward(in_t, dz_t, cache)
         if mask_t is not None:
             d_input = d_input * mask_t
@@ -241,8 +231,8 @@ def _disc_accuracy(disc, w, x_rows, y_rows, rng, sample=256):
     """Balanced accuracy of the discriminator on fresh dropout-free samples."""
     idx_y = rng.integers(len(y_rows), min(sample, len(y_rows)))
     idx_x = rng.integers(len(x_rows), min(sample, len(x_rows)))
-    p_t = _sigmoid(disc.logits(y_rows[idx_y] @ w.T))
-    p_s = _sigmoid(disc.logits(x_rows[idx_x]))
+    p_t = sigmoid(disc.logits(y_rows[idx_y] @ w.T))
+    p_s = sigmoid(disc.logits(x_rows[idx_x]))
     return 0.5 * (float((p_t < 0.5).mean()) + float((p_s >= 0.5).mean()))
 
 

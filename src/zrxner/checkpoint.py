@@ -11,6 +11,7 @@ Round trips are bit-exact per tensor; the checksum is verified on load.
 
 import hashlib
 import struct
+from dataclasses import fields
 
 import numpy as np
 
@@ -48,6 +49,28 @@ def text_to_config(text):
             raise CheckpointError(f"malformed config line {line!r}")
         config[key] = value
     return config
+
+
+def flat_to_fields(cls, prefix, flat):
+    """Typed keyword arguments for the dataclass cls from the entries
+    `prefix.field` of a flat config. Each value takes the type of the
+    field's default; booleans are true or false in any case."""
+    kwargs = {}
+    for f in fields(cls):
+        key = f"{prefix}.{f.name}"
+        if key not in flat:
+            continue
+        raw, kind = str(flat[key]), type(f.default)
+        if kind is bool:
+            if raw.lower() not in ("true", "false"):
+                raise UsageError(f"{key}={raw!r} is not true or false")
+            kwargs[f.name] = raw.lower() == "true"
+            continue
+        try:
+            kwargs[f.name] = kind(raw)
+        except ValueError:
+            raise UsageError(f"{key}={raw!r} is not a valid {kind.__name__}") from None
+    return kwargs
 
 
 def save_checkpoint(path, config, tensors):

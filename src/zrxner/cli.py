@@ -17,7 +17,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import align as al
-from .checkpoint import text_to_config
+from .checkpoint import flat_to_fields, text_to_config
 from .corpus import (
     IOB2,
     build_vocab,
@@ -64,37 +64,28 @@ def _read_config_file(path):
 
 
 def _flat_overlay(cls, prefix, file_cfg, overrides):
-    """file config then CLI overrides, parsed into a dataclass."""
+    """The `prefix.` entries of the file config, then the CLI overrides;
+    every key must name a field of the dataclass cls."""
     flat = {k: v for k, v in file_cfg.items() if k.startswith(prefix + ".")}
     for name, value in overrides.items():
         if value is not None:
             flat[f"{prefix}.{name}"] = str(value)
     known = {f.name for f in fields(cls)}
-    kwargs = {}
-    for key, raw in flat.items():
+    for key in flat:
         name = key[len(prefix) + 1 :]
         if name not in known:
             raise UsageError(f"unknown {prefix} config key {name!r}")
-        kwargs[name] = raw
-    return kwargs
+    return flat
 
 
 def _training_config(file_cfg, **overrides):
-    flat = {
-        f"train.{k}": v
-        for k, v in _flat_overlay(TrainingConfig, "train", file_cfg, overrides).items()
-    }
-    return TrainingConfig.from_flat(flat)
+    return TrainingConfig.from_flat(
+        _flat_overlay(TrainingConfig, "train", file_cfg, overrides))
 
 
 def _align_config(file_cfg, **overrides):
-    kwargs = _flat_overlay(al.AlignConfig, "align", file_cfg, overrides)
-    typed = {}
-    for f in fields(al.AlignConfig):
-        if f.name in kwargs:
-            caster = type(f.default)
-            typed[f.name] = caster(kwargs[f.name])
-    return al.AlignConfig(**typed)
+    flat = _flat_overlay(al.AlignConfig, "align", file_cfg, overrides)
+    return al.AlignConfig(**flat_to_fields(al.AlignConfig, "align", flat))
 
 
 def _load_table(path, limit, language):
@@ -422,8 +413,8 @@ def cmd_tag(args):
     dataset = _read_dataset(args.input, args.language, "test", config.scheme,
                             tag_col=None, token_col=args.token_col)
     out_scheme = IOB2 if args.to_iob2 else config.scheme
-    for sent in dataset:
-        tags = predict(model, lang, table, sent.tokens)
+    preds = predict(model, lang, table, [s.tokens for s in dataset])
+    for sent, tags in zip(dataset, preds):
         if out_scheme != config.scheme:
             tags = convert_scheme(tags, config.scheme, out_scheme)
         sent.tags = tags
@@ -663,6 +654,10 @@ def main(argv=None):
     except CheckpointError as exc:
         print(f"artifact error: {exc}", file=sys.stderr)
         return EXIT_ARTIFACT
+    except OSError as exc:  # a missing or unreadable input, an unwritable output
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (NumericalError, AlignmentError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -44,14 +44,15 @@ class EmbeddingTable:
     def index(self, word):
         return self._index.get(word)
 
+    def row(self, word):
+        """Row of the exact match, else of the lowercase match, else -1."""
+        i = self._index.get(word)
+        return self._lower.get(word.lower(), -1) if i is None else i
+
     def lookup(self, word):
         """Exact match, else lowercase match, else the frozen all-zero UNK."""
-        i = self._index.get(word)
-        if i is None:
-            i = self._lower.get(word.lower())
-        if i is None:
-            return np.zeros(self.dim)
-        return self.vectors[i]
+        i = self.row(word)
+        return self.vectors[i] if i >= 0 else np.zeros(self.dim)
 
 
 def lookup(table, word):

@@ -20,7 +20,10 @@ class Rng:
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def uniform_int(self, lo, hi):
-        return sample_uniform_int(self, lo, hi)
+        """Uniform integer in [lo, hi] inclusive."""
+        if lo > hi:
+            raise UsageError(f"empty range [{lo}, {hi}]")
+        return int(self._gen.integers(lo, hi + 1))
 
     def integers(self, n, size):
         """size indices uniform over [0, n)."""
@@ -38,6 +41,21 @@ class Rng:
     def spawn(self):
         """Independent child stream, deterministic given this stream's state."""
         return Rng(int(self._gen.integers(0, 2**63)))
+
+
+def sigmoid(z):
+    """Logistic function through tanh, which cannot overflow."""
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
+
+
+def dropout_mask(rng, shape, rate):
+    """Inverted dropout mask: entries are 0 with probability `rate`, else
+    1 / (1 - rate). Returns None when rate is 0 (nothing is drawn)."""
+    if not 0.0 <= rate < 1.0:
+        raise UsageError(f"dropout rate must be in [0, 1), got {rate}")
+    if rate == 0:
+        return None
+    return (rng.uniform(shape) >= rate) / (1.0 - rate)
 
 
 def log_sum_exp(v):
@@ -99,13 +117,6 @@ def clipped_sgd_step(params, grads, lr, clip):
             raise UsageError(f"shape mismatch for {name}: {p.shape} vs {g.shape}")
         p -= (lr * scale) * g
     return params
-
-
-def sample_uniform_int(rng, lo, hi):
-    """Uniform integer in [lo, hi] inclusive."""
-    if lo > hi:
-        raise UsageError(f"empty range [{lo}, {hi}]")
-    return int(rng._gen.integers(lo, hi + 1))
 
 
 def gaussian_init(rng, rows, cols, scale):

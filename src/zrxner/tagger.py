@@ -2,9 +2,22 @@
 bidirectional gated recurrent encoders, a point-wise tanh dense head scored
 against a per-tag matrix, and a linear-chain CRF with exact inference.
 
+One batched engine serves training (`backward_pass`) and evaluation
+(`predict`). Sequences are stored back to back and run longest first, so
+the ones still running at a time step are a prefix of the rows: every step
+works on real elements only. The character encoder runs once per batch over
+its unique tokens; the word encoder runs over the batch's real tokens; tied
+directions share one input projection and one product for each of their
+input and weight gradients. The CRF and Viterbi work on zero-padded
+(B, m, K) scores with per-sentence lengths. Evaluation goes through its
+input in chunks of about EVAL_TOKENS tokens and keeps no backward caches.
+
 Gradients are derived analytically: CRF node/edge gradients come from
 forward-backward marginals, the rest is back-propagation through time. All
-math is float64; the finite-difference suite checks every tensor.
+math is float64. The finite-difference suite checks every tensor, and
+tests/test_batched_engine.py holds the batched loss and gradients within
+1e-10 of the per-sentence reference in tests/oracles.py, and its Viterbi
+paths identical to the reference's.
 
 Parameters live in plain float64 arrays shared by reference: the source and
 target encoders of a cross-lingual model reference one character table and
@@ -12,136 +25,117 @@ one head, and a direction-tied encoder references one cell for both
 directions. In-place SGD updates keep that aliasing intact.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import IOB1, IOBES, UNK_CHAR, split_label
 from .errors import NumericalError, UsageError
-from .numeric import gaussian_init, log_sum_exp
+from .numeric import gaussian_init, sigmoid
 
 MASK_VALUE = -1e4  # disallowed-transition penalty; finite by contract
+EVAL_TOKENS = 512  # token budget of one evaluation batch
 
 
 # ---------------------------------------------------------------------------
-# Linear-chain CRF with BOS row K and EOS column K+1 of the transition matrix
+# Linear-chain CRF with BOS row K and EOS column K+1 of the transition matrix,
+# over zero-padded (B, m, K) scores with per-sentence lengths. A 2-d (m, K)
+# table is a batch of one sentence.
 
 
-def crf_forward(scores, trans):
-    """Forward recursion in the log domain; returns (alpha, log_partition)."""
-    m, k = scores.shape
-    bos, eos = k, k + 1
-    alpha = np.empty((m, k))
-    alpha[0] = scores[0] + trans[bos, :k]
-    for i in range(1, m):
-        prev = alpha[i - 1][:, None] + trans[:k, :k]
-        mx = prev.max(axis=0)
-        alpha[i] = scores[i] + mx + np.log(np.exp(prev - mx).sum(axis=0))
-    return alpha, log_sum_exp(alpha[m - 1] + trans[:k, eos])
-
-
-def crf_backward_pass(scores, trans):
-    m, k = scores.shape
-    eos = k + 1
-    beta = np.empty((m, k))
-    beta[m - 1] = trans[:k, eos]
-    for i in range(m - 2, -1, -1):
-        nxt = trans[:k, :k] + (scores[i + 1] + beta[i + 1])[None, :]
-        mx = nxt.max(axis=1)
-        beta[i] = mx + np.log(np.exp(nxt - mx[:, None]).sum(axis=1))
-    return beta
-
-
-def crf_log_partition(scores, trans):
-    """log sum over all tag paths of exp(node + edge scores), boundaries
-    included."""
+def _as_batch(scores, lengths):
+    """(B, m, K) scores, (B,) lengths, and whether one (m, K) table came."""
     scores = np.asarray(scores, dtype=np.float64)
-    if not np.isfinite(scores).all() or not np.isfinite(trans).all():
-        raise UsageError("non-finite CRF inputs")
-    _, logz = crf_forward(scores, trans)
-    return logz
+    batch = scores if scores.ndim == 3 else scores[None]
+    lengths = np.full(len(batch), batch.shape[1]) if lengths is None else lengths
+    return batch, np.asarray(lengths, dtype=np.int64), scores.ndim == 2
 
 
-def crf_marginals(scores, trans):
-    """Per-position tag marginals p(y_i = j | X); rows sum to 1."""
-    alpha, logz = crf_forward(scores, trans)
-    beta = crf_backward_pass(scores, trans)
-    return np.exp(alpha + beta - logz), logz
+def _log_sum_exp(a, axis):
+    mx = a.max(axis=axis, keepdims=True)
+    return (mx + np.log(np.exp(a - mx).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
-def crf_nll(scores, trans, path):
-    """Negative log-probability of the gold path (cross-entropy loss)."""
-    m, k = scores.shape
-    path = list(path)
-    if len(path) != m or any(not 0 <= y < k for y in path):
-        raise UsageError("gold path does not match the score table")
-    bos, eos = k, k + 1
-    gold = trans[bos, path[0]] + scores[0, path[0]]
+def crf_nll_grads(scores, trans, paths, lengths=None):
+    """Negative log-probability of each gold path and its gradients.
+
+    Returns (nll (B,), d nll/d scores (B, m, K), d nll.sum()/d trans): the
+    marginals minus the observed counts, zero on padding. For one (m, K)
+    table, paths is one path and the result (float, (m, K), trans-shaped).
+    """
+    scores, lengths, single = _as_batch(scores, lengths)
+    paths = [paths] if single else paths
+    b, m, k = scores.shape
+    bos, eos, inner = k, k + 1, trans[:k, :k]
+    alpha = np.empty((b, m, k))
+    alpha[:, 0] = scores[:, 0] + trans[bos, :k]
     for i in range(1, m):
-        gold += trans[path[i - 1], path[i]] + scores[i, path[i]]
-    gold += trans[path[-1], eos]
-    _, logz = crf_forward(scores, trans)
-    return float(logz - gold)
-
-
-def crf_nll_grads(scores, trans, path):
-    """(nll, d nll/d scores, d nll/d trans): marginals minus observed counts."""
-    m, k = scores.shape
-    bos, eos = k, k + 1
-    alpha, logz = crf_forward(scores, trans)
-    beta = crf_backward_pass(scores, trans)
-    marg = np.exp(alpha + beta - logz)
-    dscores = marg.copy()
+        alpha[:, i] = scores[:, i] + _log_sum_exp(alpha[:, i - 1, :, None] + inner, 1)
+    beta = np.empty((b, m, k))
+    beta[:] = trans[:k, eos]  # holds at and after each sentence's end
+    for i in range(m - 2, -1, -1):
+        run = lengths > i + 1
+        beta[run, i] = _log_sum_exp(
+            inner + (scores[run, i + 1] + beta[run, i + 1])[:, None, :], 2)
+    rows = np.arange(b)
+    logz = _log_sum_exp(alpha[rows, lengths - 1] + trans[:k, eos], 1)
+    sent, pos = np.nonzero(np.arange(m) < lengths[:, None])
+    dscores = np.zeros_like(scores)
+    dscores[sent, pos] = np.exp(alpha[sent, pos] + beta[sent, pos]
+                                - logz[sent, None])
     dtrans = np.zeros_like(trans)
-    dtrans[bos, :k] += marg[0]
-    dtrans[:k, eos] += marg[m - 1]
-    for i in range(m - 1):
-        pair = np.exp(
-            alpha[i][:, None]
-            + trans[:k, :k]
-            + (scores[i + 1] + beta[i + 1])[None, :]
-            - logz
-        )
-        dtrans[:k, :k] += pair
-    gold = trans[bos, path[0]] + scores[0, path[0]]
-    dscores[0, path[0]] -= 1.0
-    dtrans[bos, path[0]] -= 1.0
-    for i in range(1, m):
-        gold += trans[path[i - 1], path[i]] + scores[i, path[i]]
-        dscores[i, path[i]] -= 1.0
-        dtrans[path[i - 1], path[i]] -= 1.0
-    gold += trans[path[-1], eos]
-    dtrans[path[-1], eos] -= 1.0
-    return float(logz - gold), dscores, dtrans
+    dtrans[bos, :k] = dscores[:, 0].sum(axis=0)
+    dtrans[:k, eos] = dscores[rows, lengths - 1].sum(axis=0)
+    ps, pp = sent[pos < lengths[sent] - 1], pos[pos < lengths[sent] - 1]
+    dtrans[:k, :k] = np.exp(
+        alpha[ps, pp][:, :, None] + inner
+        + (scores[ps, pp + 1] + beta[ps, pp + 1])[:, None, :]
+        - logz[ps, None, None]
+    ).sum(axis=0)
+    # the gold path: its emissions, then its transitions BOS..EOS
+    tags = np.concatenate([np.asarray(p, dtype=np.int64) for p in paths])
+    dscores[sent, pos, tags] -= 1.0
+    last = np.cumsum(lengths) - 1
+    src = np.r_[np.where(pos > 0, np.roll(tags, 1), bos), tags[last]]
+    dst = np.r_[tags, np.full(b, eos)]
+    np.add.at(dtrans, (src, dst), -1.0)
+    gold = (np.bincount(sent, scores[sent, pos, tags], minlength=b)
+            + np.bincount(np.r_[sent, rows], trans[src, dst], minlength=b))
+    nll = logz - gold
+    if single:
+        return float(nll[0]), dscores[0], dtrans
+    return nll, dscores, dtrans
 
 
-def viterbi(scores, trans):
-    """Highest-scoring tag path, boundary transitions included.
+def viterbi(scores, trans, lengths=None):
+    """Highest-scoring tag path of each sentence, boundary transitions
+    included; a list of paths, or one path for one (m, K) table.
 
     Ties break toward the lowest tag index, applied left to right.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    m, k = scores.shape
+    scores, lengths, single = _as_batch(scores, lengths)
+    b, m, k = scores.shape
     bos, eos = k, k + 1
-    delta = scores[0] + trans[bos, :k]
-    back = np.zeros((m, k), dtype=np.int64)
+    delta = scores[:, 0] + trans[bos, :k]
+    back = np.zeros((b, m, k), dtype=np.int64)
     for i in range(1, m):
-        cand = delta[:, None] + trans[:k, :k]
-        back[i] = cand.argmax(axis=0)  # argmax favors the lowest index
-        delta = scores[i] + cand[back[i], np.arange(k)]
-    last = int((delta + trans[:k, eos]).argmax())
-    path = [last]
-    for i in range(m - 1, 0, -1):
-        path.append(int(back[i, path[-1]]))
-    return path[::-1]
+        cand = delta[:, :, None] + trans[:k, :k]
+        back[:, i] = cand.argmax(axis=1)  # argmax favors the lowest index
+        step = scores[:, i] + cand.max(axis=1)
+        delta = np.where((lengths > i)[:, None], step, delta)
+    cur = (delta + trans[:k, eos]).argmax(axis=1)
+    rows = np.arange(b)
+    path = np.empty((b, m), dtype=np.int64)
+    for i in range(m - 1, -1, -1):
+        path[:, i] = cur
+        cur = np.where(lengths > i, back[rows, i, cur], cur)
+    paths = [path[r, : lengths[r]].tolist() for r in range(b)]
+    return paths[0] if single else paths
 
 
 # ---------------------------------------------------------------------------
 # Gated recurrent cell (input / forget / output / candidate), manual BPTT
-
-
-def _sigmoid(z):
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 class LstmCell:
@@ -160,76 +154,12 @@ class LstmCell:
         return {"w": self.w, "u": self.u, "b": self.b}
 
 
-def lstm_forward(cell, xs):
-    """Run the cell over xs (m, I); returns (hs (m, H), cache)."""
-    m = xs.shape[0]
-    hdim = cell.hidden_dim
-    zx = xs @ cell.w.T + cell.b
-    gates = np.empty((m, 4 * hdim))
-    cs = np.empty((m, hdim))
-    hs = np.empty((m, hdim))
-    h = np.zeros(hdim)
-    c = np.zeros(hdim)
-    for t in range(m):
-        z = zx[t] + cell.u @ h
-        i = _sigmoid(z[:hdim])
-        f = _sigmoid(z[hdim : 2 * hdim])
-        o = _sigmoid(z[2 * hdim : 3 * hdim])
-        g = np.tanh(z[3 * hdim :])
-        gates[t, :hdim] = i
-        gates[t, hdim : 2 * hdim] = f
-        gates[t, 2 * hdim : 3 * hdim] = o
-        gates[t, 3 * hdim :] = g
-        c = f * c + i * g
-        cs[t] = c
-        h = o * np.tanh(c)
-        hs[t] = h
-    return hs, (xs, gates, cs, hs)
-
-
-def lstm_backward(cell, cache, dhs):
-    """BPTT through a cached forward run.
-
-    dhs (m, H) is the upstream gradient on every output state. Returns
-    (dxs (m, I), grads {w, u, b}).
-    """
-    xs, gates, cs, hs = cache
-    m = xs.shape[0]
-    hdim = cell.hidden_dim
-    dz_all = np.empty((m, 4 * hdim))
-    dh_next = np.zeros(hdim)
-    dc_next = np.zeros(hdim)
-    for t in range(m - 1, -1, -1):
-        i = gates[t, :hdim]
-        f = gates[t, hdim : 2 * hdim]
-        o = gates[t, 2 * hdim : 3 * hdim]
-        g = gates[t, 3 * hdim :]
-        c_prev = cs[t - 1] if t > 0 else np.zeros(hdim)
-        tc = np.tanh(cs[t])
-        dh = dhs[t] + dh_next
-        do = dh * tc
-        dc = dh * o * (1.0 - tc * tc) + dc_next
-        di = dc * g
-        df = dc * c_prev
-        dg = dc * i
-        dc_next = dc * f
-        dz = dz_all[t]
-        dz[:hdim] = di * i * (1.0 - i)
-        dz[hdim : 2 * hdim] = df * f * (1.0 - f)
-        dz[2 * hdim : 3 * hdim] = do * o * (1.0 - o)
-        dz[3 * hdim :] = dg * (1.0 - g * g)
-        dh_next = cell.u.T @ dz
-    h_prev = np.vstack([np.zeros(hdim), hs[:-1]])
-    grads = {
-        "w": dz_all.T @ xs,
-        "u": dz_all.T @ h_prev,
-        "b": dz_all.sum(axis=0),
-    }
-    return dz_all @ cell.w, grads
-
-
 class BiLstm:
-    """Forward and backward cells; one shared cell object when tied."""
+    """Forward and backward cells; one shared cell object when tied.
+
+    The directions run side by side (axis 0 of every per-step array). The
+    input projection is computed once per cell, so tied directions share it.
+    """
 
     def __init__(self, input_dim, hidden_dim, rng, tied=False):
         self.fwd = LstmCell(input_dim, hidden_dim, rng)
@@ -248,39 +178,180 @@ class BiLstm:
             return [("f", self.fwd)]
         return [("f", self.fwd), ("b", self.bwd)]
 
+    def stacked(self, name):
+        return np.stack([cell.tensors()[name] for _, cell in self.directions()])
 
-def bilstm_states(bi, xs):
-    """Per-position concatenation of forward and backward states (m, 2H)."""
-    hs_f, cache_f = lstm_forward(bi.fwd, xs)
-    hs_b_rev, cache_b = lstm_forward(bi.bwd, xs[::-1])
-    return np.hstack([hs_f, hs_b_rev[::-1]]), (cache_f, cache_b)
+    def project(self, rows):
+        """Input projections of rows (n, I): (n * cells, 4H), row
+        cells * p + d holding element p for cell d."""
+        w, b = self.stacked("w"), self.stacked("b")
+        return (rows @ w.reshape(-1, w.shape[-1]).T + b.ravel()).reshape(
+            -1, 4 * self.hidden_dim)
+
+    def feed(self, index):
+        """Rows of `project` that the directions read for the (2, n) element
+        indices `index` (forward in row 0, backward in row 1)."""
+        return index if self.tied else 2 * index + np.array([[0], [1]])
+
+    def grads(self, rows, dproj, du):
+        """(d rows, {direction: {w, u, b}}) given the gradient dproj on
+        `project(rows)` and du (cells, 4H, H) on the recurrent weights."""
+        w = self.stacked("w")
+        dproj = dproj.reshape(len(rows), -1)
+        dw = (dproj.T @ rows).reshape(w.shape)
+        db = dproj.sum(axis=0).reshape(len(w), -1)
+        cell_grads = {tag: {"w": dw[d], "u": du[d], "b": db[d]}
+                      for d, (tag, _) in enumerate(self.directions())}
+        return dproj @ w.reshape(-1, w.shape[-1]), cell_grads
 
 
-def bilstm_states_backward(bi, cache, dout):
-    cache_f, cache_b = cache
+def _schedule(lengths):
+    """Step plan for sequences stored back to back, run longest first.
+
+    Returns (order, steps): order lists the sequences longest first (ties
+    keep input order); steps[t] is a (2, n_t) array with the flat index of
+    the element that each of the n_t sequences still running reads at time
+    t, forward in row 0 and reversed in row 1.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    offsets = np.cumsum(lengths) - lengths
+    order = np.argsort(-lengths, kind="stable")
+    lens, offs = lengths[order], offsets[order]
+    steps = []
+    for t in range(int(lens[0])):
+        n = int(np.count_nonzero(lens > t))
+        steps.append(np.stack([offs[:n] + t, offs[:n] + lens[:n] - 1 - t]))
+    return order, steps
+
+
+def _recur(bi, proj, feeds, keep):
+    """Run both directions of bi over packed sequences, longest first.
+
+    feeds[t] (2, n_t) picks the rows of proj that the running sequences
+    read at step t. Returns (the states of every step, a list of
+    (2, n_t, H); the final state of every sequence (2, n_0, H); the cache
+    for `_recur_backward`, or None unless keep).
+    """
     hdim = bi.hidden_dim
-    dxs_f, grads_f = lstm_backward(bi.fwd, cache_f, dout[:, :hdim])
-    dxs_b, grads_b = lstm_backward(bi.bwd, cache_b, dout[::-1, hdim:])
-    return dxs_f + dxs_b[::-1], grads_f, grads_b
+    ut = bi.stacked("u").transpose(0, 2, 1)
+    h = c = np.zeros((2, feeds[0].shape[1], hdim))
+    final = np.empty_like(h)
+    hs, cache = [], []
+    for t, feed in enumerate(feeds):
+        n = feed.shape[1]
+        gates = proj[feed] + h[:, :n] @ ut  # i, f, o, candidate
+        gates[..., : 3 * hdim] = sigmoid(gates[..., : 3 * hdim])
+        gates[..., 3 * hdim :] = np.tanh(gates[..., 3 * hdim :])
+        c = (gates[..., hdim : 2 * hdim] * c[:, :n]
+             + gates[..., :hdim] * gates[..., 3 * hdim :])
+        h = gates[..., 2 * hdim : 3 * hdim] * np.tanh(c)
+        if keep:
+            cache.append((gates, c, h))
+        done = feeds[t + 1].shape[1] if t + 1 < len(feeds) else 0
+        final[:, done:n] = h[:, done:]
+        hs.append(h)
+    return hs, final, (cache if keep else None)
 
 
-def bilstm_final(bi, xs):
-    """Concatenated final forward and final backward states (2H,)."""
-    hs_f, cache_f = lstm_forward(bi.fwd, xs)
-    hs_b_rev, cache_b = lstm_forward(bi.bwd, xs[::-1])
-    return np.concatenate([hs_f[-1], hs_b_rev[-1]]), (cache_f, cache_b)
+def _recur_backward(bi, cache, dfinal, dsteps=None):
+    """BPTT through `_recur`, freeing its cache step by step.
 
-
-def bilstm_final_backward(bi, cache, dfinal, m):
-    cache_f, cache_b = cache
+    dfinal (2, n_0, H) is the gradient on the final states; dsteps[t], when
+    given, the gradient on the states of step t. Returns (the gradient on
+    the projections read by every step, concatenated over the steps as
+    (2, S, 4H); the gradient on the recurrent weights, (cells, 4H, H)).
+    """
     hdim = bi.hidden_dim
-    dh_f = np.zeros((m, hdim))
-    dh_f[-1] = dfinal[:hdim]
-    dh_b = np.zeros((m, hdim))
-    dh_b[-1] = dfinal[hdim:]
-    dxs_f, grads_f = lstm_backward(bi.fwd, cache_f, dh_f)
-    dxs_b, grads_b = lstm_backward(bi.bwd, cache_b, dh_b)
-    return dxs_f + dxs_b[::-1], grads_f, grads_b
+    u = bi.stacked("u")
+    dh = np.array(dfinal, dtype=np.float64)
+    dc = np.zeros_like(dh)
+    dzs, h_prev = [None] * len(cache), [None] * len(cache)
+    for t in range(len(cache) - 1, -1, -1):
+        gates, c, _ = cache.pop()
+        n = gates.shape[1]
+        ifo, g = gates[..., : 3 * hdim], gates[..., 3 * hdim :]
+        c_prev = cache[-1][1][:, :n] if t else 0.0
+        h_prev[t] = cache[-1][2][:, :n] if t else np.zeros((2, n, hdim))
+        tc = np.tanh(c)
+        dh_t = dh[:, :n] if dsteps is None else dh[:, :n] + dsteps[t]
+        dc_t = dh_t * gates[..., 2 * hdim : 3 * hdim] * (1.0 - tc * tc) + dc[:, :n]
+        dz = np.empty_like(gates)
+        dz[..., :hdim] = dc_t * g
+        dz[..., hdim : 2 * hdim] = dc_t * c_prev
+        dz[..., 2 * hdim : 3 * hdim] = dh_t * tc
+        dz[..., : 3 * hdim] *= ifo * (1.0 - ifo)
+        dz[..., 3 * hdim :] = dc_t * gates[..., :hdim] * (1.0 - g * g)
+        dc[:, :n] = dc_t * gates[..., hdim : 2 * hdim]
+        dh[:, :n] = dz @ u
+        dzs[t] = dz
+    dz = np.concatenate(dzs, axis=1)
+    h_prev = np.concatenate(h_prev, axis=1)
+    if bi.tied:
+        return dz, (dz.reshape(-1, 4 * hdim).T @ h_prev.reshape(-1, hdim))[None]
+    return dz, dz.transpose(0, 2, 1) @ h_prev
+
+
+def _scatter_add(index, values, n_rows):
+    """(n_rows, C) sums of the rows of values (n, C) that share an index."""
+    width = values.shape[1]
+    flat = (index[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(flat, values.ravel(), minlength=n_rows * width).reshape(
+        n_rows, width)
+
+
+def bilstm_final(bi, table, seqs, keep=False):
+    """Concatenated final forward and final backward states (U, 2H) of U
+    non-empty id sequences read through `table` (V, I); each table row is
+    projected once. Returns (states, cache or None)."""
+    ids = np.concatenate(seqs)
+    order, steps = _schedule([len(s) for s in seqs])
+    feeds = [bi.feed(ids[s]) for s in steps]
+    _, final, cache = _recur(bi, bi.project(table), feeds, keep)
+    out = np.empty((len(seqs), 2 * bi.hidden_dim))
+    out[order] = final.transpose(1, 0, 2).reshape(len(seqs), -1)
+    return out, ((table, order, feeds, cache) if keep else None)
+
+
+def bilstm_final_backward(bi, cache, dfinal):
+    """(d table, {direction: {w, u, b}}) for the gradient dfinal (U, 2H) on
+    the output of `bilstm_final`."""
+    table, order, feeds, rec = cache
+    hdim = bi.hidden_dim
+    dfinal = dfinal[order].reshape(len(order), 2, hdim).transpose(1, 0, 2)
+    dz, du = _recur_backward(bi, rec, dfinal)
+    dproj = _scatter_add(np.concatenate(feeds, axis=1).ravel(),
+                         dz.reshape(-1, 4 * hdim),
+                         len(table) * len(bi.directions()))
+    return bi.grads(table, dproj, du)
+
+
+def bilstm_states(bi, xs, lengths, keep=False):
+    """Per-position concatenation of forward and backward states (N, 2H) of
+    sequences stored back to back in xs (N, I). Returns (states, cache or
+    None)."""
+    _, steps = _schedule(lengths)
+    feeds = [bi.feed(s) for s in steps]
+    hs, _, cache = _recur(bi, bi.project(xs), feeds, keep)
+    at = [2 * s + np.array([[0], [1]]) for s in steps]  # row 2p + direction
+    out = np.empty((2 * len(xs), bi.hidden_dim))
+    out[np.concatenate(at, axis=1)] = np.concatenate(hs, axis=1)
+    return out.reshape(len(xs), -1), ((xs, at, feeds, cache) if keep else None)
+
+
+def bilstm_states_backward(bi, cache, dstates):
+    """(d xs, {direction: {w, u, b}}) for the gradient dstates (N, 2H) on
+    the output of `bilstm_states`."""
+    xs, at, feeds, rec = cache
+    hdim = bi.hidden_dim
+    dh = np.ascontiguousarray(dstates).reshape(-1, hdim)
+    dz, du = _recur_backward(bi, rec, np.zeros((2, at[0].shape[1], hdim)),
+                             [dh[a] for a in at])
+    # each direction reads every row once; tied directions read the same rows
+    rows = np.concatenate(feeds, axis=1)
+    dproj = np.zeros((len(xs) * len(bi.directions()), 4 * hdim))
+    dproj[rows[0]] = dz[0]
+    dproj[rows[1]] += dz[1]
+    return bi.grads(xs, dproj, du)
 
 
 # ---------------------------------------------------------------------------
@@ -433,25 +504,34 @@ class Tagger:
         return cached
 
     def prepare(self, table, tokens, tags=None):
-        """Bind a sentence to word vectors, char ids, and tag ids."""
-        vecs = np.vstack([table.lookup(t) for t in tokens])
+        """Bind a sentence to its table rows and tag ids."""
+        if not tokens:
+            raise UsageError("empty sentence")
+        rows = np.array([table.row(t) for t in tokens], dtype=np.int64)
         tag_ids = None
         if tags is not None:
             try:
                 tag_ids = [self.tag_index[t] for t in tags]
             except KeyError as exc:
                 raise UsageError(f"tag {exc.args[0]!r} not in the inventory")
-        return PreparedSentence(list(tokens), vecs, tag_ids)
+        return PreparedSentence(list(tokens), table, rows, tag_ids)
 
 
 @dataclass
 class PreparedSentence:
     tokens: list
-    word_vecs: np.ndarray
+    table: object
+    rows: np.ndarray  # table row of each token; -1 is the all-zero UNK
     tag_ids: list = None
 
     def __len__(self):
         return len(self.tokens)
+
+    @property
+    def word_vecs(self):
+        vecs = self.table.vectors[self.rows]
+        vecs[self.rows < 0] = 0.0
+        return vecs
 
 
 def transition_mask(tags, scheme):
@@ -495,145 +575,70 @@ def transition_mask(tags, scheme):
 
 
 # ---------------------------------------------------------------------------
-# Forward / backward through the whole pipeline
+# Forward / backward through the whole pipeline, one batch at a time
 
 
-def encode_token_chars(model, lang, token):
-    """Character bi-encoder representation of one token (2 * char_hidden)."""
+def batch_forward(model, lang, batch, masks=None, keep=False):
+    """(scores, lengths, cache) of a batch of PreparedSentences: emission
+    scores (B, m, K) zero-padded past each sentence's length, and with keep
+    the cache for `batch_backward`. masks, when given, holds each sentence's
+    dropout mask."""
     enc = model.encoders[lang]
-    if enc.char is None:
-        raise UsageError("model variant has no character encoder")
-    xs = model.char_emb[model.char_ids(token)]
-    final, _ = bilstm_final(enc.char, xs)
-    return final
-
-
-def embed_sentence(model, lang, table, tokens, train=False, rng=None,
-                   mask=None):
-    """Per-token concat of the char representation and the word vector.
-
-    Training mode applies an inverted dropout mask on the rows; pass `mask`
-    to fix it (gradient checks), or `rng` to draw one.
-    """
-    prep = model.prepare(table, tokens)
-    x, _ = _embed_forward(model, lang, prep)
-    if train and model.cfg.dropout > 0:
-        if mask is None:
-            mask = dropout_mask(rng, x.shape, model.cfg.dropout)
-        x = x * mask
-    return x
-
-
-def dropout_mask(rng, shape, rate):
-    return (rng.uniform(shape) >= rate) / (1.0 - rate)
-
-
-def _embed_forward(model, lang, prep):
-    """(m, input_dim) rows plus the char caches needed for backward."""
-    enc = model.encoders[lang]
-    if enc.char is None:
-        return prep.word_vecs.copy(), None
-    reprs = {}
-    for token in prep.tokens:
-        if token not in reprs:
-            ids = model.char_ids(token)
-            final, cache = bilstm_final(enc.char, model.char_emb[ids])
-            reprs[token] = (final, cache, ids)
-    x = np.empty((len(prep), model.cfg.input_dim))
-    for t, token in enumerate(prep.tokens):
-        x[t, : 2 * model.cfg.char_hidden] = reprs[token][0]
-        x[t, 2 * model.cfg.char_hidden :] = prep.word_vecs[t]
-    return x, reprs
-
-
-def word_context(model, lang, x):
-    """Contextual states from the word-level bi-encoder (m, 2 * word_hidden)."""
-    states, _ = bilstm_states(model.encoders[lang].word, x)
-    return states
-
-
-def emission_scores(model, states):
-    """Log-domain node potentials: the per-tag scoring matrix applied to
-    tanh(dense(state)), one row per position (m, K)."""
-    t = np.tanh(states @ model.head["dense_w"].T + model.head["dense_b"])
-    return t @ model.head["tag_w"].T
-
-
-def sentence_forward(model, lang, prep, mask=None):
-    """Full pipeline forward; returns (scores, cache) for one sentence."""
-    x, char_reprs = _embed_forward(model, lang, prep)
-    if mask is not None:
-        x = x * mask
-    enc = model.encoders[lang]
-    states, word_cache = bilstm_states(enc.word, x)
-    t = np.tanh(states @ model.head["dense_w"].T + model.head["dense_b"])
-    scores = t @ model.head["tag_w"].T
-    cache = (prep, x, char_reprs, word_cache, states, t, mask)
-    return scores, cache
-
-
-def sentence_nll(model, lang, table, tokens, tags, mask=None):
-    """Loss of one labeled sentence; pure given parameters and mask."""
-    prep = model.prepare(table, tokens, tags)
-    scores, _ = sentence_forward(model, lang, prep, mask)
-    return crf_nll(scores, model.effective_trans(), prep.tag_ids)
-
-
-def _accumulate(grads, name, value):
-    if name in grads:
-        grads[name] += value
-    else:
-        grads[name] = value.copy() if isinstance(value, np.ndarray) else value
-
-
-def _cell_grads_into(grads, prefix, bi, grads_f, grads_b):
-    directions = [("f", grads_f)]
-    if bi.tied:
-        for name, val in grads_b.items():
-            grads_f[name] = grads_f[name] + val
-    else:
-        directions.append(("b", grads_b))
-    for tag, cell_grads in directions:
-        for name, val in cell_grads.items():
-            _accumulate(grads, f"{prefix}.{tag}.{name}", val)
-
-
-def sentence_backward(model, lang, scores, cache, dscores, dtrans, grads):
-    """Backprop one sentence's dscores/dtrans into the grads dict."""
-    prep, x, char_reprs, word_cache, states, t, mask = cache
-    enc = model.encoders[lang]
-    _accumulate(grads, "head.trans", dtrans)
-    _accumulate(grads, "head.tag_w", dscores.T @ t)
-    dt = dscores @ model.head["tag_w"]
-    dzh = dt * (1.0 - t * t)
-    _accumulate(grads, "head.dense_w", dzh.T @ states)
-    _accumulate(grads, "head.dense_b", dzh.sum(axis=0))
-    dstates = dzh @ model.head["dense_w"]
-    dx, grads_f, grads_b = bilstm_states_backward(enc.word, word_cache, dstates)
-    _cell_grads_into(grads, f"enc.{lang}.word", enc.word, grads_f, grads_b)
-    if mask is not None:
-        dx = dx * mask
-    if enc.char is None:
-        return
-    cdim = 2 * model.cfg.char_hidden
-    dchar = {}
-    for pos, token in enumerate(prep.tokens):
-        if token in dchar:
-            dchar[token] += dx[pos, :cdim]
-        else:
-            dchar[token] = dx[pos, :cdim].copy()
-    demb = np.zeros_like(model.char_emb)
-    touched = False
-    for token, dfinal in dchar.items():
-        _, char_cache, ids = char_reprs[token]
-        dxs, grads_f, grads_b = bilstm_final_backward(
-            enc.char, char_cache, dfinal, len(ids)
+    lengths = np.array([len(p) for p in batch])
+    x = np.vstack([p.word_vecs for p in batch])
+    inverse = char_cache = mask = None
+    if enc.char is not None:
+        unique = {}
+        inverse = np.array([unique.setdefault(tok, len(unique))
+                            for p in batch for tok in p.tokens])
+        reprs, char_cache = bilstm_final(
+            enc.char, model.char_emb, [model.char_ids(t) for t in unique], keep
         )
-        _cell_grads_into(grads, f"enc.{lang}.char", enc.char, grads_f, grads_b)
-        np.add.at(demb, ids, dxs)
-        touched = True
-    if touched:
-        _accumulate(grads, "char_emb", demb)
+        x = np.hstack([reprs[inverse], x])
+    if masks is not None:
+        mask = np.vstack(masks)
+        x = x * mask
+    states, word_cache = bilstm_states(enc.word, x, lengths, keep)
+    t = np.tanh(states @ model.head["dense_w"].T + model.head["dense_b"])
+    valid = np.arange(lengths.max()) < lengths[:, None]
+    scores = np.zeros(valid.shape + (model.cfg.n_tags,))
+    scores[valid] = t @ model.head["tag_w"].T
+    cache = (inverse, char_cache, mask, word_cache, states, t, valid)
+    return scores, lengths, (cache if keep else None)
+
+
+def _named(prefix, cell_grads):
+    return {f"{prefix}.{tag}.{name}": value
+            for tag, tensors in cell_grads.items()
+            for name, value in tensors.items()}
+
+
+def batch_backward(model, lang, cache, dscores, dtrans):
+    """Gradient of every trainable tensor of theta_lang, given those of the
+    padded emission scores and of the transitions."""
+    inverse, char_cache, mask, word_cache, states, t, valid = cache
+    enc = model.encoders[lang]
+    head = model.head
+    dscores = dscores[valid]
+    dzh = (dscores @ head["tag_w"]) * (1.0 - t * t)
+    grads = {
+        "head.trans": dtrans,
+        "head.tag_w": dscores.T @ t,
+        "head.dense_w": dzh.T @ states,
+        "head.dense_b": dzh.sum(axis=0),
+    }
+    dx, cell_grads = bilstm_states_backward(enc.word, word_cache,
+                                            dzh @ head["dense_w"])
+    grads.update(_named(f"enc.{lang}.word", cell_grads))
+    if enc.char is not None:
+        if mask is not None:
+            dx = dx * mask
+        cdim = 2 * model.cfg.char_hidden
+        dreprs = _scatter_add(inverse, dx[:, :cdim], len(char_cache[1]))
+        demb, cell_grads = bilstm_final_backward(enc.char, char_cache, dreprs)
+        grads.update(_named(f"enc.{lang}.char", cell_grads))
+        grads["char_emb"] = demb
+    return grads
 
 
 def backward_pass(model, lang, table, batch, masks=None):
@@ -645,48 +650,41 @@ def backward_pass(model, lang, table, batch, masks=None):
     """
     if not batch:
         raise UsageError("empty batch")
-    grads = {}
-    total = 0.0
-    trans = model.effective_trans()
-    scale = 1.0 / len(batch)
-    for idx, item in enumerate(batch):
-        if isinstance(item, PreparedSentence):
-            prep = item
-        else:
-            tokens, tags = item
-            prep = model.prepare(table, tokens, tags)
-        if prep.tag_ids is None:
-            raise UsageError("backward_pass needs labeled sentences")
-        mask = masks[idx] if masks is not None else None
-        scores, cache = sentence_forward(model, lang, prep, mask)
-        nll, dscores, dtrans = crf_nll_grads(scores, trans, prep.tag_ids)
-        total += nll
-        sentence_backward(
-            model, lang, scores, cache, dscores * scale, dtrans * scale, grads
-        )
-    loss = total * scale
+    preps = [item if isinstance(item, PreparedSentence)
+             else model.prepare(table, *item) for item in batch]
+    if any(p.tag_ids is None for p in preps):
+        raise UsageError("backward_pass needs labeled sentences")
+    scores, lengths, cache = batch_forward(model, lang, preps, masks, keep=True)
+    nll, dscores, dtrans = crf_nll_grads(
+        scores, model.effective_trans(), [p.tag_ids for p in preps], lengths
+    )
+    scale = 1.0 / len(preps)
+    loss = float(nll.sum()) * scale
     if not np.isfinite(loss):
         raise NumericalError("non-finite training loss")
+    grads = batch_backward(model, lang, cache, dscores * scale, dtrans * scale)
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise NumericalError(f"non-finite gradient for {name}")
     return loss, grads
 
 
-def batch_nll(model, lang, table, batch, masks=None):
-    """Mean-batch loss only (the finite-difference oracle calls this)."""
-    total = 0.0
+def predict(model, lang, table, sentences):
+    """Viterbi tags of each token list, evaluation mode (no dropout).
+
+    Sentences of similar length go through the engine together, in chunks
+    of about EVAL_TOKENS tokens, and no backward cache is kept.
+    """
+    if any(isinstance(s, str) for s in sentences):
+        raise UsageError("predict takes a list of token lists")
     trans = model.effective_trans()
-    for idx, item in enumerate(batch):
-        tokens, tags = item
-        mask = masks[idx] if masks is not None else None
-        total += sentence_nll(model, lang, table, tokens, tags, mask)
-    return total / len(batch)
-
-
-def predict(model, lang, table, tokens):
-    """Viterbi tags for one sentence, evaluation mode (no dropout)."""
-    prep = model.prepare(table, tokens)
-    scores, _ = sentence_forward(model, lang, prep)
-    path = viterbi(scores, model.effective_trans())
-    return [model.cfg.tags[i] for i in path]
+    tags = [None] * len(sentences)
+    order = sorted(range(len(sentences)), key=lambda i: len(sentences[i]))
+    budget = np.cumsum([len(sentences[i]) for i in order]) // EVAL_TOKENS
+    for _, group in itertools.groupby(zip(budget, order), lambda p: p[0]):
+        chunk = [i for _, i in group]
+        preps = [model.prepare(table, sentences[i]) for i in chunk]
+        scores, lengths, _ = batch_forward(model, lang, preps)
+        for i, path in zip(chunk, viterbi(scores, trans, lengths)):
+            tags[i] = [model.cfg.tags[j] for j in path]
+    return tags

@@ -13,16 +13,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .checkpoint import flat_to_fields
 from .corpus import IOBES, Dataset, TaggedSentence, entity_f1
 from .embeddings import apply_mapper
 from .errors import NumericalError, UsageError
-from .numeric import clipped_sgd_step, sample_uniform_int
-from .tagger import (
-    TaggerConfig,
-    backward_pass,
-    dropout_mask,
-    predict,
-)
+from .numeric import clipped_sgd_step, dropout_mask
+from .tagger import TaggerConfig, backward_pass, predict
 
 VARIANTS = (
     "source_mono",
@@ -66,6 +62,15 @@ class TrainingConfig:
             raise UsageError(f"unknown variant {self.variant!r}")
         if self.selection not in SELECTIONS:
             raise UsageError(f"unknown selection mode {self.selection!r}")
+        for name, ok, rule in (
+            ("batch_size", self.batch_size >= 1, "at least 1"),
+            ("eval_interval", self.eval_interval >= 1, "at least 1"),
+            ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),
+            ("epochs", self.epochs >= 0, "at least 0"),
+        ):
+            if not ok:
+                raise UsageError(
+                    f"train.{name} must be {rule}, got {getattr(self, name)}")
 
     @property
     def use_char(self):
@@ -95,21 +100,7 @@ class TrainingConfig:
 
     @classmethod
     def from_flat(cls, flat):
-        kwargs = {}
-        for f in fields(cls):
-            key = f"train.{f.name}"
-            if key not in flat:
-                continue
-            raw = flat[key]
-            if f.type == "bool" or isinstance(f.default, bool):
-                kwargs[f.name] = raw == "True"
-            elif isinstance(f.default, int):
-                kwargs[f.name] = int(raw)
-            elif isinstance(f.default, float):
-                kwargs[f.name] = float(raw)
-            else:
-                kwargs[f.name] = raw
-        return cls(**kwargs)
+        return cls(**flat_to_fields(cls, "train", flat))
 
 
 def lr_at(config, epoch):
@@ -170,9 +161,7 @@ def evaluate_model(model, eval_sets):
     scores = {}
     for ev in eval_sets:
         lang = ev.lang if ev.lang in model.encoders else "src"
-        preds = [
-            predict(model, lang, ev.table, sent.tokens) for sent in ev.dataset
-        ]
+        preds = predict(model, lang, ev.table, [s.tokens for s in ev.dataset])
         scores[ev.name] = entity_f1(ev.dataset, preds).overall.f1
     return scores
 
@@ -334,17 +323,14 @@ def generate_pseudo_labels(model, table, dataset, rng, generation_round=0,
     kept = []
     threshold = None
     for _ in range(2):
-        threshold = sample_uniform_int(rng, lo, hi)
+        threshold = rng.uniform_int(lo, hi)
         kept = [s for s in dataset if len(s) <= threshold]
         if kept:
             break
     if not kept:
         raise UsageError("no target sentences at or below the length threshold")
-    labeled = [
-        TaggedSentence(list(s.tokens),
-                       predict(model, "src", table, s.tokens))
-        for s in kept
-    ]
+    tags = predict(model, "src", table, [s.tokens for s in kept])
+    labeled = [TaggedSentence(list(s.tokens), t) for s, t in zip(kept, tags)]
     pseudo = Dataset(labeled, role="train", language=dataset.language,
                      scheme=model.cfg.scheme)
     return PseudoDataset(pseudo, threshold, generation_round)

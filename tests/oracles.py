@@ -128,3 +128,359 @@ def finite_difference_grads(loss_fn, params, h=1e-5):
             gflat[idx] = (up - down) / (2 * h)
         grads[name] = g
     return grads
+
+
+# ---------------------------------------------------------------------------
+# The tagger, one sentence and one time step at a time
+#
+# This is the per-sentence formulation the batched engine in zrxner.tagger
+# replaces. It reads the model's tensors and nothing else of the engine, and
+# is the reference that tests/test_batched_engine.py pins the engine to.
+
+
+def _sigmoid(z):
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
+
+
+def _log_sum_exp(v):
+    m = v.max()
+    return float(m + np.log(np.exp(v - m).sum()))
+
+
+def crf_forward(scores, trans):
+    """Forward recursion in the log domain; returns (alpha, log_partition)."""
+    m, k = scores.shape
+    bos, eos = k, k + 1
+    alpha = np.empty((m, k))
+    alpha[0] = scores[0] + trans[bos, :k]
+    for i in range(1, m):
+        prev = alpha[i - 1][:, None] + trans[:k, :k]
+        mx = prev.max(axis=0)
+        alpha[i] = scores[i] + mx + np.log(np.exp(prev - mx).sum(axis=0))
+    return alpha, _log_sum_exp(alpha[m - 1] + trans[:k, eos])
+
+
+def crf_backward(scores, trans):
+    m, k = scores.shape
+    eos = k + 1
+    beta = np.empty((m, k))
+    beta[m - 1] = trans[:k, eos]
+    for i in range(m - 2, -1, -1):
+        nxt = trans[:k, :k] + (scores[i + 1] + beta[i + 1])[None, :]
+        mx = nxt.max(axis=1)
+        beta[i] = mx + np.log(np.exp(nxt - mx[:, None]).sum(axis=1))
+    return beta
+
+
+def crf_log_partition(scores, trans):
+    """log sum over all tag paths of exp(node + edge scores), boundaries
+    included."""
+    from zrxner.errors import UsageError
+
+    scores = np.asarray(scores, dtype=np.float64)
+    if not np.isfinite(scores).all() or not np.isfinite(trans).all():
+        raise UsageError("non-finite CRF inputs")
+    _, logz = crf_forward(scores, trans)
+    return logz
+
+
+def crf_marginals(scores, trans):
+    """Per-position tag marginals p(y_i = j | X); rows sum to 1."""
+    alpha, logz = crf_forward(scores, trans)
+    beta = crf_backward(scores, trans)
+    return np.exp(alpha + beta - logz), logz
+
+
+def crf_nll(scores, trans, path):
+    """Negative log-probability of the gold path (cross-entropy loss)."""
+    from zrxner.errors import UsageError
+
+    m, k = scores.shape
+    path = list(path)
+    if len(path) != m or any(not 0 <= y < k for y in path):
+        raise UsageError("gold path does not match the score table")
+    _, logz = crf_forward(scores, trans)
+    return float(logz - crf_path_score(scores, trans, path))
+
+
+def reference_crf_nll_grads(scores, trans, path):
+    """(nll, d nll/d scores, d nll/d trans): marginals minus observed counts."""
+    m, k = scores.shape
+    bos, eos = k, k + 1
+    alpha, logz = crf_forward(scores, trans)
+    beta = crf_backward(scores, trans)
+    marg = np.exp(alpha + beta - logz)
+    dscores = marg.copy()
+    dtrans = np.zeros_like(trans)
+    dtrans[bos, :k] += marg[0]
+    dtrans[:k, eos] += marg[m - 1]
+    for i in range(m - 1):
+        dtrans[:k, :k] += np.exp(
+            alpha[i][:, None] + trans[:k, :k]
+            + (scores[i + 1] + beta[i + 1])[None, :] - logz
+        )
+    dscores[0, path[0]] -= 1.0
+    dtrans[bos, path[0]] -= 1.0
+    for i in range(1, m):
+        dscores[i, path[i]] -= 1.0
+        dtrans[path[i - 1], path[i]] -= 1.0
+    dtrans[path[-1], eos] -= 1.0
+    return float(logz - crf_path_score(scores, trans, path)), dscores, dtrans
+
+
+def reference_viterbi(scores, trans):
+    """Highest-scoring tag path; ties break toward the lowest tag index,
+    applied left to right."""
+    scores = np.asarray(scores, dtype=np.float64)
+    m, k = scores.shape
+    bos, eos = k, k + 1
+    delta = scores[0] + trans[bos, :k]
+    back = np.zeros((m, k), dtype=np.int64)
+    for i in range(1, m):
+        cand = delta[:, None] + trans[:k, :k]
+        back[i] = cand.argmax(axis=0)
+        delta = scores[i] + cand[back[i], np.arange(k)]
+    path = [int((delta + trans[:k, eos]).argmax())]
+    for i in range(m - 1, 0, -1):
+        path.append(int(back[i, path[-1]]))
+    return path[::-1]
+
+
+def lstm_forward(cell, xs):
+    """Run the cell over xs (m, I); returns (hs (m, H), cache)."""
+    m = xs.shape[0]
+    hdim = cell.hidden_dim
+    zx = xs @ cell.w.T + cell.b
+    gates = np.empty((m, 4 * hdim))
+    cs = np.empty((m, hdim))
+    hs = np.empty((m, hdim))
+    h = np.zeros(hdim)
+    c = np.zeros(hdim)
+    for t in range(m):
+        z = zx[t] + cell.u @ h
+        gates[t, : 3 * hdim] = _sigmoid(z[: 3 * hdim])
+        gates[t, 3 * hdim :] = np.tanh(z[3 * hdim :])
+        i, f, o, g = np.split(gates[t], 4)
+        c = f * c + i * g
+        cs[t] = c
+        h = o * np.tanh(c)
+        hs[t] = h
+    return hs, (xs, gates, cs, hs)
+
+
+def lstm_backward(cell, cache, dhs):
+    """BPTT through a cached forward run; returns (dxs, grads {w, u, b})."""
+    xs, gates, cs, hs = cache
+    m = xs.shape[0]
+    hdim = cell.hidden_dim
+    dz_all = np.empty((m, 4 * hdim))
+    dh_next = np.zeros(hdim)
+    dc_next = np.zeros(hdim)
+    for t in range(m - 1, -1, -1):
+        i, f, o, g = np.split(gates[t], 4)
+        c_prev = cs[t - 1] if t > 0 else np.zeros(hdim)
+        tc = np.tanh(cs[t])
+        dh = dhs[t] + dh_next
+        do = dh * tc
+        dc = dh * o * (1.0 - tc * tc) + dc_next
+        dc_next = dc * f
+        dz_all[t] = np.concatenate([
+            dc * g * i * (1.0 - i),
+            dc * c_prev * f * (1.0 - f),
+            do * o * (1.0 - o),
+            dc * i * (1.0 - g * g),
+        ])
+        dh_next = cell.u.T @ dz_all[t]
+    h_prev = np.vstack([np.zeros(hdim), hs[:-1]])
+    grads = {"w": dz_all.T @ xs, "u": dz_all.T @ h_prev,
+             "b": dz_all.sum(axis=0)}
+    return dz_all @ cell.w, grads
+
+
+def bilstm_states(bi, xs):
+    hs_f, cache_f = lstm_forward(bi.fwd, xs)
+    hs_b_rev, cache_b = lstm_forward(bi.bwd, xs[::-1])
+    return np.hstack([hs_f, hs_b_rev[::-1]]), (cache_f, cache_b)
+
+
+def bilstm_states_backward(bi, cache, dout):
+    cache_f, cache_b = cache
+    hdim = bi.hidden_dim
+    dxs_f, grads_f = lstm_backward(bi.fwd, cache_f, dout[:, :hdim])
+    dxs_b, grads_b = lstm_backward(bi.bwd, cache_b, dout[::-1, hdim:])
+    return dxs_f + dxs_b[::-1], grads_f, grads_b
+
+
+def bilstm_final(bi, xs):
+    hs_f, cache_f = lstm_forward(bi.fwd, xs)
+    hs_b_rev, cache_b = lstm_forward(bi.bwd, xs[::-1])
+    return np.concatenate([hs_f[-1], hs_b_rev[-1]]), (cache_f, cache_b)
+
+
+def bilstm_final_backward(bi, cache, dfinal, m):
+    cache_f, cache_b = cache
+    hdim = bi.hidden_dim
+    dh_f = np.zeros((m, hdim))
+    dh_f[-1] = dfinal[:hdim]
+    dh_b = np.zeros((m, hdim))
+    dh_b[-1] = dfinal[hdim:]
+    dxs_f, grads_f = lstm_backward(bi.fwd, cache_f, dh_f)
+    dxs_b, grads_b = lstm_backward(bi.bwd, cache_b, dh_b)
+    return dxs_f + dxs_b[::-1], grads_f, grads_b
+
+
+def encode_token_chars(model, lang, token):
+    """Character bi-encoder representation of one token (2 * char_hidden)."""
+    from zrxner.errors import UsageError
+
+    enc = model.encoders[lang]
+    if enc.char is None:
+        raise UsageError("model variant has no character encoder")
+    final, _ = bilstm_final(enc.char, model.char_emb[model.char_ids(token)])
+    return final
+
+
+def _embed_forward(model, lang, prep):
+    """(m, input_dim) rows plus the char caches needed for backward."""
+    enc = model.encoders[lang]
+    if enc.char is None:
+        return prep.word_vecs.copy(), None
+    reprs = {}
+    for token in prep.tokens:
+        if token not in reprs:
+            ids = model.char_ids(token)
+            final, cache = bilstm_final(enc.char, model.char_emb[ids])
+            reprs[token] = (final, cache, ids)
+    cdim = 2 * model.cfg.char_hidden
+    x = np.empty((len(prep), model.cfg.input_dim))
+    for t, token in enumerate(prep.tokens):
+        x[t, :cdim] = reprs[token][0]
+        x[t, cdim:] = prep.word_vecs[t]
+    return x, reprs
+
+
+def embed_sentence(model, lang, table, tokens, train=False, rng=None,
+                   mask=None):
+    """Per-token concat of the char representation and the word vector.
+
+    Training mode applies an inverted dropout mask on the rows; pass `mask`
+    to fix it, or `rng` to draw one.
+    """
+    from zrxner.numeric import dropout_mask
+
+    x, _ = _embed_forward(model, lang, model.prepare(table, tokens))
+    if train and model.cfg.dropout > 0:
+        if mask is None:
+            mask = dropout_mask(rng, x.shape, model.cfg.dropout)
+        x = x * mask
+    return x
+
+
+def word_context(model, lang, x):
+    """Contextual states from the word-level bi-encoder (m, 2 * word_hidden)."""
+    states, _ = bilstm_states(model.encoders[lang].word, x)
+    return states
+
+
+def emission_scores(model, states):
+    """Per-tag scoring matrix applied to tanh(dense(state)), (m, K)."""
+    t = np.tanh(states @ model.head["dense_w"].T + model.head["dense_b"])
+    return t @ model.head["tag_w"].T
+
+
+def sentence_forward(model, lang, prep, mask=None):
+    x, char_reprs = _embed_forward(model, lang, prep)
+    if mask is not None:
+        x = x * mask
+    states, word_cache = bilstm_states(model.encoders[lang].word, x)
+    t = np.tanh(states @ model.head["dense_w"].T + model.head["dense_b"])
+    scores = t @ model.head["tag_w"].T
+    return scores, (prep, char_reprs, word_cache, states, t, mask)
+
+
+def sentence_nll(model, lang, table, tokens, tags, mask=None):
+    """Loss of one labeled sentence; pure given parameters and mask."""
+    prep = model.prepare(table, tokens, tags)
+    scores, _ = sentence_forward(model, lang, prep, mask)
+    return crf_nll(scores, model.effective_trans(), prep.tag_ids)
+
+
+def batch_nll(model, lang, table, batch, masks=None):
+    """Mean-batch loss only (the finite-difference suite calls this)."""
+    total = 0.0
+    for idx, (tokens, tags) in enumerate(batch):
+        mask = masks[idx] if masks is not None else None
+        total += sentence_nll(model, lang, table, tokens, tags, mask)
+    return total / len(batch)
+
+
+def _accumulate(grads, name, value):
+    if name in grads:
+        grads[name] = grads[name] + value
+    else:
+        grads[name] = np.array(value, dtype=np.float64)
+
+
+def _cell_grads_into(grads, prefix, bi, grads_f, grads_b):
+    if bi.tied:
+        grads_f = {name: g + grads_b[name] for name, g in grads_f.items()}
+    directions = [("f", grads_f)] if bi.tied else [("f", grads_f), ("b", grads_b)]
+    for tag, cell_grads in directions:
+        for name, value in cell_grads.items():
+            _accumulate(grads, f"{prefix}.{tag}.{name}", value)
+
+
+def sentence_backward(model, lang, cache, dscores, dtrans, grads):
+    prep, char_reprs, word_cache, states, t, mask = cache
+    enc = model.encoders[lang]
+    _accumulate(grads, "head.trans", dtrans)
+    _accumulate(grads, "head.tag_w", dscores.T @ t)
+    dzh = (dscores @ model.head["tag_w"]) * (1.0 - t * t)
+    _accumulate(grads, "head.dense_w", dzh.T @ states)
+    _accumulate(grads, "head.dense_b", dzh.sum(axis=0))
+    dx, grads_f, grads_b = bilstm_states_backward(
+        enc.word, word_cache, dzh @ model.head["dense_w"]
+    )
+    _cell_grads_into(grads, f"enc.{lang}.word", enc.word, grads_f, grads_b)
+    if mask is not None:
+        dx = dx * mask
+    if enc.char is None:
+        return
+    cdim = 2 * model.cfg.char_hidden
+    dchar = {}
+    for pos, token in enumerate(prep.tokens):
+        dchar[token] = dchar.get(token, 0.0) + dx[pos, :cdim]
+    demb = np.zeros_like(model.char_emb)
+    for token, dfinal in dchar.items():
+        _, char_cache, ids = char_reprs[token]
+        dxs, grads_f, grads_b = bilstm_final_backward(
+            enc.char, char_cache, dfinal, len(ids)
+        )
+        _cell_grads_into(grads, f"enc.{lang}.char", enc.char, grads_f, grads_b)
+        np.add.at(demb, ids, dxs)
+    _accumulate(grads, "char_emb", demb)
+
+
+def reference_backward_pass(model, lang, table, batch, masks=None):
+    """Mean-batch loss and gradients, one sentence at a time."""
+    grads = {}
+    total = 0.0
+    trans = model.effective_trans()
+    scale = 1.0 / len(batch)
+    for idx, (tokens, tags) in enumerate(batch):
+        prep = model.prepare(table, tokens, tags)
+        mask = masks[idx] if masks is not None else None
+        scores, cache = sentence_forward(model, lang, prep, mask)
+        nll, dscores, dtrans = reference_crf_nll_grads(scores, trans,
+                                                       prep.tag_ids)
+        total += nll
+        sentence_backward(model, lang, cache, dscores * scale,
+                          dtrans * scale, grads)
+    return total * scale, grads
+
+
+def reference_predict(model, lang, table, tokens):
+    """Viterbi tags for one sentence, evaluation mode (no dropout)."""
+    scores, _ = sentence_forward(model, lang, model.prepare(table, tokens))
+    path = reference_viterbi(scores, model.effective_trans())
+    return [model.cfg.tags[i] for i in path]

@@ -24,16 +24,8 @@ from zrxner.corpus import (
     scan_entities,
 )
 from zrxner.embeddings import load_vec_text, normalize
-from zrxner.numeric import Rng
-from zrxner.tagger import (
-    Tagger,
-    backward_pass,
-    batch_nll,
-    crf_log_partition,
-    crf_marginals,
-    dropout_mask,
-    viterbi,
-)
+from zrxner.numeric import Rng, dropout_mask
+from zrxner.tagger import Tagger, backward_pass, viterbi
 from zrxner.trainer import (
     EvalSet,
     TrainingConfig,
@@ -47,7 +39,14 @@ from zrxner.trainer import (
 )
 
 from fixtures import BilingualFixture, precision_at_1, random_orthogonal, synthetic_pair
-from oracles import crf_enumerate, crf_path_score, finite_difference_grads
+from oracles import (
+    batch_nll,
+    crf_enumerate,
+    crf_log_partition,
+    crf_marginals,
+    crf_path_score,
+    finite_difference_grads,
+)
 
 
 def report(number, name, started, detail=""):

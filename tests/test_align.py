@@ -18,10 +18,9 @@ from zrxner.align import (
     refine,
     unsupervised_criterion,
 )
-from zrxner.align import _sigmoid
 from zrxner.embeddings import EmbeddingTable
 from zrxner.errors import AlignmentError
-from zrxner.numeric import Rng
+from zrxner.numeric import Rng, sigmoid
 
 from fixtures import precision_at_1, random_orthogonal, synthetic_pair
 from oracles import finite_difference_grads
@@ -113,8 +112,8 @@ def test_discriminator_grads_match_finite_differences():
         lambda: discriminator_loss(disc, w, src, tgt, s), params
     )
     in_t = tgt @ w.T
-    dz_t = (_sigmoid(disc.logits(in_t)) - s) / len(in_t)
-    dz_s = (_sigmoid(disc.logits(src)) - (1 - s)) / len(src)
+    dz_t = (sigmoid(disc.logits(in_t)) - s) / len(in_t)
+    dz_s = (sigmoid(disc.logits(src)) - (1 - s)) / len(src)
     g_t, _ = disc.grads_and_input_grad(in_t, dz_t)
     g_s, _ = disc.grads_and_input_grad(src, dz_s)
     for name in params:
@@ -133,7 +132,7 @@ def test_adversary_w_grad_matches_finite_differences():
         lambda: adversary_loss(disc, w, src, tgt), {"w": w}
     )
     mapped = tgt @ w.T
-    dz = (_sigmoid(disc.logits(mapped)) - 1.0) / len(mapped)
+    dz = (sigmoid(disc.logits(mapped)) - 1.0) / len(mapped)
     _, d_input = disc.grads_and_input_grad(mapped, dz)
     np.testing.assert_allclose(d_input.T @ tgt, fd["w"], atol=1e-7)
 

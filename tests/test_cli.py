@@ -506,3 +506,56 @@ def test_config_file_overridden_by_flags(workdir, tmp_path):
     assert config.epochs == 2  # flag wins over the file
     assert config.word_hidden == 16  # file value survives
     assert raw["train.epochs"] == "2"  # effective config embedded
+
+
+def test_tag_missing_checkpoint_exit_2(workdir, tmp_path, capsys):
+    missing = str(tmp_path / "nonexistent.zrx")
+    code = main([
+        "tag", "--checkpoint", missing, "--input", workdir["tgt_dev"],
+        "--output", str(tmp_path / "out.conll"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and missing in err
+    assert "Traceback" not in err
+
+
+def test_tag_missing_input_exit_2(pretrained_path, tmp_path, capsys):
+    missing = str(tmp_path / "nonexistent.conll")
+    code = main([
+        "tag", "--checkpoint", pretrained_path, "--input", missing,
+        "--output", str(tmp_path / "out.conll"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and missing in err
+    assert not (tmp_path / "out.conll").exists()
+
+
+@pytest.mark.parametrize("line", [
+    "train.epochs=abc", "train.dropout=1.0", "train.eval_interval=0",
+    "train.constrained_decoding=maybe",
+])
+def test_pretrain_bad_config_value_exit_2(workdir, tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code = main([
+        "pretrain", "--train", workdir["src_train"], "--dev",
+        workdir["src_dev"], "--src-emb", workdir["src_emb"],
+        "--variant", "source_mono", "--config", str(cfg),
+        "--out", str(tmp_path / "m.zrx"),
+    ])
+    assert code == 2
+    assert line.split("=")[0] in capsys.readouterr().err
+
+
+def test_align_non_numeric_config_value_exit_2(workdir, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("align.w_steps=abc\n")
+    code = main([
+        "align", "--src-emb", workdir["src_emb"], "--tgt-emb",
+        workdir["tgt_emb"], "--config", str(cfg), "--out",
+        str(tmp_path / "m.zrx"),
+    ])
+    assert code == 2
+    assert "align.w_steps" in capsys.readouterr().err

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from zrxner.errors import UsageError
-from zrxner.tagger import (
+from zrxner.tagger import crf_nll_grads, viterbi
+
+from oracles import (
+    crf_enumerate,
     crf_log_partition,
     crf_marginals,
     crf_nll,
-    crf_nll_grads,
-    viterbi,
+    crf_path_score,
+    finite_difference_grads,
 )
-
-from oracles import crf_enumerate, crf_path_score, finite_difference_grads
 
 
 def random_instance(rng, m=None, k=None):

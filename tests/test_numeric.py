@@ -11,7 +11,6 @@ from zrxner.numeric import (
     global_grad_norm,
     log_sum_exp,
     log_sum_exp_rows,
-    sample_uniform_int,
     svd_square,
 )
 
@@ -132,31 +131,31 @@ def test_clip_preserves_aliasing():
 
 
 def test_uniform_int_degenerate():
-    assert sample_uniform_int(Rng(0), 7, 7) == 7
+    assert Rng(0).uniform_int(7, 7) == 7
 
 
 def test_uniform_int_frequencies():
     rng = Rng(42)
     counts = np.zeros(6, dtype=int)
     for _ in range(60000):
-        counts[sample_uniform_int(rng, 1, 6) - 1] += 1
+        counts[rng.uniform_int(1, 6) - 1] += 1
     assert counts.sum() == 60000
     assert (np.abs(counts - 10000) <= 500).all()
 
 
 def test_uniform_int_deterministic():
-    a = [sample_uniform_int(Rng(123), 0, 100) for _ in range(1)]
+    a = [Rng(123).uniform_int(0, 100) for _ in range(1)]
     seq1 = Rng(9)
     seq2 = Rng(9)
-    assert [sample_uniform_int(seq1, 0, 50) for _ in range(200)] == [
-        sample_uniform_int(seq2, 0, 50) for _ in range(200)
+    assert [seq1.uniform_int(0, 50) for _ in range(200)] == [
+        seq2.uniform_int(0, 50) for _ in range(200)
     ]
     assert a  # draws happened
 
 
 def test_uniform_int_rejects_bad_range():
     with pytest.raises(UsageError):
-        sample_uniform_int(Rng(0), 3, 2)
+        Rng(0).uniform_int(3, 2)
 
 
 def test_gaussian_init_moments():

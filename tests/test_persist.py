@@ -73,8 +73,8 @@ def test_model_round_trip_bit_exact(tmp_path, variant):
     # behavior identical on the reloaded model (f32 tables shift lookups)
     tokens = ["aa", "bb", "ab"]
     np.testing.assert_array_equal(
-        predict(model, "src", tables["src"], tokens),
-        predict(again, "src", tables["src"], tokens),
+        predict(model, "src", tables["src"], [tokens]),
+        predict(again, "src", tables["src"], [tokens]),
     )
 
 

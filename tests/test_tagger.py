@@ -3,19 +3,21 @@ import pytest
 
 from zrxner.corpus import IOB2, IOBES, scan_entities
 from zrxner.embeddings import EmbeddingTable
-from zrxner.numeric import Rng
+from zrxner.numeric import Rng, dropout_mask
 from zrxner.tagger import (
     Tagger,
     TaggerConfig,
     backward_pass,
-    batch_nll,
-    dropout_mask,
-    embed_sentence,
-    emission_scores,
-    encode_token_chars,
     predict,
     transition_mask,
     viterbi,
+)
+
+from oracles import (
+    batch_nll,
+    embed_sentence,
+    emission_scores,
+    encode_token_chars,
     word_context,
 )
 
@@ -169,15 +171,15 @@ def test_predict_zero_model_lowest_tag():
     model.head["tag_w"][:] = 0.0
     model.head["trans"][:] = 0.0
     table = tiny_table()
-    assert predict(model, "src", table, ["aa"]) == ["O"]
+    assert predict(model, "src", table, [["aa"]]) == [["O"]]
 
 
 def test_predict_deterministic_and_composed():
     model = tiny_model(seed=3)
     table = tiny_table()
     tokens = ["aa", "ba", "cb", "ab"]
-    once = predict(model, "src", table, tokens)
-    again = predict(model, "src", table, tokens)
+    once = predict(model, "src", table, [tokens])[0]
+    again = predict(model, "src", table, [tokens])[0]
     assert once == again
     x = embed_sentence(model, "src", table, tokens)
     u = word_context(model, "src", x)

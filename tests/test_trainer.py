@@ -73,6 +73,40 @@ def test_config_flat_round_trip():
     assert again == cfg
 
 
+@pytest.mark.parametrize("raw, value", [
+    ("true", True), ("TRUE", True), ("True", True), ("false", False),
+    ("FaLsE", False),
+])
+def test_config_booleans_read_in_any_case(raw, value):
+    cfg = TrainingConfig.from_flat({"train.constrained_decoding": raw})
+    assert cfg.constrained_decoding is value
+
+
+def test_config_boolean_rejects_other_words():
+    with pytest.raises(UsageError, match="constrained_decoding"):
+        TrainingConfig.from_flat({"train.constrained_decoding": "yes"})
+
+
+@pytest.mark.parametrize("key, raw", [
+    ("train.epochs", "abc"), ("train.batch_size", "1.5"),
+    ("train.dropout", "half"), ("train.lr0", ""),
+])
+def test_config_non_numeric_value_is_usage_error(key, raw):
+    with pytest.raises(UsageError, match=key):
+        TrainingConfig.from_flat({key: raw})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("batch_size", 0), ("eval_interval", 0), ("dropout", 1.0),
+    ("dropout", -0.1), ("epochs", -1),
+])
+def test_config_out_of_range_value_is_usage_error(field, value):
+    with pytest.raises(UsageError, match=field):
+        small_config(**{field: value})
+    with pytest.raises(UsageError, match=field):
+        TrainingConfig.from_flat({f"train.{field}": str(value)})
+
+
 def test_variant_flags():
     assert small_config(variant="cross_word_nochar").use_char is False
     assert small_config(variant="cross_shared").tied is True
@@ -171,7 +205,7 @@ def test_generate_pseudo_labels_matches_independent_predict(fx):
     pseudo = generate_pseudo_labels(model, fx.tgt_emb, subset, Rng(3))
     assert all(len(s) <= pseudo.threshold for s in pseudo.sentences)
     for sent in pseudo.sentences:
-        assert sent.tags == predict(model, "src", fx.tgt_emb, sent.tokens)
+        assert [sent.tags] == predict(model, "src", fx.tgt_emb, [sent.tokens])
 
 
 def finetuned(fx, config, rounds, seed=0, **kw):
