@@ -76,7 +76,6 @@ class AlignConfig:
     beta: float = 0.01
     csls_k: int = 10
     dict_top_n: int = 10000
-    refine_iterations: int = 5
     criterion_sample_n: int = 2500
     select_every: int = 500  # criterion-based mapper snapshots; 0 disables
     restarts: int = 3  # max adversarial games; stops early once one converges
@@ -108,11 +107,6 @@ class Discriminator:
         z1 = x @ self.w1.T + self.b1
         return _leaky(z1) @ self.w2 + self.b2
 
-    def prob_source(self, x):
-        """P(src=1 | x), strictly inside (0, 1)."""
-        p = sigmoid(self.logits(x))
-        return np.clip(p, 1e-12, 1.0 - 1e-12)
-
     def _forward_cache(self, x):
         z1 = x @ self.w1.T + self.b1
         a1 = _leaky(z1)
@@ -132,9 +126,6 @@ class Discriminator:
             "b2": db2,
         }
         return grads, (dz1 @ self.w1 if need_input_grad else None)
-
-    # kept as the test-facing name
-    grads_and_input_grad = backward
 
     def sgd(self, grads, lr):
         self.w1 -= lr * grads["w1"]

@@ -40,8 +40,10 @@ def config_to_text(config):
 
 
 def text_to_config(text):
+    """Inverse of config_to_text. Lines end at "\n" only, the one line break
+    that config_to_text rejects, so values may hold any other."""
     config = {}
-    for line in text.splitlines():
+    for line in text.split("\n"):
         if not line:
             continue
         key, sep, value = line.partition("=")

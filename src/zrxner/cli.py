@@ -20,7 +20,7 @@ from . import align as al
 from .checkpoint import flat_to_fields, text_to_config
 from .corpus import (
     IOB2,
-    build_vocab,
+    build_char_vocab,
     convert_scheme,
     correct_tag_ratio_by_length,
     entity_f1,
@@ -91,7 +91,7 @@ def _align_config(file_cfg, **overrides):
 def _load_table(path, limit, language):
     with open(path, "r", encoding="utf-8") as fh:
         table = load_vec_text(fh, limit=limit, language=language)
-    return normalize(table, "unit")
+    return normalize(table)
 
 
 def _read_dataset(path, language, role, scheme, tag_col=-1, token_col=0):
@@ -203,35 +203,24 @@ def cmd_align(args):
 # pretrain
 
 
-def _build_eval_sets(args, model_scheme, src_table, tgt_table):
-    token_col = getattr(args, "token_col", 0)
-    tag_col = getattr(args, "tag_col", -1)
+def _build_eval_sets(args, src_dev, model_scheme, src_table, tgt_table):
+    """The evaluation splits given on the command line, in the model's
+    scheme; src_dev is the path of the source dev split, if any."""
+    tables = {"src": src_table, "tgt": tgt_table}
     sets = []
-    if args.dev:
-        dev = _convert_dataset(
-            _read_dataset(args.dev, "src", "dev", args.input_scheme,
-                          tag_col=tag_col, token_col=token_col),
-            model_scheme,
-        )
-        sets.append(EvalSet("src_dev", "src", src_table, dev))
-    if getattr(args, "tgt_dev", None):
-        if tgt_table is None:
-            raise UsageError("--tgt-dev requires --tgt-emb")
-        ds = _convert_dataset(
-            _read_dataset(args.tgt_dev, "tgt", "dev", args.input_scheme,
-                          tag_col=tag_col, token_col=token_col),
-            model_scheme,
-        )
-        sets.append(EvalSet("tgt_dev", "tgt", tgt_table, ds))
-    if getattr(args, "tgt_test", None):
-        if tgt_table is None:
-            raise UsageError("--tgt-test requires --tgt-emb")
-        ds = _convert_dataset(
-            _read_dataset(args.tgt_test, "tgt", "test", args.input_scheme,
-                          tag_col=tag_col, token_col=token_col),
-            model_scheme,
-        )
-        sets.append(EvalSet("tgt_test", "tgt", tgt_table, ds))
+    for split, lang, role, path in (
+        ("src_dev", "src", "dev", src_dev),
+        ("tgt_dev", "tgt", "dev", args.tgt_dev),
+        ("tgt_test", "tgt", "test", args.tgt_test),
+    ):
+        if not path:
+            continue
+        if tables[lang] is None:
+            raise UsageError(f"--{split.replace('_', '-')} requires --{lang}-emb")
+        dataset = _read_dataset(path, lang, role, args.input_scheme,
+                                tag_col=args.tag_col, token_col=args.token_col)
+        sets.append(EvalSet(split, lang, tables[lang],
+                            _convert_dataset(dataset, model_scheme)))
     return sets
 
 
@@ -265,10 +254,9 @@ def cmd_pretrain(args):
     elif config.variant != "source_mono":
         raise UsageError(f"variant {config.variant} requires --mapper")
     src_table, tgt_table = common_space_tables(src_raw, tgt_raw, mapper)
-    datasets = [train]
-    eval_sets = _build_eval_sets(args, config.scheme, src_table, tgt_table)
-    datasets.extend(ev.dataset for ev in eval_sets)
-    _, char_vocab = build_vocab(datasets)
+    eval_sets = _build_eval_sets(args, args.dev, config.scheme, src_table,
+                                 tgt_table)
+    char_vocab = build_char_vocab([train] + [ev.dataset for ev in eval_sets])
     tags = sorted({t for s in train for t in s.tags})
     model = Tagger(
         config.tagger_config(src_table.dim, tags), char_vocab,
@@ -328,12 +316,8 @@ def cmd_finetune(args):
         tgt_raw = _load_table(args.tgt_emb, config.emb_limit, "tgt")
         mapper = load_mapper(args.mapper)[0] if args.mapper else None
         _, tgt_table = common_space_tables(src_table, tgt_raw, mapper)
-    args.dev = args.src_dev
-    eval_sets = _build_eval_sets(args, config.scheme, src_table, tgt_table)
-    if not any(ev.name == config.selection for ev in eval_sets):
-        raise UsageError(
-            f"selection mode {config.selection} has no evaluation split"
-        )
+    eval_sets = _build_eval_sets(args, args.src_dev, config.scheme, src_table,
+                                 tgt_table)
     seeds = [int(s) for s in args.seeds.split(",") if s]
     if not seeds:
         raise UsageError("at least one seed is required")

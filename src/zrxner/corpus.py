@@ -1,5 +1,5 @@
 """CoNLL-format corpora: parsing, tag-scheme conversion, entity extraction,
-vocabulary construction, and entity-level precision/recall/F1.
+the character vocabulary, and entity-level precision/recall/F1.
 
 Tag schemes follow the usual chunking conventions: IOB1 (I- opens a chunk,
 B- only splits adjacent same-type chunks), IOB2 (every chunk opens with B-),
@@ -21,7 +21,6 @@ SCHEMES = (IOB1, IOB2, IOBES)
 _SCHEME_PREFIXES = {IOB1: "BI", IOB2: "BI", IOBES: "BIES"}
 
 DOCSTART = "-DOCSTART-"
-UNK_WORD = "<unk>"
 PAD_CHAR = "<pad>"
 UNK_CHAR = "<unk>"
 
@@ -146,11 +145,6 @@ def scan_entities(tags, scheme):
         if scheme == IOBES and prev_open_prefix not in ("E", "S"):
             repairs += 1
     return spans, repairs
-
-
-def extract_entities(tags, scheme):
-    """Typed spans only; see scan_entities for the repair count."""
-    return scan_entities(tags, scheme)[0]
 
 
 def _emit_spans(length, spans, scheme):
@@ -317,41 +311,21 @@ def entity_f1(gold, pred_tags, scheme=None):
     return report
 
 
-def build_vocab(datasets, embedding_vocab=None):
-    """Word index per language plus one character index shared by all languages.
-
-    Words are dataset surface forms, most frequent first (ties broken
-    lexicographically), with <unk> at index 0. The character index covers
-    every corpus character and reserves <pad>=0 and <unk>=1. Passing the
-    embedding vocabulary marks which words will resolve to pretrained
-    vectors; it does not add entries.
-    """
+def build_char_vocab(datasets):
+    """One character index shared by all languages: every corpus character,
+    most frequent first (ties broken lexicographically), after the reserved
+    <pad>=0 and <unk>=1."""
     if not datasets:
         raise UsageError("at least one dataset is required")
-    word_counts = {}
-    char_counts = Counter()
+    counts = Counter()
     for ds in datasets:
-        counts = word_counts.setdefault(ds.language, Counter())
         for sent in ds:
             for token in sent.tokens:
-                counts[token] += 1
-                char_counts.update(token)
-    word_index = {}
-    for lang, counts in word_counts.items():
-        index = {UNK_WORD: 0}
-        for word, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
-            index[word] = len(index)
-        word_index[lang] = index
+                counts.update(token)
     char_index = {PAD_CHAR: 0, UNK_CHAR: 1}
-    for ch, _ in sorted(char_counts.items(), key=lambda kv: (-kv[1], kv[0])):
+    for ch, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
         char_index[ch] = len(char_index)
-    if embedding_vocab is not None:
-        covered = {
-            lang: sum(1 for w in idx if w in embedding_vocab)
-            for lang, idx in word_index.items()
-        }
-        return word_index, char_index, covered
-    return word_index, char_index
+    return char_index
 
 
 def correct_tag_ratio_by_length(gold, pred_tags, buckets):

@@ -1,9 +1,11 @@
-"""Pretrained word-vector tables: fastText-style .vec text I/O, lookup with
-a lowercase-then-UNK fallback, normalization, and linear mapping.
+"""Pretrained word-vector tables: fastText-style .vec text I/O, row lookup
+with a lowercase fallback, unit normalization, and linear mapping.
 
 Tables are frozen after load; alignment moves vectors between language
 spaces through a d x d mapper, never by retraining the vectors themselves.
 """
+
+import io
 
 import numpy as np
 
@@ -49,15 +51,6 @@ class EmbeddingTable:
         i = self._index.get(word)
         return self._lower.get(word.lower(), -1) if i is None else i
 
-    def lookup(self, word):
-        """Exact match, else lowercase match, else the frozen all-zero UNK."""
-        i = self.row(word)
-        return self.vectors[i] if i >= 0 else np.zeros(self.dim)
-
-
-def lookup(table, word):
-    return table.lookup(word)
-
 
 def load_vec_text(stream, limit=DEFAULT_LOAD_LIMIT, language=""):
     """Read 'n d' header then 'word v1 .. vd' rows, most frequent first.
@@ -67,11 +60,8 @@ def load_vec_text(stream, limit=DEFAULT_LOAD_LIMIT, language=""):
     ParseError with the line number.
     """
     if isinstance(stream, str):
-        lines = iter(stream.splitlines())
-    else:
-        lines = (
-            ln.decode("utf-8") if isinstance(ln, bytes) else ln for ln in stream
-        )
+        stream = io.StringIO(stream)  # lines end at "\n" only, as in a stream
+    lines = (ln.decode("utf-8") if isinstance(ln, bytes) else ln for ln in stream)
     try:
         header = next(lines)
     except StopIteration:
@@ -120,18 +110,11 @@ def write_vec_text(table, stream, fmt="%.6f"):
         stream.write(word + " " + " ".join(fmt % x for x in row) + "\n")
 
 
-def normalize(table, mode="unit"):
-    """New table with rows normalized: 'none', 'unit', or 'center_then_unit'."""
-    if mode == "none":
-        return EmbeddingTable(table.words, table.vectors.copy(), table.language)
-    if mode not in ("unit", "center_then_unit"):
-        raise UsageError(f"unknown normalization mode {mode!r}")
-    vectors = table.vectors.copy()
-    if mode == "center_then_unit":
-        vectors -= vectors.mean(axis=0, keepdims=True)
-    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+def normalize(table):
+    """New table with every nonzero row scaled to unit length."""
+    norms = np.linalg.norm(table.vectors, axis=1, keepdims=True)
     norms[norms == 0] = 1.0  # zero rows untouched
-    return EmbeddingTable(table.words, vectors / norms, table.language)
+    return EmbeddingTable(table.words, table.vectors / norms, table.language)
 
 
 def apply_mapper(table, w):

@@ -38,10 +38,6 @@ class Rng:
     def uniform(self, size=None):
         return self._gen.random(size)
 
-    def spawn(self):
-        """Independent child stream, deterministic given this stream's state."""
-        return Rng(int(self._gen.integers(0, 2**63)))
-
 
 def sigmoid(z):
     """Logistic function through tanh, which cannot overflow."""
@@ -58,19 +54,10 @@ def dropout_mask(rng, shape, rate):
     return (rng.uniform(shape) >= rate) / (1.0 - rate)
 
 
-def log_sum_exp(v):
-    """log(sum(exp(v))) with max-subtraction; v is a non-empty 1-d vector."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
-        raise UsageError("log_sum_exp of an empty vector")
-    m = v.max()
-    return float(m + np.log(np.exp(v - m).sum()))
-
-
-def log_sum_exp_rows(m):
-    """Row-wise log-sum-exp of a 2-d array, vectorized."""
-    mx = m.max(axis=1, keepdims=True)
-    return (mx + np.log(np.exp(m - mx).sum(axis=1, keepdims=True))).ravel()
+def log_sum_exp(a, axis):
+    """log(sum(exp(a))) along axis, with max-subtraction."""
+    mx = a.max(axis=axis, keepdims=True)
+    return (mx + np.log(np.exp(a - mx).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
 def svd_square(m):

@@ -32,7 +32,7 @@ import numpy as np
 
 from .corpus import IOB1, IOBES, UNK_CHAR, split_label
 from .errors import NumericalError, UsageError
-from .numeric import gaussian_init, sigmoid
+from .numeric import gaussian_init, log_sum_exp, sigmoid
 
 MASK_VALUE = -1e4  # disallowed-transition penalty; finite by contract
 EVAL_TOKENS = 512  # token budget of one evaluation batch
@@ -40,46 +40,30 @@ EVAL_TOKENS = 512  # token budget of one evaluation batch
 
 # ---------------------------------------------------------------------------
 # Linear-chain CRF with BOS row K and EOS column K+1 of the transition matrix,
-# over zero-padded (B, m, K) scores with per-sentence lengths. A 2-d (m, K)
-# table is a batch of one sentence.
+# over zero-padded (B, m, K) scores with per-sentence lengths.
 
 
-def _as_batch(scores, lengths):
-    """(B, m, K) scores, (B,) lengths, and whether one (m, K) table came."""
-    scores = np.asarray(scores, dtype=np.float64)
-    batch = scores if scores.ndim == 3 else scores[None]
-    lengths = np.full(len(batch), batch.shape[1]) if lengths is None else lengths
-    return batch, np.asarray(lengths, dtype=np.int64), scores.ndim == 2
-
-
-def _log_sum_exp(a, axis):
-    mx = a.max(axis=axis, keepdims=True)
-    return (mx + np.log(np.exp(a - mx).sum(axis=axis, keepdims=True))).squeeze(axis)
-
-
-def crf_nll_grads(scores, trans, paths, lengths=None):
+def crf_nll_grads(scores, trans, paths, lengths):
     """Negative log-probability of each gold path and its gradients.
 
     Returns (nll (B,), d nll/d scores (B, m, K), d nll.sum()/d trans): the
-    marginals minus the observed counts, zero on padding. For one (m, K)
-    table, paths is one path and the result (float, (m, K), trans-shaped).
+    marginals minus the observed counts, zero on padding.
     """
-    scores, lengths, single = _as_batch(scores, lengths)
-    paths = [paths] if single else paths
+    lengths = np.asarray(lengths)
     b, m, k = scores.shape
     bos, eos, inner = k, k + 1, trans[:k, :k]
     alpha = np.empty((b, m, k))
     alpha[:, 0] = scores[:, 0] + trans[bos, :k]
     for i in range(1, m):
-        alpha[:, i] = scores[:, i] + _log_sum_exp(alpha[:, i - 1, :, None] + inner, 1)
+        alpha[:, i] = scores[:, i] + log_sum_exp(alpha[:, i - 1, :, None] + inner, 1)
     beta = np.empty((b, m, k))
     beta[:] = trans[:k, eos]  # holds at and after each sentence's end
     for i in range(m - 2, -1, -1):
         run = lengths > i + 1
-        beta[run, i] = _log_sum_exp(
+        beta[run, i] = log_sum_exp(
             inner + (scores[run, i + 1] + beta[run, i + 1])[:, None, :], 2)
     rows = np.arange(b)
-    logz = _log_sum_exp(alpha[rows, lengths - 1] + trans[:k, eos], 1)
+    logz = log_sum_exp(alpha[rows, lengths - 1] + trans[:k, eos], 1)
     sent, pos = np.nonzero(np.arange(m) < lengths[:, None])
     dscores = np.zeros_like(scores)
     dscores[sent, pos] = np.exp(alpha[sent, pos] + beta[sent, pos]
@@ -102,19 +86,16 @@ def crf_nll_grads(scores, trans, paths, lengths=None):
     np.add.at(dtrans, (src, dst), -1.0)
     gold = (np.bincount(sent, scores[sent, pos, tags], minlength=b)
             + np.bincount(np.r_[sent, rows], trans[src, dst], minlength=b))
-    nll = logz - gold
-    if single:
-        return float(nll[0]), dscores[0], dtrans
-    return nll, dscores, dtrans
+    return logz - gold, dscores, dtrans
 
 
-def viterbi(scores, trans, lengths=None):
+def viterbi(scores, trans, lengths):
     """Highest-scoring tag path of each sentence, boundary transitions
-    included; a list of paths, or one path for one (m, K) table.
+    included, as a list of paths.
 
     Ties break toward the lowest tag index, applied left to right.
     """
-    scores, lengths, single = _as_batch(scores, lengths)
+    lengths = np.asarray(lengths)
     b, m, k = scores.shape
     bos, eos = k, k + 1
     delta = scores[:, 0] + trans[bos, :k]
@@ -130,8 +111,7 @@ def viterbi(scores, trans, lengths=None):
     for i in range(m - 1, -1, -1):
         path[:, i] = cur
         cur = np.where(lengths > i, back[rows, i, cur], cur)
-    paths = [path[r, : lengths[r]].tolist() for r in range(b)]
-    return paths[0] if single else paths
+    return [path[r, : lengths[r]].tolist() for r in range(b)]
 
 
 # ---------------------------------------------------------------------------
@@ -641,24 +621,22 @@ def batch_backward(model, lang, cache, dscores, dtrans):
     return grads
 
 
-def backward_pass(model, lang, table, batch, masks=None):
+def backward_pass(model, lang, batch, masks=None):
     """Mean-batch loss and its gradient for every trainable tensor of
     theta_lang.
 
-    batch is a list of (tokens, tags) pairs or PreparedSentence objects with
-    tag_ids; masks, when given, fixes the per-sentence dropout masks.
+    batch is a list of PreparedSentence objects with tag_ids; masks, when
+    given, fixes the per-sentence dropout masks.
     """
     if not batch:
         raise UsageError("empty batch")
-    preps = [item if isinstance(item, PreparedSentence)
-             else model.prepare(table, *item) for item in batch]
-    if any(p.tag_ids is None for p in preps):
+    if any(p.tag_ids is None for p in batch):
         raise UsageError("backward_pass needs labeled sentences")
-    scores, lengths, cache = batch_forward(model, lang, preps, masks, keep=True)
+    scores, lengths, cache = batch_forward(model, lang, batch, masks, keep=True)
     nll, dscores, dtrans = crf_nll_grads(
-        scores, model.effective_trans(), [p.tag_ids for p in preps], lengths
+        scores, model.effective_trans(), [p.tag_ids for p in batch], lengths
     )
-    scale = 1.0 / len(preps)
+    scale = 1.0 / len(batch)
     loss = float(nll.sum()) * scale
     if not np.isfinite(loss):
         raise NumericalError("non-finite training loss")

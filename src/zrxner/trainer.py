@@ -4,8 +4,8 @@ fine-tuning of the source and target models around one shared head.
 
 The learning rate follows max(lr0 / (1 + decay * epoch), floor) with the
 epoch counter continuing across stages (one fine-tuning round advances it by
-one). Models are evaluated every eval_interval batches; the best snapshot
-per selection split is retained.
+one). Models are evaluated every eval_interval batches; only the tensor
+state of the best evaluation on the selection split is retained.
 """
 
 import math
@@ -141,7 +141,7 @@ class CheckpointRecord:
     step: int
     epoch: int
     scores: dict
-    state: dict = None  # tensor copies, kept only when some metric improved
+    state: dict = None  # tensor copies; only the best record keeps them
 
 
 def snapshot_state(model):
@@ -167,28 +167,29 @@ def evaluate_model(model, eval_sets):
 
 
 class _Tracker:
-    """Keeps eval records; stores tensor state when any tracked metric
-    improves (strictly), so ties keep the earliest state."""
+    """Keeps eval records. A record that strictly improves the selection
+    split takes a snapshot of the tensors and releases the one it replaces,
+    so one snapshot is held at a time and ties keep the earliest."""
 
-    def __init__(self, model, log_stream=None):
+    def __init__(self, model, selection, log_stream=None):
         self.model = model
+        self.selection = selection
         self.records = []
-        self.best = {}
+        self.best = None  # the record holding the snapshot
         self.log_stream = log_stream
+
+    @property
+    def best_score(self):
+        return self.best.scores[self.selection]
 
     def evaluate(self, eval_sets, step, epoch, lr, losses):
         scores = evaluate_model(self.model, eval_sets)
-        improved = False
-        for name, f1 in scores.items():
-            if f1 > self.best.get(name, -1.0):
-                self.best[name] = f1
-                improved = True
-        record = CheckpointRecord(
-            step=step,
-            epoch=epoch,
-            scores=scores,
-            state=snapshot_state(self.model) if improved else None,
-        )
+        record = CheckpointRecord(step=step, epoch=epoch, scores=scores)
+        if self.best is None or scores[self.selection] > self.best_score:
+            if self.best is not None:
+                self.best.state = None
+            record.state = snapshot_state(self.model)
+            self.best = record
         self.records.append(record)
         if self.log_stream is not None:
             loss_s, loss_ts, loss_tt = losses
@@ -217,16 +218,20 @@ def select_model(checkpoints, selection):
 
 
 def best_state(checkpoints, selection):
-    """Tensor state of the selected checkpoint (records without a stored
-    state fall back to the nearest earlier stored one with the same score)."""
+    """The selected checkpoint and its tensor state."""
     chosen = select_model(checkpoints, selection)
-    if chosen.state is not None:
-        return chosen, chosen.state
-    for record in checkpoints:
-        if record.state is not None and \
-                record.scores.get(selection) == chosen.scores[selection]:
-            return chosen, record.state
-    raise UsageError("selected checkpoint has no stored state")
+    if chosen.state is None:
+        raise UsageError("selected checkpoint has no stored state")
+    return chosen, chosen.state
+
+
+def _check_selection(config, eval_sets):
+    """Model selection needs its split among the evaluated ones."""
+    names = [ev.name for ev in eval_sets]
+    if config.selection not in names:
+        raise UsageError(
+            f"selection split {config.selection} is not evaluated "
+            f"(evaluated: {', '.join(names) or 'none'})")
 
 
 def _prepare_labeled(model, table, dataset, max_len):
@@ -262,11 +267,12 @@ def pretrain_source(model, dataset, table, config, rng, eval_sets,
     config.eval_interval batches plus one final evaluation; returns the list
     of CheckpointRecords.
     """
+    _check_selection(config, eval_sets)
     prepared = _prepare_labeled(model, table, dataset, config.max_sentence_length)
     if not prepared:
         raise UsageError("empty training dataset")
     params = model.named_parameters("src")
-    tracker = _Tracker(model, log_stream)
+    tracker = _Tracker(model, config.selection, log_stream)
     step = 0
     loss_acc, loss_n = 0.0, 0
     lr = lr_at(config, 0)
@@ -276,7 +282,7 @@ def pretrain_source(model, dataset, table, config, rng, eval_sets,
         for lo in range(0, len(order), config.batch_size):
             batch = [prepared[i] for i in order[lo : lo + config.batch_size]]
             masks = _masks_for(rng, batch, model)
-            loss, grads = backward_pass(model, "src", table, batch, masks)
+            loss, grads = backward_pass(model, "src", batch, masks)
             clipped_sgd_step(params, grads, lr, config.clip)
             loss_acc += loss
             loss_n += 1
@@ -347,6 +353,7 @@ def augmented_finetune(model, src_dataset, tgt_dataset, src_table, tgt_table,
     improvement on the selection split. Returns the CheckpointRecord list
     (the first record is the initialization).
     """
+    _check_selection(config, eval_sets)
     if "tgt" not in model.encoders:
         model.add_target_encoder(rng)
     src_prepared = _prepare_labeled(
@@ -358,13 +365,13 @@ def augmented_finetune(model, src_dataset, tgt_dataset, src_table, tgt_table,
         raise UsageError("empty target dataset")
     params_s = model.named_parameters("src")
     params_t = model.named_parameters("tgt")
-    tracker = _Tracker(model, log_stream)
+    tracker = _Tracker(model, config.selection, log_stream)
     n_steps = config.n_steps or math.ceil(len(src_prepared) / config.batch_size)
     step = 0
     lr = lr_at(config, config.epochs)
     tracker.evaluate(eval_sets, step, config.epochs, lr,
                      (float("nan"), float("nan"), float("nan")))
-    best_sel = tracker.best.get(config.selection, -1.0)
+    best_sel = tracker.best_score
     stall_rounds = 0
     initial_round_loss = None
     for round_idx in range(config.rounds):
@@ -385,14 +392,11 @@ def augmented_finetune(model, src_dataset, tgt_dataset, src_table, tgt_table,
             batch_t = _draw_batch(rng, tgt_prepared, config.batch_size)
             if config.source_term:
                 loss_s, grads_s = backward_pass(
-                    model, "src", src_table, batch_s,
-                    _masks_for(rng, batch_s, model),
-                )
+                    model, "src", batch_s, _masks_for(rng, batch_s, model))
             else:
                 loss_s, grads_s = float("nan"), {}
             loss_ts, grads_ts = backward_pass(
-                model, "src", tgt_table, batch_t, _masks_for(rng, batch_t, model)
-            )
+                model, "src", batch_t, _masks_for(rng, batch_t, model))
             for name, g in grads_ts.items():
                 if name in grads_s:
                     grads_s[name] += g
@@ -400,8 +404,7 @@ def augmented_finetune(model, src_dataset, tgt_dataset, src_table, tgt_table,
                     grads_s[name] = g
             clipped_sgd_step(params_s, grads_s, lr, config.clip)
             loss_tt, grads_tt = backward_pass(
-                model, "tgt", tgt_table, batch_t, _masks_for(rng, batch_t, model)
-            )
+                model, "tgt", batch_t, _masks_for(rng, batch_t, model))
             clipped_sgd_step(params_t, grads_tt, lr, config.clip)
             losses += (loss_s, loss_ts, loss_tt)
             loss_n += 1
@@ -424,7 +427,7 @@ def augmented_finetune(model, src_dataset, tgt_dataset, src_table, tgt_table,
                 eval_sets, step, epoch, lr,
                 losses / loss_n if loss_n else (np.nan, np.nan, np.nan),
             )
-        sel = tracker.best.get(config.selection, -1.0)
+        sel = tracker.best_score
         if sel > best_sel:
             best_sel = sel
             stall_rounds = 0

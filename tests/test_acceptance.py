@@ -16,10 +16,9 @@ from zrxner.corpus import (
     IOBES,
     Dataset,
     TaggedSentence,
-    build_vocab,
+    build_char_vocab,
     convert_scheme,
     entity_f1,
-    extract_entities,
     read_conll,
     scan_entities,
 )
@@ -65,7 +64,7 @@ def test_criterion_1_crf_exactness():
         trans = rng.normal(size=(k + 2, k + 2)) * 2
         log_z, best_path, best_score, marginals = crf_enumerate(scores, trans)
         assert abs(crf_log_partition(scores, trans) - log_z) < 1e-8
-        got = viterbi(scores, trans)
+        got = viterbi(scores[None], trans, [m])[0]
         all_scores = sorted(
             (
                 crf_path_score(scores, trans, path)
@@ -113,7 +112,8 @@ def _grad_rel_errors(tied):
         dropout_mask(rng, (len(toks), model.cfg.input_dim), 0.5)
         for toks, _ in GRAD_BATCH
     ]
-    _, analytic = backward_pass(model, "src", table, GRAD_BATCH, masks=masks)
+    batch = [model.prepare(table, *item) for item in GRAD_BATCH]
+    _, analytic = backward_pass(model, "src", batch, masks=masks)
     params = model.named_parameters("src")
     fd = finite_difference_grads(
         lambda: batch_nll(model, "src", table, GRAD_BATCH, masks=masks),
@@ -192,7 +192,7 @@ def _transfer_run(seed):
     mapper = refine(fx.src_emb, fx.tgt_emb, mapper, 5, k=10, top_n=400,
                     criterion_sample_n=400)
 
-    _, chars = build_vocab([fx.src_train, fx.src_dev, fx.tgt_train, fx.tgt_dev])
+    chars = build_char_vocab([fx.src_train, fx.src_dev, fx.tgt_train, fx.tgt_dev])
     tags = sorted({t for s in fx.src_train for t in s.tags})
 
     def make_cfg(variant):
@@ -314,7 +314,7 @@ def test_criterion_6_scheme_eval_and_lr_conformance():
     started = time.time()
     cases = 0
     for tags, scheme, expected in SCHEME_CASES:
-        got = [(s.start, s.end, s.type) for s in extract_entities(tags, scheme)]
+        got = [(s.start, s.end, s.type) for s in scan_entities(tags, scheme)[0]]
         assert got == expected, (tags, scheme)
         cases += 1
     for tags, src, dst, expected in CONVERSION_CASES:
@@ -402,10 +402,10 @@ def test_criterion_8_conll2003_monolingual():
             sent.tags = convert_scheme(sent.tags, IOB1, IOBES)
         ds.scheme = IOBES
     with open(vec_path, encoding="utf-8") as fh:
-        table = normalize(load_vec_text(fh, limit=200000, language="en"), "unit")
+        table = normalize(load_vec_text(fh, limit=200000, language="en"))
     assert table.dim == 300
     config = TrainingConfig(variant="source_mono", scheme=IOBES, seed=0)
-    _, chars = build_vocab([train, dev])
+    chars = build_char_vocab([train, dev])
     tags = sorted({t for s in train for t in s.tags})
     model = Tagger(config.tagger_config(table.dim, tags), chars, Rng(0))
     records = pretrain_source(

@@ -62,8 +62,8 @@ def test_discriminator_loss_hand_summed():
     src = rng.normal(size=(2, 3))
     tgt = rng.normal(size=(3, 3))
     s = 0.1
-    p_src = disc.prob_source(src)
-    p_tgt = disc.prob_source(tgt @ w.T)
+    p_src = sigmoid(disc.logits(src))
+    p_tgt = sigmoid(disc.logits(tgt @ w.T))
     expected = -np.mean(s * np.log(p_tgt) + (1 - s) * np.log(1 - p_tgt))
     expected += -np.mean((1 - s) * np.log(p_src) + s * np.log(1 - p_src))
     assert discriminator_loss(disc, w, src, tgt, s) == pytest.approx(
@@ -82,8 +82,8 @@ def test_adversary_loss_uniform_and_hand_summed():
     w = rng.normal(size=(3, 3))
     src = rng.normal(size=(3, 3))
     tgt = rng.normal(size=(2, 3))
-    p_src = disc.prob_source(src)
-    p_tgt = disc.prob_source(tgt @ w.T)
+    p_src = sigmoid(disc.logits(src))
+    p_tgt = sigmoid(disc.logits(tgt @ w.T))
     expected = -np.mean(np.log(p_tgt)) - np.mean(np.log(1 - p_src))
     assert adversary_loss(disc, w, src, tgt) == pytest.approx(expected, abs=1e-9)
 
@@ -114,8 +114,8 @@ def test_discriminator_grads_match_finite_differences():
     in_t = tgt @ w.T
     dz_t = (sigmoid(disc.logits(in_t)) - s) / len(in_t)
     dz_s = (sigmoid(disc.logits(src)) - (1 - s)) / len(src)
-    g_t, _ = disc.grads_and_input_grad(in_t, dz_t)
-    g_s, _ = disc.grads_and_input_grad(src, dz_s)
+    g_t, _ = disc.backward(in_t, dz_t)
+    g_s, _ = disc.backward(src, dz_s)
     for name in params:
         analytic = g_t[name] + g_s[name]
         np.testing.assert_allclose(analytic, fd[name], atol=1e-7)
@@ -133,7 +133,7 @@ def test_adversary_w_grad_matches_finite_differences():
     )
     mapped = tgt @ w.T
     dz = (sigmoid(disc.logits(mapped)) - 1.0) / len(mapped)
-    _, d_input = disc.grads_and_input_grad(mapped, dz)
+    _, d_input = disc.backward(mapped, dz)
     np.testing.assert_allclose(d_input.T @ tgt, fd["w"], atol=1e-7)
 
 

@@ -41,7 +41,8 @@ def test_loss_and_gradients_match_per_sentence_oracle(tied, use_char,
     model = tiny_model(tied=tied, use_char=use_char, seed=5)
     table = tiny_table()
     masks = _masks(model, RAGGED) if with_dropout else None
-    loss, grads = backward_pass(model, "src", table, RAGGED, masks)
+    batch = [model.prepare(table, *item) for item in RAGGED]
+    loss, grads = backward_pass(model, "src", batch, masks)
     ref_loss, ref_grads = oracles.reference_backward_pass(
         model, "src", table, RAGGED, masks
     )
@@ -57,8 +58,9 @@ def test_loss_and_gradients_match_per_sentence_oracle(tied, use_char,
 def test_batch_gradient_is_the_mean_of_single_sentence_gradients(tied):
     model = tiny_model(tied=tied, seed=2)
     table = tiny_table()
-    loss, grads = backward_pass(model, "src", table, RAGGED)
-    singles = [backward_pass(model, "src", table, [item]) for item in RAGGED]
+    batch = [model.prepare(table, *item) for item in RAGGED]
+    loss, grads = backward_pass(model, "src", batch)
+    singles = [backward_pass(model, "src", [prep]) for prep in batch]
     assert abs(loss - np.mean([s[0] for s in singles])) <= TOL
     for name, g in grads.items():
         mean = sum(s[1][name] for s in singles) / len(RAGGED)

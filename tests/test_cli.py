@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 
 import numpy as np
@@ -68,20 +70,29 @@ def mapper_path(workdir):
 
 
 @pytest.fixture(scope="module")
-def pretrained_path(workdir, mapper_path):
+def pretrain_run(workdir, mapper_path):
+    """(checkpoint path, what the command printed)."""
     out = str(workdir["root"] / "pretrained.zrx")
-    code = main([
-        "pretrain", "--train", workdir["src_train"], "--dev",
-        workdir["src_dev"], "--src-emb", workdir["src_emb"], "--tgt-emb",
-        workdir["tgt_emb"], "--mapper", mapper_path,
-        "--variant", "cross_word", "--scheme", "IOBES", "--input-scheme",
-        "IOB2", "--select", "src_dev", "--seed", "0", "--epochs", "12",
-        "--eval-interval", "30", "--char-dim", "8", "--char-hidden", "8",
-        "--word-hidden", "16", "--head-hidden", "16",
-        "--out", out, "--log", str(workdir["root"] / "pretrain.log"),
-    ])
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = main([
+            "pretrain", "--train", workdir["src_train"], "--dev",
+            workdir["src_dev"], "--tgt-dev", workdir["tgt_dev"],
+            "--src-emb", workdir["src_emb"], "--tgt-emb",
+            workdir["tgt_emb"], "--mapper", mapper_path,
+            "--variant", "cross_word", "--scheme", "IOBES", "--input-scheme",
+            "IOB2", "--select", "src_dev", "--seed", "0", "--epochs", "12",
+            "--eval-interval", "30", "--char-dim", "8", "--char-hidden", "8",
+            "--word-hidden", "16", "--head-hidden", "16",
+            "--out", out, "--log", str(workdir["root"] / "pretrain.log"),
+        ])
     assert code == 0
-    return out
+    return out, printed.getvalue()
+
+
+@pytest.fixture(scope="module")
+def pretrained_path(pretrain_run):
+    return pretrain_run[0]
 
 
 def test_align_artifacts(workdir, mapper_path):
@@ -130,6 +141,21 @@ def test_align_refine_zero_saves_adversarial_only(workdir):
     assert code == 0
     mapper, config = load_mapper(out)
     assert config["refine_iters"] == "0"
+    assert not any(key.startswith("align.refine") for key in config)
+
+
+def test_align_unknown_config_key_exit_2(workdir, tmp_path, capsys):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("align.refine_iterations=3\n")
+    out = tmp_path / "m.zrx"
+    code = main([
+        "align", "--src-emb", workdir["src_emb"], "--tgt-emb",
+        workdir["tgt_emb"], "--config", str(cfg), "--out", str(out),
+        "--w-steps", "10", "--restarts", "1", "--refine-iters", "0",
+    ])
+    assert code == 2
+    assert "refine_iterations" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_align_dimension_mismatch_exit_2(workdir, tmp_path):
@@ -153,7 +179,12 @@ def test_pretrain_artifacts(workdir, pretrained_path):
     assert tensors["emb.src.vectors"].dtype == np.float32
     assert tensors["head.tag_w"].dtype == np.float64
     log_lines = (workdir["root"] / "pretrain.log").read_text().splitlines()
-    assert all(len(line.split("\t")) == 6 for line in log_lines)
+    # step, three loss terms, lr, then one split=f1 column per evaluated split
+    assert log_lines
+    for line in log_lines:
+        cols = line.split("\t")
+        assert len(cols) == 7
+        assert [c.split("=")[0] for c in cols[5:]] == ["src_dev", "tgt_dev"]
 
 
 def test_pretrain_missing_tag_column_exit_2(workdir):
@@ -261,8 +292,9 @@ def test_finetune_version_mismatch_exit_3(workdir, pretrained_path, tmp_path):
     assert code == 3
 
 
-def test_tag_round_trip_and_eval_consistency(workdir, pretrained_path,
-                                             tmp_path):
+def test_tag_round_trip_and_eval_consistency(workdir, pretrain_run,
+                                             tmp_path, capsys):
+    pretrained_path, pretrain_printed = pretrain_run
     tagged = tmp_path / "tagged.conll"
     code = main([
         "tag", "--checkpoint", pretrained_path, "--input",
@@ -274,12 +306,18 @@ def test_tag_round_trip_and_eval_consistency(workdir, pretrained_path,
     assert again.size == 60
     assert all(s.tags is not None for s in again)
 
-    # external eval on the tagged file equals the internal dev score
+    # external eval on the tagged file equals the internal dev score, which
+    # training computed against the f64 tables the checkpoint stores as f32
+    capsys.readouterr()
     code = main([
         "eval", "--gold", workdir["tgt_dev"], "--pred", str(tagged),
         "--scheme", "IOB2",
     ])
     assert code == 0
+    internal = dict(line.split("\t") for line in pretrain_printed.splitlines()
+                    if "\t" in line)
+    external = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert ["ALL", internal["tgt_dev"]] == [external[1][0], external[1][3]]
 
 
 def test_tag_empty_input(workdir, pretrained_path, tmp_path):
@@ -559,3 +597,30 @@ def test_align_non_numeric_config_value_exit_2(workdir, tmp_path, capsys):
     ])
     assert code == 2
     assert "align.w_steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_select_split_not_evaluated_exit_2(workdir, pretrained_path, tmp_path,
+                                           capsys, command):
+    # --select tgt_dev without --tgt-dev fails before the first batch
+    if command == "pretrain":
+        argv = [
+            "pretrain", "--train", workdir["src_train"], "--dev",
+            workdir["src_dev"], "--src-emb", workdir["src_emb"],
+            "--variant", "source_mono", "--epochs", "12",
+        ]
+    else:
+        argv = [
+            "finetune", "--checkpoint", pretrained_path, "--src-train",
+            workdir["src_train"], "--tgt-train", workdir["tgt_train"],
+            "--src-dev", workdir["src_dev"],
+        ]
+    code = main(argv + [
+        "--input-scheme", "IOB2", "--select", "tgt_dev",
+        "--log", str(tmp_path / "run.log"), "--out", str(tmp_path / "m"),
+    ])
+    assert code == 2
+    assert "tgt_dev is not evaluated" in capsys.readouterr().err
+    for log in tmp_path.glob("run.log*"):
+        assert log.read_text() == ""
+    assert not list(tmp_path.glob("*.zrx"))

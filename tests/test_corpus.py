@@ -10,11 +10,10 @@ from zrxner.corpus import (
     Dataset,
     EntitySpan,
     TaggedSentence,
-    build_vocab,
+    build_char_vocab,
     convert_scheme,
     correct_tag_ratio_by_length,
     entity_f1,
-    extract_entities,
     read_conll,
     scan_entities,
     write_conll,
@@ -94,7 +93,7 @@ def test_convert_iob2_to_iobes():
 def test_convert_iob1_adjacent_chunks():
     # B- in IOB1 splits adjacent same-type chunks; conversion must keep both.
     tags = ["I-ORG", "B-ORG", "I-ORG"]
-    assert extract_entities(tags, IOB1) == spans([(0, 0, "ORG"), (1, 2, "ORG")])
+    assert scan_entities(tags, IOB1)[0] == spans([(0, 0, "ORG"), (1, 2, "ORG")])
     assert convert_scheme(tags, IOB1, IOB2) == ["B-ORG", "B-ORG", "I-ORG"]
     assert convert_scheme(["B-ORG", "B-ORG", "I-ORG"], IOB2, IOB1) == tags
 
@@ -111,9 +110,9 @@ def test_convert_round_trips():
         iob1 = convert_scheme(iob2, IOB2, IOB1)
         assert convert_scheme(iob1, IOB1, IOB2) == iob2
         # composition invariant: IOB1 -> IOB2 -> IOBES preserves the spans
-        assert extract_entities(
+        assert scan_entities(
             convert_scheme(convert_scheme(iob1, IOB1, IOB2), IOB2, IOBES), IOBES
-        ) == extract_entities(iob1, IOB1)
+        )[0] == scan_entities(iob1, IOB1)[0]
 
 
 def test_convert_rejects_malformed_label():
@@ -124,12 +123,12 @@ def test_convert_rejects_malformed_label():
 
 
 def test_extract_simple():
-    got = extract_entities(["B-PER", "I-PER", "O", "B-LOC"], IOB2)
+    got, _ = scan_entities(["B-PER", "I-PER", "O", "B-LOC"], IOB2)
     assert got == spans([(0, 1, "PER"), (3, 3, "LOC")])
 
 
 def test_extract_all_o():
-    assert extract_entities(["O", "O", "O"], IOB2) == []
+    assert scan_entities(["O", "O", "O"], IOB2) == ([], 0)
 
 
 def test_extract_matches_naive_scanner():
@@ -139,7 +138,7 @@ def test_extract_matches_naive_scanner():
         tags = emit_iobes(
             length, random_valid_spans(rng, length, ["PER", "LOC", "ORG", "MISC"])
         )
-        got = [(s.start, s.end, s.type) for s in extract_entities(tags, IOBES)]
+        got = [(s.start, s.end, s.type) for s in scan_entities(tags, IOBES)[0]]
         assert got == iobes_spans_naive(tags)
 
 
@@ -205,20 +204,10 @@ def test_entity_f1_length_mismatch():
         entity_f1(gold, [["O"]])
 
 
-def test_build_vocab_words_and_unk():
-    ds = Dataset(
-        [TaggedSentence(["a", "b"]), TaggedSentence(["b", "c"])], language="en"
-    )
-    word_index, char_index = build_vocab([ds])
-    assert set(word_index["en"]) == {"<unk>", "a", "b", "c"}
-    assert word_index["en"]["<unk>"] == 0
-    assert word_index["en"]["b"] == 1  # most frequent first
-
-
 def test_build_vocab_shared_chars():
     en = Dataset([TaggedSentence(["abc"])], language="en")
     es = Dataset([TaggedSentence(["xyz"])], language="es")
-    _, char_index = build_vocab([en, es])
+    char_index = build_char_vocab([en, es])
     for ch in "abcxyz":
         assert ch in char_index
     assert char_index["<pad>"] == 0
@@ -227,7 +216,7 @@ def test_build_vocab_shared_chars():
 
 def test_build_vocab_char_coverage():
     ds = Dataset([TaggedSentence(["Ħêłlo", "wörld"])], language="x")
-    _, char_index = build_vocab([ds])
+    char_index = build_char_vocab([ds])
     for sent in ds:
         for token in sent.tokens:
             for ch in token:

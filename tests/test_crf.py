@@ -107,13 +107,13 @@ def test_nll_rejects_bad_path():
 
 
 def test_viterbi_all_zero_ties_to_lowest_index():
-    assert viterbi(np.zeros((4, 3)), np.zeros((5, 5))) == [0, 0, 0, 0]
+    assert viterbi(np.zeros((1, 4, 3)), np.zeros((5, 5)), [4]) == [[0, 0, 0, 0]]
 
 
 def test_viterbi_dominant_emissions():
     scores = np.zeros((3, 4))
     scores[0, 2] = scores[1, 0] = scores[2, 3] = 100.0
-    assert viterbi(scores, np.zeros((6, 6))) == [2, 0, 3]
+    assert viterbi(scores[None], np.zeros((6, 6)), [3]) == [[2, 0, 3]]
 
 
 def test_viterbi_matches_enumeration():
@@ -122,7 +122,7 @@ def test_viterbi_matches_enumeration():
     for _ in range(80):
         scores, trans = random_instance(rng)
         _, best_path, best_score, _ = crf_enumerate(scores, trans)
-        got = viterbi(scores, trans)
+        got = viterbi(scores[None], trans, [len(scores)])[0]
         got_score = crf_path_score(scores, trans, got)
         # only compare paths when the optimum is unique enough
         assert got_score == pytest.approx(best_score, abs=1e-10)
@@ -144,7 +144,7 @@ def test_emission_shift_invariance():
         assert crf_log_partition(shifted, trans) == pytest.approx(
             crf_log_partition(scores, trans) + c, abs=1e-9
         )
-        assert viterbi(shifted, trans) == viterbi(scores, trans)
+        assert viterbi(shifted[None], trans, [3]) == viterbi(scores[None], trans, [3])
         m1, _ = crf_marginals(scores, trans)
         m2, _ = crf_marginals(shifted, trans)
         np.testing.assert_allclose(m1, m2, atol=1e-9)
@@ -159,6 +159,6 @@ def test_crf_grads_match_finite_differences():
         fd = finite_difference_grads(
             lambda: crf_nll(scores, trans, path), params, h=1e-6
         )
-        _, dscores, dtrans = crf_nll_grads(scores, trans, path)
-        np.testing.assert_allclose(dscores, fd["scores"], atol=1e-7)
+        _, dscores, dtrans = crf_nll_grads(scores[None], trans, [path], [3])
+        np.testing.assert_allclose(dscores[0], fd["scores"], atol=1e-7)
         np.testing.assert_allclose(dtrans, fd["trans"], atol=1e-7)

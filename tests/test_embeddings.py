@@ -7,7 +7,6 @@ from zrxner.embeddings import (
     EmbeddingTable,
     apply_mapper,
     load_vec_text,
-    lookup,
     normalize,
     write_vec_text,
 )
@@ -21,7 +20,16 @@ def test_load_basic():
     assert len(table) == 3
     assert table.dim == 4
     assert table.words == ["the", "of", "Paris"]
-    np.testing.assert_allclose(table.lookup("of"), [1, 2, 3, 4])
+    np.testing.assert_allclose(table.vectors[table.row("of")], [1, 2, 3, 4])
+
+
+@pytest.mark.parametrize("ch", ["\u2028", "\x85", "\x1c", "\x0b", "\x0c", "\r"],
+                         ids=lambda c: f"U+{ord(c):04X}")
+def test_load_str_splits_lines_like_a_stream(ch):
+    text = f"2 2\na{ch}b 1 2\nc 3 4\n"
+    table = load_vec_text(text)
+    assert table.words == [f"a{ch}b", "c"]
+    assert load_vec_text(io.StringIO(text)).words == table.words
 
 
 def test_load_limit():
@@ -38,37 +46,23 @@ def test_load_dimension_mismatch_line_number():
 def test_load_duplicates_keep_first():
     text = "3 2\na 1 1\na 9 9\nb 2 2\n"
     table = load_vec_text(io.StringIO(text))
-    np.testing.assert_allclose(table.lookup("a"), [1, 1])
+    np.testing.assert_allclose(table.vectors[table.row("a")], [1, 1])
     assert table.words == ["a", "b"]
 
 
 def test_lookup_exact_lower_unk():
     table = load_vec_text(io.StringIO("2 2\nparis 1 2\nLondon 3 4\n"))
-    np.testing.assert_allclose(lookup(table, "paris"), [1, 2])
-    np.testing.assert_allclose(lookup(table, "Paris"), [1, 2])  # lowercase hit
-    np.testing.assert_allclose(lookup(table, "LONDON"), [3, 4])
-    np.testing.assert_allclose(lookup(table, "tokyo"), [0, 0])  # frozen UNK
-    assert lookup(table, "anything").shape == (2,)
+    assert table.row("paris") == 0
+    assert table.row("Paris") == 0  # lowercase hit
+    assert table.row("LONDON") == 1
+    assert table.row("tokyo") == -1  # UNK: the tagger reads all zeros
 
 
 def test_normalize_unit():
     table = EmbeddingTable(["w", "z"], [[3.0, 4.0], [0.0, 0.0]])
-    unit = normalize(table, "unit")
-    np.testing.assert_allclose(unit.lookup("w"), [0.6, 0.8])
-    np.testing.assert_allclose(unit.lookup("z"), [0.0, 0.0])  # zero row kept
-
-
-def test_normalize_none_identity():
-    table = EmbeddingTable(["w"], [[3.0, 4.0]])
-    same = normalize(table, "none")
-    np.testing.assert_array_equal(same.vectors, table.vectors)
-
-
-def test_normalize_center_then_unit():
-    # mean of {[1,0],[-1,0]} is 0 so centering is a no-op; norms already 1
-    table = EmbeddingTable(["a", "b"], [[1.0, 0.0], [-1.0, 0.0]])
-    got = normalize(table, "center_then_unit")
-    np.testing.assert_allclose(got.vectors, [[1, 0], [-1, 0]], atol=1e-12)
+    unit = normalize(table)
+    np.testing.assert_allclose(unit.vectors[0], [0.6, 0.8])
+    np.testing.assert_allclose(unit.vectors[1], [0.0, 0.0])  # zero row kept
 
 
 def test_apply_mapper_identity_and_scale():
@@ -85,7 +79,8 @@ def test_apply_mapper_matches_direct_product():
     w = rng.normal(size=(4, 4))
     mapped = apply_mapper(table, w)
     for i, word in enumerate(table.words):
-        np.testing.assert_allclose(mapped.lookup(word), w @ table.vectors[i])
+        np.testing.assert_allclose(mapped.vectors[mapped.row(word)],
+                                   w @ table.vectors[i])
 
 
 def test_apply_mapper_composition():

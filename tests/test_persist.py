@@ -6,11 +6,20 @@ from zrxner.corpus import IOB2
 from zrxner.embeddings import EmbeddingTable
 from zrxner.errors import CheckpointError
 from zrxner.numeric import Rng
-from zrxner.persist import load_mapper, load_model, save_mapper, save_model
+from zrxner.persist import (
+    load_mapper,
+    load_model,
+    load_table,
+    save_mapper,
+    save_model,
+    save_table,
+)
 from zrxner.tagger import Tagger, predict
 from zrxner.trainer import TrainingConfig
 
 CHARS = {"<pad>": 0, "<unk>": 1, "a": 2, "b": 3, "=": 4}
+# line breaks to str.splitlines, but not "\n", which a config line cannot hold
+LINE_BREAKS = ["\u2028", "\x85", "\x1c", "\x0b", "\x0c", "\r"]
 
 
 def test_mapper_round_trip(tmp_path):
@@ -92,3 +101,22 @@ def test_model_checkpoint_embeds_effective_config(tmp_path):
     assert raw["train.dropout"] == "0.25"
     assert raw["stage"] == "pretrain"
     assert raw["rng"] == "pcg64"
+
+
+@pytest.mark.parametrize("ch", LINE_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+def test_vocabulary_with_line_break_character_round_trips(tmp_path, ch):
+    word = f"a{ch}b"
+    table = EmbeddingTable(["aa", word], np.random.default_rng(3).normal(
+        size=(2, 5)), "es")
+    save_table(tmp_path / "t.zrx", table)
+    again, _ = load_table(tmp_path / "t.zrx")
+    assert again.words == table.words
+    chars = {**CHARS, ch: len(CHARS)}
+    config = TrainingConfig(
+        scheme=IOB2, char_dim=4, char_hidden=4, word_hidden=6, head_hidden=4
+    )
+    model = Tagger(config.tagger_config(5, ["O", "B-PER"]), chars, Rng(0))
+    save_model(tmp_path / "m.zrx", model, config, {"src": table})
+    loaded, _, tables, _ = load_model(tmp_path / "m.zrx")
+    assert tables["src"].words == table.words
+    assert loaded.char_vocab == chars

@@ -95,10 +95,12 @@ def test_embed_row_width_default_dims():
 def test_embed_eval_mode_is_dropout_free():
     model = tiny_model()
     table = tiny_table()
-    a = embed_sentence(model, "src", table, ["aa", "bb"], train=False)
-    b = embed_sentence(model, "src", table, ["aa", "bb"], train=False)
+    a = embed_sentence(model, "src", table, ["aa", "bb", "zz"], train=False)
+    b = embed_sentence(model, "src", table, ["aa", "bb", "zz"], train=False)
     np.testing.assert_array_equal(a, b)
-    np.testing.assert_allclose(a[0, 8:], table.lookup("aa"), atol=1e-12)
+    np.testing.assert_allclose(a[0, 8:], table.vectors[table.row("aa")],
+                               atol=1e-12)
+    assert not a[2, 8:].any()  # a word outside the table reads all zeros
 
 
 def test_embed_training_dropout_reproducible_and_half():
@@ -184,7 +186,7 @@ def test_predict_deterministic_and_composed():
     x = embed_sentence(model, "src", table, tokens)
     u = word_context(model, "src", x)
     scores = emission_scores(model, u)
-    path = viterbi(scores, model.effective_trans())
+    path = viterbi(scores[None], model.effective_trans(), [len(tokens)])[0]
     assert once == [TAGS[i] for i in path]
 
 
@@ -239,7 +241,7 @@ def test_constrained_decoding_produces_valid_sequences():
     rng = np.random.default_rng(11)
     for _ in range(50):
         scores = rng.normal(size=(int(rng.integers(1, 8)), len(tags))) * 3
-        path = viterbi(scores, mask)
+        path = viterbi(scores[None], mask, [len(scores)])[0]
         decoded = [tags[i] for i in path]
         _, repairs = scan_entities(decoded, IOBES)
         assert repairs == 0, decoded
@@ -251,7 +253,8 @@ def test_symmetric_stationary_point_has_zero_gradient():
     model.head["trans"][:] = 0.0
     table = tiny_table()
     batch = [(["aa"], [t]) for t in TAGS]  # same token, each gold tag once
-    loss, grads = backward_pass(model, "src", table, batch)
+    loss, grads = backward_pass(
+        model, "src", [model.prepare(table, *item) for item in batch])
     assert loss == pytest.approx(np.log(3), abs=1e-12)
     total = sum(float(np.abs(g).sum()) for g in grads.values())
     assert total < 1e-8
@@ -278,7 +281,8 @@ def test_full_model_gradients_match_finite_differences(tied, with_dropout):
             dropout_mask(rng, (len(toks), model.cfg.input_dim), 0.5)
             for toks, _ in GRAD_BATCH
         ]
-    loss, grads = backward_pass(model, "src", table, GRAD_BATCH, masks=masks)
+    batch = [model.prepare(table, *item) for item in GRAD_BATCH]
+    loss, grads = backward_pass(model, "src", batch, masks=masks)
     assert loss > 0
     params = model.named_parameters("src")
     fd = finite_difference_grads(

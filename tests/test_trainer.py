@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from zrxner.align import LinearMapper
-from zrxner.corpus import IOB2, Dataset, TaggedSentence, build_vocab
+from zrxner.corpus import IOB2, Dataset, TaggedSentence, build_char_vocab
 from zrxner.errors import UsageError
 from zrxner.numeric import Rng
 from zrxner.tagger import Tagger, predict
@@ -46,7 +46,7 @@ def fx():
 
 def build_model(fx, config, languages=("src",)):
     datasets = [fx.src_train, fx.src_dev, fx.tgt_train, fx.tgt_dev]
-    _, char_vocab = build_vocab(datasets)
+    char_vocab = build_char_vocab(datasets)
     tags = sorted({t for s in fx.src_train for t in s.tags})
     return Tagger(
         config.tagger_config(fx.src_emb.dim, tags), char_vocab,
@@ -160,8 +160,9 @@ def test_pretrain_rejects_empty_dataset(fx):
     config = small_config()
     model = build_model(fx, config)
     empty = Dataset([], language="src", scheme=IOB2)
-    with pytest.raises(UsageError):
-        pretrain_source(model, empty, fx.src_emb, config, Rng(0), [])
+    with pytest.raises(UsageError, match="empty training dataset"):
+        pretrain_source(model, empty, fx.src_emb, config, Rng(0),
+                        [EvalSet("src_dev", "src", fx.src_emb, fx.src_dev)])
 
 
 def test_pretrain_excludes_overlong_sentences(fx):
@@ -341,6 +342,26 @@ def test_best_state_present_for_selected_checkpoint(fx):
     chosen, state = best_state(records, "src_dev")
     assert chosen.scores["src_dev"] == max(r.scores["src_dev"] for r in records)
     restore_state(model, state)
+    with pytest.raises(UsageError, match="no stored state"):
+        best_state([CheckpointRecord(0, 0, {"src_dev": 0.5})], "src_dev")
+
+
+def test_pretrain_holds_one_snapshot(fx):
+    # a second split that improves on its own must not add snapshots
+    config = small_config(epochs=4, eval_interval=5, batch_size=8, lr0=0.2)
+    model = build_model(fx, config)
+    records = pretrain_source(
+        model, fx.src_train, fx.src_emb, config, Rng(1),
+        [EvalSet("src_dev", "src", fx.src_emb, fx.src_dev),
+         EvalSet("src_train", "src", fx.src_emb, fx.src_train)],
+    )
+    held = [r for r in records if r.state is not None]
+    assert len(held) == 1 and held[0] is select_model(records, "src_dev")
+    best, improved = -1.0, 0
+    for r in records:
+        if r.scores["src_dev"] > best:
+            best, improved = r.scores["src_dev"], improved + 1
+    assert improved >= 2  # an earlier snapshot was taken and released
 
 
 def test_multi_seed_report_values():
