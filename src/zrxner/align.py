@@ -12,6 +12,7 @@ maps target rows onto source rows (row @ W.T); it is pinned by the
 rotation-recovery tests rather than taken on faith.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -23,6 +24,10 @@ from .numeric import dropout_mask, gaussian_init, sigmoid, svd_square
 T_TO_S = "t_to_s"
 S_TO_T = "s_to_t"
 DIRECTIONS = (T_TO_S, S_TO_T)
+
+# Bytes of cosines that csls_top1 holds at once; its working memory beyond
+# the inputs is a few such tiles, however many keys there are.
+CSLS_TILE_BYTES = 4 << 20
 
 
 @dataclass
@@ -166,7 +171,8 @@ def orthogonalize(w, beta):
 
 
 def _play_game(x_rows, y_rows, rng, config, criterion, log):
-    """One full adversarial game; returns (best W of the game, discriminator)."""
+    """One full adversarial game; returns (best W of the game, its criterion
+    score, discriminator). Each W is scored at most once."""
     dim = x_rows.shape[1]
     w = np.eye(dim)
     disc = Discriminator(dim, config.disc_hidden, rng)
@@ -176,6 +182,7 @@ def _play_game(x_rows, y_rows, rng, config, criterion, log):
     targets = np.concatenate([np.full(b, s), np.full(b, 1 - s)])
     batch = np.empty((2 * b, dim))
     best_w, best_score = None, -np.inf
+    score = None
     for step in range(config.w_steps):
         for _ in range(config.disc_steps):
             idx_y = rng.integers(len(y_rows), b)
@@ -200,6 +207,7 @@ def _play_game(x_rows, y_rows, rng, config, criterion, log):
             d_input = d_input * mask_t
         w -= config.lr_map * (d_input.T @ by)
         w = orthogonalize(w, config.beta)
+        score = None  # criterion of the current w, once known
         if not np.isfinite(w).all():
             raise NumericalError(f"mapper became non-finite at step {step}")
         if config.select_every and (step + 1) % config.select_every == 0:
@@ -213,9 +221,11 @@ def _play_game(x_rows, y_rows, rng, config, criterion, log):
             if not (np.isfinite(d_loss) and np.isfinite(a_loss)):
                 raise NumericalError(f"non-finite loss at step {step}")
             log.append((step, d_loss, a_loss))
-    if best_w is not None and criterion(w) < best_score:
-        return best_w, disc
-    return w, disc
+    if score is None:  # the last step was not scored in the loop
+        score = criterion(w)
+    if score < best_score:
+        return best_w, best_score, disc
+    return w, score, disc
 
 
 def _disc_accuracy(disc, w, x_rows, y_rows, rng, sample=256):
@@ -256,12 +266,11 @@ def adversarial_train(space_table, moving_table, rng, config, log=None):
             config.criterion_sample_n, config.csls_k,
         )
 
+    if config.w_steps == 0:
+        return LinearMapper(np.eye(space_table.dim), T_TO_S)
     best_w, best_score = None, -np.inf
     for _ in range(max(1, config.restarts)):
-        w, disc = _play_game(x_rows, y_rows, rng, config, criterion, log)
-        if config.w_steps == 0:
-            return LinearMapper(w, T_TO_S)
-        score = criterion(w)
+        w, score, disc = _play_game(x_rows, y_rows, rng, config, criterion, log)
         if score > best_score:
             best_w, best_score = w, score
         if _disc_accuracy(disc, w, x_rows, y_rows, rng) <= config.restart_disc_acc:
@@ -293,31 +302,74 @@ def csls(queries, keys, k):
     return 2 * cos - r_q[:, None] - r_k[None, :]
 
 
-def csls_top1(queries, keys, k, block=2048):
-    """Row-wise argmax of the CSLS scores, computed blockwise over queries."""
+def _top_k(a, k, axis):
+    """The k largest entries of a along axis (all of them if there are fewer)."""
+    n = a.shape[axis]
+    if n <= k:
+        return a
+    top = np.partition(a, n - k, axis=axis)
+    return top[:, n - k :] if axis == 1 else top[n - k :]
+
+
+def _whole_64(n):
+    """n rounded down to a multiple of 64; below 64, n itself (at least 1)."""
+    return n - n % 64 if n >= 64 else max(1, n)
+
+
+def csls_top1(queries, keys, k):
+    """Row-wise argmax of csls(queries, keys, k) and its score, in tiles.
+
+    Two passes over (key tile x query block), each tile CSLS_TILE_BYTES of
+    cosines. The first keeps every query's and every key's k largest
+    cosines; the second recomputes the cosines, forms the scores and keeps a
+    running argmax per query, key tiles in increasing order, so ties go to
+    the lowest key index. Keys are normalized tile by tile: the working
+    memory is the queries, a few floats per row, and a few tiles.
+    """
+    if k < 1:
+        raise UsageError("k must be >= 1")
     qn = _unit_rows(np.atleast_2d(np.asarray(queries, dtype=np.float64)))
-    kn = _unit_rows(np.atleast_2d(np.asarray(keys, dtype=np.float64)))
-    nq, nk = qn.shape[0], kn.shape[0]
+    keys = np.atleast_2d(np.asarray(keys, dtype=np.float64))
+    nq, nk = qn.shape[0], keys.shape[0]
+    if nk == 0:
+        raise UsageError("no keys to match")
     k_row = min(k, nk)
     k_col = min(k, nq)
-    # streaming column top-k for r_keys (each key's nearest queries)
-    top_buffer = np.full((0, nk), -np.inf)
-    for lo in range(0, nq, block):
-        cos_block = qn[lo : lo + block] @ kn.T
-        stacked = np.vstack([top_buffer, cos_block])
-        keep = min(k_col, stacked.shape[0])
-        top_buffer = np.partition(stacked, stacked.shape[0] - keep, axis=0)[-keep:, :]
-    r_k = top_buffer.mean(axis=0)
+    # tiles start at multiples of 64 rows, where the kernel blocks of one
+    # whole-matrix BLAS product start, so the cosines match that product's
+    cells = max(1, CSLS_TILE_BYTES // 8)
+    key_step = min(nk, _whole_64(math.isqrt(cells)))
+    query_step = _whole_64(cells // key_step)
+    key_tiles = [(lo, min(lo + key_step, nk)) for lo in range(0, nk, key_step)]
+    query_blocks = [(lo, min(lo + query_step, nq))
+                    for lo in range(0, nq, query_step)]
+    row_top = np.full((nq, k_row), -np.inf)
+    r_k = np.empty(nk)
+    for klo, khi in key_tiles:
+        kn = _unit_rows(keys[klo:khi])
+        col_top = np.full((k_col, khi - klo), -np.inf)
+        for qlo, qhi in query_blocks:
+            cos = qn[qlo:qhi] @ kn.T
+            row_top[qlo:qhi] = _top_k(np.hstack(
+                [row_top[qlo:qhi], _top_k(cos, k_row, 1)]), k_row, 1)
+            col_top = _top_k(np.vstack([col_top, _top_k(cos, k_col, 0)]), k_col, 0)
+        # sorted before averaging, so the means do not depend on the tiling
+        r_k[klo:khi] = np.sort(col_top, axis=0).mean(axis=0)
+    r_q = np.sort(row_top, axis=1).mean(axis=1)
     best_idx = np.zeros(nq, dtype=np.int64)
     best_score = np.full(nq, -np.inf)
-    for lo in range(0, nq, block):
-        cos_block = qn[lo : lo + block] @ kn.T
-        r_q = np.partition(cos_block, cos_block.shape[1] - k_row, axis=1)[
-            :, -k_row:
-        ].mean(axis=1)
-        scores = 2 * cos_block - r_q[:, None] - r_k[None, :]
-        best_idx[lo : lo + block] = scores.argmax(axis=1)
-        best_score[lo : lo + block] = scores.max(axis=1)
+    for klo, khi in key_tiles:
+        kn = _unit_rows(keys[klo:khi])
+        for qlo, qhi in query_blocks:
+            scores = qn[qlo:qhi] @ kn.T
+            scores *= 2
+            scores -= r_q[qlo:qhi, None]
+            scores -= r_k[None, klo:khi]
+            arg = scores.argmax(axis=1)
+            top = scores[np.arange(qhi - qlo), arg]
+            better = top > best_score[qlo:qhi]
+            np.copyto(best_idx[qlo:qhi], arg + klo, where=better)
+            np.copyto(best_score[qlo:qhi], top, where=better)
     return best_idx, best_score
 
 

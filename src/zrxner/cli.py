@@ -89,7 +89,8 @@ def _align_config(file_cfg, **overrides):
 
 
 def _load_table(path, limit, language):
-    with open(path, "r", encoding="utf-8") as fh:
+    # split lines at "\n" only, so a "\r" inside a word stays in the word
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
         table = load_vec_text(fh, limit=limit, language=language)
     return normalize(table)
 

@@ -80,7 +80,9 @@ def load_vec_text(stream, limit=DEFAULT_LOAD_LIMIT, language=""):
     for lineno, line in enumerate(lines, start=2):
         if len(words) >= cap:
             break
-        fields = line.rstrip("\n").split(" ")
+        # one line end: "\n", or "\r\n" as Windows tools write it
+        line = line[:-2] if line.endswith("\r\n") else line.rstrip("\n")
+        fields = line.split(" ")
         if fields and fields[-1] == "":
             fields = fields[:-1]  # tolerate fastText's trailing space
         if not fields or fields == [""]:

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import zrxner.align as align_mod
 from zrxner.align import (
     AlignConfig,
     Discriminator,
@@ -150,6 +152,39 @@ def test_adversarial_train_zero_steps_identity():
     np.testing.assert_array_equal(mapper.w, np.eye(4))
 
 
+def test_each_mapper_is_scored_once(monkeypatch):
+    src, tgt, _ = synthetic_pair(3, n=60, d=6)
+    calls = []
+
+    def counting(source, target, mapper, sample_n, k):
+        score = unsupervised_criterion(source, target, mapper, sample_n, k)
+        calls.append((mapper.w.copy(), score))
+        return score
+
+    monkeypatch.setattr(align_mod, "unsupervised_criterion", counting)
+    # (w_steps, games, calls per game): after 4 steps the last in-loop score
+    # is the final W's; after 5 the final W needs one call of its own
+    for w_steps, games, per_game in [(4, 1, 2), (5, 1, 3), (4, 2, 2)]:
+        calls.clear()
+        cfg = AlignConfig(w_steps=w_steps, select_every=2, restarts=games,
+                          restart_disc_acc=-1.0, batch_size=8, disc_hidden=8,
+                          vocab_cap=60, criterion_sample_n=30, csls_k=3)
+        mapper = adversarial_train(src, tgt, Rng(4), cfg)
+        assert len(calls) == games * per_game
+        assert len({w.tobytes() for w, _ in calls}) == len(calls)
+        # the selection rule: a game returns its final W unless an earlier
+        # snapshot scored strictly higher (the first such); the first game
+        # with the strictly highest score wins
+        chosen = []
+        for g in range(games):
+            game = calls[g * per_game : (g + 1) * per_game]
+            snapshots = game[: w_steps // 2]
+            best = max(snapshots, key=lambda c: c[1])  # first of equal maxima
+            chosen.append(game[-1] if game[-1][1] >= best[1] else best)
+        winner = max(chosen, key=lambda c: c[1])
+        assert mapper.w.tobytes() == winner[0].tobytes()
+
+
 def test_csls_self_match_orthonormal():
     basis = np.eye(5)
     scores = csls(basis, basis, k=1)
@@ -196,14 +231,62 @@ def test_csls_top1_recovered_rotation_equals_unmapped_cosine_top1():
     assert (cosine_idx == np.arange(30)).all()
 
 
-def test_csls_top1_matches_full_matrix():
+def quarter_rows(rng, n, d=8):
+    """Rows of four entries +-1, the rest 0: unit rows are +-0.5 and 0, so
+    every cosine is exact and equal cosines are true ties."""
+    rows = np.zeros((n, d))
+    for row in rows:
+        row[rng.choice(d, 4, replace=False)] = rng.choice([-1.0, 1.0], 4)
+    return rows
+
+
+def test_csls_top1_matches_full_matrix(monkeypatch):
+    # 42 cells per tile: key tiles of 6 and query blocks of 7 rows, so the
+    # 40 queries and 25 keys below both split into several uneven tiles
+    monkeypatch.setattr(align_mod, "CSLS_TILE_BYTES", 42 * 8)
     rng = np.random.default_rng(13)
     q = rng.normal(size=(40, 6))
-    k = rng.normal(size=(25, 6))
-    full = csls(q, k, k=5)
-    idx, best = csls_top1(q, k, k=5, block=7)
-    assert (idx == full.argmax(axis=1)).all()
-    np.testing.assert_allclose(best, full.max(axis=1), atol=1e-12)
+    keys = rng.normal(size=(25, 6))
+    dup = quarter_rows(rng, 12)
+    cases = [
+        (q, keys, 5),
+        (q, keys, 50),  # k larger than either set
+        (q[:1], keys, 5),  # one query
+        (q, keys[:1], 5),  # one key
+        (quarter_rows(rng, 40), np.vstack([dup, dup, dup[:3]]), 5),  # ties
+    ]
+    for queries, keys, k in cases:
+        full = csls(queries, keys, k=k)
+        idx, best = csls_top1(queries, keys, k)
+        assert (idx == full.argmax(axis=1)).all()
+        np.testing.assert_allclose(best, full.max(axis=1), atol=1e-12)
+    # the tie case has ties between duplicate keys in different tiles
+    queries, keys, k = cases[-1]
+    full = csls(queries, keys, k=k)
+    tied = (full == full.max(axis=1, keepdims=True)).sum(axis=1) > 1
+    assert tied.sum() >= 10
+
+
+def test_csls_top1_memory_is_bounded_by_the_tile_budget(monkeypatch):
+    budget = 1 << 19
+    monkeypatch.setattr(align_mod, "CSLS_TILE_BYTES", budget)
+    rng = np.random.default_rng(19)
+    queries = rng.normal(size=(500, 8))
+
+    def peak_beyond_inputs(n_keys):
+        keys = rng.normal(size=(n_keys, 8))
+        tracemalloc.start()  # the inputs exist already and are not counted
+        try:
+            csls_top1(queries, keys, 10)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak_beyond_inputs(4000), peak_beyond_inputs(16000)
+    assert small < 6 * budget and large < 6 * budget
+    # the only state that grows with the keys is one float per key (r_k),
+    # 96 kB for the 12000 more keys here
+    assert large - small < budget / 4
 
 
 def test_induce_identity_on_exact_rotation():
@@ -334,8 +417,6 @@ def test_adversarial_then_refine_recovers_rotation():
 def test_dictionary_collapse_returns_best_so_far(monkeypatch):
     src, tgt, _ = synthetic_pair(7, n=30, d=8)
     w0 = LinearMapper(np.eye(8))
-
-    import zrxner.align as align_mod
 
     def exploding_induce(*args, **kwargs):
         raise AlignmentError("empty")

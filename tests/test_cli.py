@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from zrxner.checkpoint import load_checkpoint
-from zrxner.cli import main
+from zrxner.cli import _load_table, main
 from zrxner.corpus import IOB2, read_conll
-from zrxner.embeddings import write_vec_text
+from zrxner.embeddings import EmbeddingTable, write_vec_text
 from zrxner.persist import load_mapper, load_model
 
 from fixtures import BilingualFixture, precision_at_1
@@ -442,6 +442,28 @@ def test_project_2d_input_is_identity_up_to_rotation(tmp_path):
         np.sort(np.linalg.norm(centered, axis=1)),
         atol=1e-6,
     )
+
+
+def test_vec_word_with_carriage_return_round_trips(tmp_path):
+    table = EmbeddingTable(["a\rb", "c"], [[0.6, 0.8], [1.0, 0.0]])
+    path = tmp_path / "cr.vec"
+    with open(path, "w", encoding="utf-8") as fh:
+        write_vec_text(table, fh)
+    loaded = _load_table(str(path), None, "src")
+    assert loaded.words == ["a\rb", "c"]
+    np.testing.assert_allclose(loaded.vectors, table.vectors, atol=1e-6)
+
+
+def test_vec_crlf_file_loads_like_lf(tmp_path):
+    # fastText rows end in a space before the line end
+    rows = ["2 3", "w1 0.5 -1.25 2.0 ", "w2 1.0 0.0 0.0 "]
+    lf, crlf = tmp_path / "lf.vec", tmp_path / "crlf.vec"
+    lf.write_bytes("\n".join(rows).encode() + b"\n")
+    crlf.write_bytes("\r\n".join(rows).encode() + b"\r\n")
+    want = _load_table(str(lf), None, "src")
+    got = _load_table(str(crlf), None, "src")
+    assert got.words == want.words == ["w1", "w2"]
+    np.testing.assert_array_equal(got.vectors, want.vectors)
 
 
 def test_align_export_mapped_table(workdir, tmp_path):
