@@ -1,10 +1,13 @@
 """Batch command-line interface.
 
-Subcommands: align, pretrain, finetune, tag, eval, project. Every command
-honors --seed and an optional --config file of flat key=value lines (flags
+Subcommands: align, pretrain, finetune, tag, eval, project. align and
+pretrain take --seed, finetune takes --seeds; tag, eval and project accept
+--seed and ignore it, as they are deterministic. align, pretrain and
+finetune read an optional --config file of flat key=value lines (flags
 override the file); the effective configuration is embedded in every
-checkpoint written. Exit codes: 0 success, 2 input or usage error,
-3 artifact or version error, 4 numerical failure.
+checkpoint written, and a trained checkpoint holds the selected state.
+Exit codes: 0 success, 2 input or usage error, 3 artifact or version
+error, 4 numerical failure.
 """
 
 import argparse
@@ -12,7 +15,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -41,7 +44,6 @@ from .trainer import (
     EvalSet,
     TrainingConfig,
     augmented_finetune,
-    best_state,
     common_space_tables,
     multi_seed_report,
     pretrain_source,
@@ -96,7 +98,8 @@ def _load_table(path, limit, language):
 
 
 def _read_dataset(path, language, role, scheme, tag_col=-1, token_col=0):
-    with open(path, "r", encoding="utf-8") as fh:
+    # split lines at "\n" only; read_conll also drops the "\r" of "\r\n"
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
         return read_conll(fh, token_col=token_col, tag_col=tag_col,
                           language=language, role=role, scheme=scheme)
 
@@ -250,8 +253,7 @@ def cmd_pretrain(args):
     )
     mapper = None
     if args.mapper:
-        mapper, mapper_cfg = load_mapper(args.mapper)
-        config.direction = mapper.direction
+        mapper = load_mapper(args.mapper)[0]
     elif config.variant != "source_mono":
         raise UsageError(f"variant {config.variant} requires --mapper")
     src_table, tgt_table = common_space_tables(src_raw, tgt_raw, mapper)
@@ -266,14 +268,12 @@ def cmd_pretrain(args):
     rng = Rng(config.seed)
     log_stream = open(args.log, "w", encoding="utf-8") if args.log else None
     try:
-        records = pretrain_source(
+        _, chosen = pretrain_source(
             model, train, src_table, config, rng, eval_sets, log_stream
         )
     finally:
         if log_stream:
             log_stream.close()
-    chosen, state = best_state(records, config.selection)
-    restore_state(model, state)
     tables = {"src": src_table}
     if tgt_table is not None:
         tables["tgt"] = tgt_table
@@ -326,30 +326,25 @@ def cmd_finetune(args):
     per_seed = {}
     paths = {}
     for seed in seeds:
-        run_model = model
-        if "tgt" not in run_model.encoders:
-            run_model.add_target_encoder(Rng(seed))
-        restore_state(run_model, base_state)
-        run_model.encoders["tgt"].copy_from(run_model.encoders["src"])
-        run_config = TrainingConfig.from_flat(config.to_flat())
-        run_config.seed = seed
-        run_config.variant = "cross_augmented"
+        if "tgt" not in model.encoders:
+            model.add_target_encoder(Rng(seed))
+        restore_state(model, base_state)
+        model.encoders["tgt"].copy_from(model.encoders["src"])
+        run_config = replace(config, seed=seed, variant="cross_augmented")
         log_stream = (
             open(f"{args.log}.seed{seed}", "w", encoding="utf-8")
             if args.log else None
         )
         try:
-            records = augmented_finetune(
-                run_model, src_train, tgt_train, src_table, tgt_table,
+            _, chosen = augmented_finetune(
+                model, src_train, tgt_train, src_table, tgt_table,
                 run_config, Rng(seed), eval_sets, log_stream,
             )
         finally:
             if log_stream:
                 log_stream.close()
-        chosen, state = best_state(records, run_config.selection)
-        restore_state(run_model, state)
         out_path = f"{args.out}.seed{seed}.zrx"
-        save_model(out_path, run_model, run_config,
+        save_model(out_path, model, run_config,
                    {"src": src_table, "tgt": tgt_table}, {
                        "stage": "finetune",
                        "selected_step": chosen.step,

@@ -8,6 +8,7 @@ repaired as new span starts, conlleval-style, and the repair count is
 surfaced because pseudo-labeled data routinely contains them.
 """
 
+import io
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -182,21 +183,30 @@ def convert_scheme(tags, from_scheme, to_scheme):
 
 
 def _iter_lines(stream):
+    """Lines without their end, which is "\n" or "\r\n" (the `.vec` rule);
+    a str or bytes input splits the way a stream does."""
     if isinstance(stream, (str, bytes)):
         text = stream.decode("utf-8") if isinstance(stream, bytes) else stream
-        yield from text.splitlines()
-        return
+        stream = io.StringIO(text)
     for line in stream:
         if isinstance(line, bytes):
             line = line.decode("utf-8")
-        yield line.rstrip("\n")
+        yield line[:-2] if line.endswith("\r\n") else line.rstrip("\n")
+
+
+def _columns(line):
+    """Columns split at ASCII spaces and tabs only, so a token may hold any
+    other character, Unicode spaces and line separators included."""
+    cols = line.replace("\t", " ").split(" ")
+    return [col for col in cols if col] if "" in cols else cols
 
 
 def read_conll(stream, token_col=0, tag_col=-1, language="", role="train",
                scheme=IOB2):
-    """Parse whitespace-column CoNLL text into a Dataset.
+    """Parse CoNLL text into a Dataset.
 
-    Sentences are blank-line separated; -DOCSTART- blocks are dropped.
+    Lines end at "\n" or "\r\n"; columns are separated by ASCII spaces and
+    tabs. Sentences are blank-line separated; -DOCSTART- blocks are dropped.
     tag_col=None loads unlabeled data; tag_col=-1 means the last column.
     Ragged rows (a missing requested column) raise ParseError with the
     1-based line number.
@@ -213,7 +223,7 @@ def read_conll(stream, token_col=0, tag_col=-1, language="", role="train",
         tokens, tags = [], []
 
     for lineno, line in enumerate(_iter_lines(stream), start=1):
-        cols = line.split()
+        cols = _columns(line)
         if not cols:
             flush()
             continue
@@ -272,13 +282,13 @@ class F1Report:
     pred_repairs: int = 0
 
 
-def entity_f1(gold, pred_tags, scheme=None):
+def entity_f1(gold, pred_tags):
     """Exact span-and-type matching (conlleval semantics), overall and per type.
 
-    gold is a labeled Dataset; pred_tags is one tag sequence per sentence.
+    gold is a labeled Dataset; pred_tags is one tag sequence per sentence,
+    both read in gold.scheme.
     """
-    if scheme is None:
-        scheme = gold.scheme
+    scheme = gold.scheme
     if len(pred_tags) != len(gold.sentences):
         raise UsageError(
             f"{len(pred_tags)} predictions for {len(gold.sentences)} sentences"

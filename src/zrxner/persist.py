@@ -7,15 +7,17 @@ config block: words are whitespace-free by construction, characters are
 stored as one string in index order.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from .align import LinearMapper
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import flat_to_fields, load_checkpoint, save_checkpoint
 from .corpus import PAD_CHAR, UNK_CHAR
 from .embeddings import EmbeddingTable
 from .errors import CheckpointError
 from .numeric import RNG_ALGORITHM, Rng
-from .tagger import Tagger
+from .tagger import Tagger, TaggerConfig
 from .trainer import TrainingConfig
 
 
@@ -120,11 +122,9 @@ def load_model(path):
     tags = config["tags"].split(" ")
     char_vocab = _chars_from_text(config.get("chars", ""))
     languages = tuple(config["languages"].split(" "))
-    tagger_cfg = train_config.tagger_config(int(config["word_dim"]), tags)
-    if "model.use_char" in config:
-        tagger_cfg.use_char = config["model.use_char"] == "True"
-    if "model.tied" in config:
-        tagger_cfg.tied = config["model.tied"] == "True"
+    tagger_cfg = replace(
+        train_config.tagger_config(int(config["word_dim"]), tags),
+        **flat_to_fields(TaggerConfig, "model", config))
     model = Tagger(tagger_cfg, char_vocab, Rng(train_config.seed), languages)
     params = model.all_parameters()
     missing = set(params) - set(tensors)

@@ -411,10 +411,9 @@ class Tagger:
 
     # -- parameters -------------------------------------------------------
 
-    def add_target_encoder(self, rng, init_from="src"):
+    def add_target_encoder(self, rng):
         enc = Encoder(self.cfg, rng)
-        if init_from is not None:
-            enc.copy_from(self.encoders[init_from])
+        enc.copy_from(self.encoders["src"])
         self.encoders["tgt"] = enc
         return enc
 

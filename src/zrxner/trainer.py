@@ -5,7 +5,8 @@ fine-tuning of the source and target models around one shared head.
 The learning rate follows max(lr0 / (1 + decay * epoch), floor) with the
 epoch counter continuing across stages (one fine-tuning round advances it by
 one). Models are evaluated every eval_interval batches; only the tensor
-state of the best evaluation on the selection split is retained.
+state of the best evaluation on the selection split is retained, and each
+stage ends with the model restored to it.
 """
 
 import math
@@ -45,7 +46,6 @@ class TrainingConfig:
     rounds: int = 20  # hard cap on fine-tuning rounds
     patience: int = 5
     variant: str = "cross_word"
-    direction: str = "s_to_t"
     selection: str = "src_dev"
     seed: int = 0
     scheme: str = IOBES
@@ -141,7 +141,7 @@ class CheckpointRecord:
     step: int
     epoch: int
     scores: dict
-    state: dict = None  # tensor copies; only the best record keeps them
+    state: dict = None  # tensor copies; held only while the record is best
 
 
 def snapshot_state(model):
@@ -167,9 +167,10 @@ def evaluate_model(model, eval_sets):
 
 
 class _Tracker:
-    """Keeps eval records. A record that strictly improves the selection
-    split takes a snapshot of the tensors and releases the one it replaces,
-    so one snapshot is held at a time and ties keep the earliest."""
+    """Keeps eval records and owns model selection: a record that strictly
+    improves the selection split takes a snapshot of the tensors and
+    releases the one it replaces, so one snapshot is held at a time and ties
+    keep the earliest."""
 
     def __init__(self, model, selection, log_stream=None):
         self.model = model
@@ -178,14 +179,11 @@ class _Tracker:
         self.best = None  # the record holding the snapshot
         self.log_stream = log_stream
 
-    @property
-    def best_score(self):
-        return self.best.scores[self.selection]
-
     def evaluate(self, eval_sets, step, epoch, lr, losses):
         scores = evaluate_model(self.model, eval_sets)
         record = CheckpointRecord(step=step, epoch=epoch, scores=scores)
-        if self.best is None or scores[self.selection] > self.best_score:
+        sel = self.selection
+        if self.best is None or scores[sel] > self.best.scores[sel]:
             if self.best is not None:
                 self.best.state = None
             record.state = snapshot_state(self.model)
@@ -201,28 +199,12 @@ class _Tracker:
             )
         return scores
 
-
-def select_model(checkpoints, selection):
-    """Checkpoint with the best F1 on the selection split; ties go to the
-    earliest."""
-    if not checkpoints:
-        raise UsageError("no checkpoints to select from")
-    scored = [c for c in checkpoints if selection in c.scores]
-    if not scored:
-        raise UsageError(f"no checkpoint carries a {selection!r} score")
-    best = scored[0]
-    for record in scored[1:]:
-        if record.scores[selection] > best.scores[selection]:
-            best = record
-    return best
-
-
-def best_state(checkpoints, selection):
-    """The selected checkpoint and its tensor state."""
-    chosen = select_model(checkpoints, selection)
-    if chosen.state is None:
-        raise UsageError("selected checkpoint has no stored state")
-    return chosen, chosen.state
+    def restore_best(self):
+        """Put the model at the selected record's tensors and release the
+        snapshot; returns (records, selected record)."""
+        restore_state(self.model, self.best.state)
+        self.best.state = None
+        return self.records, self.best
 
 
 def _check_selection(config, eval_sets):
@@ -264,8 +246,8 @@ def pretrain_source(model, dataset, table, config, rng, eval_sets,
     """Clipped-SGD training of theta_s on the (mapped) source data.
 
     Shuffled batches, the epoch-decayed learning rate, an evaluation every
-    config.eval_interval batches plus one final evaluation; returns the list
-    of CheckpointRecords.
+    config.eval_interval batches plus one final evaluation. Leaves the model
+    at the selected record's tensors and returns (records, selected record).
     """
     _check_selection(config, eval_sets)
     prepared = _prepare_labeled(model, table, dataset, config.max_sentence_length)
@@ -298,7 +280,7 @@ def pretrain_source(model, dataset, table, config, rng, eval_sets,
             eval_sets, step, config.epochs - 1, lr,
             (loss_acc / max(loss_n, 1), float("nan"), float("nan")),
         )
-    return tracker.records
+    return tracker.restore_best()
 
 
 @dataclass
@@ -350,8 +332,9 @@ def augmented_finetune(model, src_dataset, tgt_dataset, src_table, tgt_table,
 
     Pseudo-labels are regenerated with a fresh length threshold every round.
     Stops after config.rounds rounds or config.patience rounds without
-    improvement on the selection split. Returns the CheckpointRecord list
-    (the first record is the initialization).
+    improvement on the selection split. Leaves the model at the selected
+    record's tensors and returns (records, selected record); the first
+    record is the initialization.
     """
     _check_selection(config, eval_sets)
     if "tgt" not in model.encoders:
@@ -371,12 +354,12 @@ def augmented_finetune(model, src_dataset, tgt_dataset, src_table, tgt_table,
     lr = lr_at(config, config.epochs)
     tracker.evaluate(eval_sets, step, config.epochs, lr,
                      (float("nan"), float("nan"), float("nan")))
-    best_sel = tracker.best_score
     stall_rounds = 0
     initial_round_loss = None
     for round_idx in range(config.rounds):
         epoch = config.epochs + round_idx
         lr = lr_at(config, epoch)
+        best_before = tracker.best
         pseudo = generate_pseudo_labels(
             model, tgt_table, tgt_dataset, rng, round_idx
         )
@@ -427,15 +410,13 @@ def augmented_finetune(model, src_dataset, tgt_dataset, src_table, tgt_table,
                 eval_sets, step, epoch, lr,
                 losses / loss_n if loss_n else (np.nan, np.nan, np.nan),
             )
-        sel = tracker.best_score
-        if sel > best_sel:
-            best_sel = sel
+        if tracker.best is not best_before:
             stall_rounds = 0
         else:
             stall_rounds += 1
             if stall_rounds >= config.patience:
                 break
-    return tracker.records
+    return tracker.restore_best()
 
 
 def multi_seed_report(run_metrics):

@@ -484,3 +484,20 @@ def reference_predict(model, lang, table, tokens):
     scores, _ = sentence_forward(model, lang, model.prepare(table, tokens))
     path = reference_viterbi(scores, model.effective_trans())
     return [model.cfg.tags[i] for i in path]
+
+
+# ---------------------------------------------------------------------------
+# Model selection
+
+
+def select_model(records, selection):
+    """The record with the best score on the selection split: a later
+    record wins only by strict improvement, so ties keep the earliest."""
+    scored = [r for r in records if selection in r.scores]
+    if not scored:
+        raise ValueError(f"no record carries a {selection!r} score")
+    best = scored[0]
+    for record in scored[1:]:
+        if record.scores[selection] > best.scores[selection]:
+            best = record
+    return best

@@ -29,12 +29,9 @@ from zrxner.trainer import (
     EvalSet,
     TrainingConfig,
     augmented_finetune,
-    best_state,
     common_space_tables,
     lr_at,
     pretrain_source,
-    restore_state,
-    select_model,
 )
 
 from fixtures import BilingualFixture, precision_at_1, random_orthogonal, synthetic_pair
@@ -211,9 +208,9 @@ def _transfer_run(seed):
         EvalSet("tgt_dev", "tgt", fx.tgt_emb, fx.tgt_dev),
         EvalSet("tgt_test", "tgt", fx.tgt_emb, fx.tgt_test),
     ]
-    records = pretrain_source(model, fx.src_train, fx.src_emb, cfg, Rng(seed),
-                              evals)
-    results["source_mono"] = select_model(records, "tgt_dev").scores["tgt_test"]
+    _, chosen = pretrain_source(model, fx.src_train, fx.src_emb, cfg,
+                                Rng(seed), evals)
+    results["source_mono"] = chosen.scores["tgt_test"]
 
     # Cross-Word: train in the common space given by the learned mapper
     src_c, tgt_c = common_space_tables(fx.src_emb, fx.tgt_emb, mapper)
@@ -224,10 +221,9 @@ def _transfer_run(seed):
         EvalSet("tgt_dev", "tgt", tgt_c, fx.tgt_dev),
         EvalSet("tgt_test", "tgt", tgt_c, fx.tgt_test),
     ]
-    records = pretrain_source(model, fx.src_train, src_c, cfg, Rng(seed), evals)
-    chosen, state = best_state(records, "tgt_dev")
+    _, chosen = pretrain_source(model, fx.src_train, src_c, cfg, Rng(seed),
+                                evals)
     results["cross_word"] = chosen.scores["tgt_test"]
-    restore_state(model, state)
 
     # Cross-Augmented: fine-tune from the selected Cross-Word model; target
     # labels are never trained on (tgt_dev is the spade selection regime)
@@ -235,12 +231,11 @@ def _transfer_run(seed):
     ft_cfg.rounds = 4
     ft_cfg.n_steps = 50
     ft_cfg.eval_interval = 50
-    ft_records = augmented_finetune(
+    _, chosen = augmented_finetune(
         model, fx.src_train, fx.tgt_train_unlabeled, src_c, tgt_c, ft_cfg,
         Rng(seed + 500), evals,
     )
-    results["cross_augmented"] = \
-        select_model(ft_records, "tgt_dev").scores["tgt_test"]
+    results["cross_augmented"] = chosen.scores["tgt_test"]
     return results
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from zrxner.checkpoint import load_checkpoint
-from zrxner.cli import _load_table, main
+from zrxner.cli import _load_table, _read_dataset, main
 from zrxner.corpus import IOB2, read_conll
 from zrxner.embeddings import EmbeddingTable, write_vec_text
 from zrxner.persist import load_mapper, load_model
@@ -466,6 +466,18 @@ def test_vec_crlf_file_loads_like_lf(tmp_path):
     np.testing.assert_array_equal(got.vectors, want.vectors)
 
 
+def test_conll_crlf_file_reads_like_lf(tmp_path):
+    rows = ["-DOCSTART- O", "", "Jo\rhn B-PER", "runs O", "", "x\tO"]
+    lf, crlf = tmp_path / "lf.conll", tmp_path / "crlf.conll"
+    lf.write_bytes("\n".join(rows).encode() + b"\n")
+    crlf.write_bytes("\r\n".join(rows).encode() + b"\r\n")
+    want = _read_dataset(str(lf), "src", "train", IOB2)
+    got = _read_dataset(str(crlf), "src", "train", IOB2)
+    assert [s.tokens for s in want] == [["Jo\rhn", "runs"], ["x"]]
+    assert [s.tokens for s in got] == [s.tokens for s in want]
+    assert [s.tags for s in got] == [s.tags for s in want]
+
+
 def test_align_export_mapped_table(workdir, tmp_path):
     from zrxner.persist import load_table
 
@@ -607,6 +619,20 @@ def test_pretrain_bad_config_value_exit_2(workdir, tmp_path, capsys, line):
     ])
     assert code == 2
     assert line.split("=")[0] in capsys.readouterr().err
+
+
+def test_pretrain_direction_is_not_a_config_key(workdir, tmp_path, capsys):
+    # the direction comes from the mapper alone
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("train.direction=t_to_s\n")
+    code = main([
+        "pretrain", "--train", workdir["src_train"], "--dev",
+        workdir["src_dev"], "--src-emb", workdir["src_emb"],
+        "--variant", "source_mono", "--config", str(cfg),
+        "--out", str(tmp_path / "m.zrx"),
+    ])
+    assert code == 2
+    assert "direction" in capsys.readouterr().err
 
 
 def test_align_non_numeric_config_value_exit_2(workdir, tmp_path, capsys):

@@ -80,6 +80,37 @@ def test_conll_round_trip():
         assert a.tags == b.tags
 
 
+def test_conll_round_trip_keeps_unusual_characters():
+    # no break between columns or lines but ASCII space, tab and "\n"
+    rng = np.random.default_rng(5)
+    alphabet = ["a", "Z", "\u00e9", "\u00a0", "\u2028", "\x85", "\x1c", "\r"]
+    sentences = []
+    for _ in range(40):
+        tokens = ["".join(rng.choice(alphabet, size=rng.integers(1, 5)))
+                  for _ in range(rng.integers(1, 7))]
+        tags = list(rng.choice(["O", "B-PER", "I-PER"], size=len(tokens)))
+        sentences.append(TaggedSentence(tokens, tags))
+    text = "".join(t for s in sentences for t in s.tokens)
+    assert all(ch in text for ch in alphabet)
+    out = io.StringIO()
+    write_conll(Dataset(sentences), out)
+    for source in (out.getvalue(), out.getvalue().encode("utf-8"),
+                   io.StringIO(out.getvalue())):
+        again = read_conll(source)
+        assert [s.tokens for s in again] == [s.tokens for s in sentences]
+        assert [s.tags for s in again] == [s.tags for s in sentences]
+
+
+@pytest.mark.parametrize("text, token", [
+    ("a\u2028b O\n", "a\u2028b"), ("a\xa0b\tO\n", "a\xa0b"),
+    ("a\rb  O\r\n", "a\rb"),
+])
+def test_read_conll_line_and_column_rule(text, token):
+    for source in (text, io.StringIO(text)):
+        (sent,) = read_conll(source).sentences
+        assert sent.tokens == [token] and sent.tags == ["O"]
+
+
 def test_convert_iob1_to_iob2():
     got = convert_scheme(["I-PER", "I-PER", "O", "I-LOC"], IOB1, IOB2)
     assert got == ["B-PER", "I-PER", "O", "B-LOC"]

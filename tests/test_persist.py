@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from zrxner.align import LinearMapper
+from zrxner.checkpoint import load_checkpoint, save_checkpoint
 from zrxner.corpus import IOB2
 from zrxner.embeddings import EmbeddingTable
 from zrxner.errors import CheckpointError
@@ -101,6 +102,26 @@ def test_model_checkpoint_embeds_effective_config(tmp_path):
     assert raw["train.dropout"] == "0.25"
     assert raw["stage"] == "pretrain"
     assert raw["rng"] == "pcg64"
+
+
+def test_model_checkpoint_with_a_retired_config_key_loads(tmp_path):
+    # checkpoints written before train.direction was dropped still carry it
+    config = TrainingConfig(
+        scheme=IOB2, char_dim=4, char_hidden=4, word_hidden=6, head_hidden=4,
+        variant="cross_shared",
+    )
+    model = Tagger(config.tagger_config(5, ["O", "B-PER"]), CHARS, Rng(0))
+    table = EmbeddingTable(["aa"], np.zeros((1, 5)))
+    save_model(tmp_path / "m.zrx", model, config, {"src": table})
+    raw, tensors = load_checkpoint(tmp_path / "m.zrx")
+    assert "train.direction" not in raw
+    save_checkpoint(tmp_path / "old.zrx", {**raw, "train.direction": "t_to_s"},
+                    tensors)
+    again, again_config, _, _ = load_model(tmp_path / "old.zrx")
+    assert again_config == config
+    assert again.cfg == model.cfg
+    for name, arr in model.all_parameters().items():
+        np.testing.assert_array_equal(again.all_parameters()[name], arr)
 
 
 @pytest.mark.parametrize("ch", LINE_BREAKS, ids=lambda c: f"U+{ord(c):04X}")

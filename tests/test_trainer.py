@@ -1,10 +1,12 @@
 import io
 import math
 import statistics
+import weakref
 
 import numpy as np
 import pytest
 
+import zrxner.trainer as trainer_mod
 from zrxner.align import LinearMapper
 from zrxner.corpus import IOB2, Dataset, TaggedSentence, build_char_vocab
 from zrxner.errors import UsageError
@@ -15,18 +17,17 @@ from zrxner.trainer import (
     EvalSet,
     TrainingConfig,
     augmented_finetune,
-    best_state,
     common_space_tables,
     generate_pseudo_labels,
     lr_at,
     multi_seed_report,
     pretrain_source,
     restore_state,
-    select_model,
     snapshot_state,
 )
 
 from fixtures import BilingualFixture
+from oracles import select_model
 
 
 def small_config(**kw):
@@ -133,7 +134,7 @@ def test_pretrain_separable_corpus_reaches_high_train_f1():
     config = small_config(epochs=5, batch_size=8, eval_interval=50)
     model = build_model(sep, config)
     train_eval = EvalSet("src_dev", "src", sep.src_emb, sep.src_train)
-    records = pretrain_source(
+    records, _ = pretrain_source(
         model, sep.src_train, sep.src_emb, config, Rng(0), [train_eval]
     )
     best = max(r.scores["src_dev"] for r in records)
@@ -168,7 +169,7 @@ def test_pretrain_rejects_empty_dataset(fx):
 def test_pretrain_excludes_overlong_sentences(fx):
     config = small_config(epochs=1, max_sentence_length=3)
     model = build_model(fx, config)
-    records = pretrain_source(
+    records, _ = pretrain_source(
         model, fx.src_train, fx.src_emb, config, Rng(0),
         [EvalSet("src_dev", "src", fx.src_emb, fx.src_dev)],
     )
@@ -219,12 +220,28 @@ def finetuned(fx, config, rounds, seed=0, **kw):
         variant=config.variant, rounds=rounds, n_steps=10,
         selection="src_dev", **kw,
     )
-    records = augmented_finetune(
+    records, _ = augmented_finetune(
         model, fx.src_train, fx.tgt_train_unlabeled, fx.src_emb, fx.tgt_emb,
         ft_cfg, Rng(seed + 1),
         [EvalSet("src_dev", "src", fx.src_emb, fx.src_dev)],
     )
     return model, records
+
+
+def spy_evaluations(monkeypatch, states, scores=None):
+    """Every evaluation first appends a copy of the tensors it scores to
+    states; with scores, it then returns the next of them as its src_dev
+    F1 instead of evaluating."""
+    original = trainer_mod.evaluate_model
+    queue = iter(scores or ())
+
+    def evaluate(model, eval_sets):
+        states.append(snapshot_state(model))
+        if scores is None:
+            return original(model, eval_sets)
+        return {"src_dev": next(queue)}
+
+    monkeypatch.setattr(trainer_mod, "evaluate_model", evaluate)
 
 
 def test_finetune_zero_rounds_keeps_initialization(fx):
@@ -264,13 +281,16 @@ def test_finetune_pseudo_length_invariant(fx, monkeypatch):
     assert len(thresholds) == 2
 
 
-def test_finetune_source_term_ablation_changes_updates(fx):
+def test_finetune_source_term_ablation_changes_updates(fx, monkeypatch):
+    states = []
+    spy_evaluations(monkeypatch, states)
     config = small_config(epochs=1)
-    model_a, _ = finetuned(fx, config, rounds=1, source_term=True)
-    model_b, _ = finetuned(fx, config, rounds=1, source_term=False)
-    a = model_a.named_parameters("src")["enc.src.word.f.w"]
-    b = model_b.named_parameters("src")["enc.src.word.f.w"]
-    assert not np.array_equal(a, b)
+    trained = []
+    for source_term in (True, False):
+        finetuned(fx, config, rounds=1, source_term=source_term)
+        # the last evaluation sees the tensors after the last update
+        trained.append(states[-1]["enc.src.word.f.w"])
+    assert not np.array_equal(*trained)
 
 
 def test_finetune_tied_cells_stay_one_storage(fx):
@@ -311,7 +331,7 @@ def test_select_model_rules():
     ]
     assert select_model(crafted, "src_dev").step == 0
     assert select_model(crafted, "tgt_dev").step == 1
-    with pytest.raises(UsageError):
+    with pytest.raises(ValueError):
         select_model([], "src_dev")
 
 
@@ -332,36 +352,98 @@ def test_snapshot_restore_round_trip(fx):
     assert model.named_parameters("src")["head.tag_w"] is model.head["tag_w"]
 
 
-def test_best_state_present_for_selected_checkpoint(fx):
-    config = small_config(epochs=2)
+# a tie with the best (the earliest is kept) and a best that is not last
+SCRIPTED = [0.2, 0.5, 0.5, 0.4, 0.5, 0.3] + [0.1] * 40
+
+
+@pytest.mark.parametrize("scores", [None, SCRIPTED], ids=["real", "scripted"])
+@pytest.mark.parametrize("stage", ["pretrain", "finetune"])
+def test_training_leaves_model_at_selected_state(fx, monkeypatch, stage,
+                                                 scores):
+    config = small_config(epochs=2, eval_interval=5, rounds=3, n_steps=10,
+                          patience=5)
     model = build_model(fx, config)
-    records = pretrain_source(
-        model, fx.src_train, fx.src_emb, config, Rng(1),
-        [EvalSet("src_dev", "src", fx.src_emb, fx.src_dev)],
-    )
-    chosen, state = best_state(records, "src_dev")
-    assert chosen.scores["src_dev"] == max(r.scores["src_dev"] for r in records)
-    restore_state(model, state)
-    with pytest.raises(UsageError, match="no stored state"):
-        best_state([CheckpointRecord(0, 0, {"src_dev": 0.5})], "src_dev")
+    evals = [EvalSet("src_dev", "src", fx.src_emb, fx.src_dev)]
+    if stage == "finetune":
+        model.add_target_encoder(Rng(2))
+    storage = model.all_parameters()
+    states = []
+    spy_evaluations(monkeypatch, states, scores)
+    if stage == "pretrain":
+        records, chosen = pretrain_source(
+            model, fx.src_train, fx.src_emb, config, Rng(1), evals)
+    else:
+        records, chosen = augmented_finetune(
+            model, fx.src_train, fx.tgt_train_unlabeled, fx.src_emb,
+            fx.tgt_emb, config, Rng(1), evals)
+    assert len(states) == len(records) >= 6
+    assert chosen is select_model(records, "src_dev")
+    if scores is not None:
+        assert records.index(chosen) == 1
+    selected = states[records.index(chosen)]
+    after = model.all_parameters()
+    assert after.keys() == selected.keys()
+    for name, arr in after.items():
+        np.testing.assert_array_equal(arr, selected[name], err_msg=name)
+        assert arr is storage[name]  # restored in place: aliasing holds
+    assert model.named_parameters("src")["head.tag_w"] is model.head["tag_w"]
+    if scores is not None:
+        assert any(not np.array_equal(after[n], states[-1][n]) for n in after)
 
 
-def test_pretrain_holds_one_snapshot(fx):
+class _Snapshot(dict):
+    """A tensor snapshot that can be weakly referenced."""
+
+
+def test_pretrain_holds_one_snapshot(fx, monkeypatch):
     # a second split that improves on its own must not add snapshots
+    taken, held_before = [], []
+
+    def snapshot(model):
+        held_before.append(sum(ref() is not None for ref in taken))
+        state = _Snapshot(snapshot_state(model))
+        taken.append(weakref.ref(state))
+        return state
+
+    monkeypatch.setattr(trainer_mod, "snapshot_state", snapshot)
     config = small_config(epochs=4, eval_interval=5, batch_size=8, lr0=0.2)
     model = build_model(fx, config)
-    records = pretrain_source(
+    records, chosen = pretrain_source(
         model, fx.src_train, fx.src_emb, config, Rng(1),
         [EvalSet("src_dev", "src", fx.src_emb, fx.src_dev),
          EvalSet("src_train", "src", fx.src_emb, fx.src_train)],
     )
-    held = [r for r in records if r.state is not None]
-    assert len(held) == 1 and held[0] is select_model(records, "src_dev")
-    best, improved = -1.0, 0
-    for r in records:
-        if r.scores["src_dev"] > best:
-            best, improved = r.scores["src_dev"], improved + 1
-    assert improved >= 2  # an earlier snapshot was taken and released
+    assert chosen is select_model(records, "src_dev")
+    assert len(taken) >= 2  # an earlier snapshot was taken and released
+    assert held_before == [0] * len(taken)  # one snapshot at a time
+    assert all(ref() is None for ref in taken)  # released once restored
+    assert all(r.state is None for r in records)
+
+
+@pytest.mark.parametrize("scores, rounds", [
+    ([0.5, 0.6, 0.6, 0.55], 3),  # a tie is no improvement
+    ([0.5, 0.5, 0.7, 0.7, 0.7], 4),  # an improvement resets the count
+    ([0.5, 0.6, 0.7, 0.8, 0.9, 0.95], 5),  # the round cap
+])
+def test_finetune_stops_after_patience_rounds_without_improvement(
+        fx, monkeypatch, scores, rounds):
+    calls = []
+    original = trainer_mod.generate_pseudo_labels
+
+    def spy(*args, **kwargs):
+        calls.append(args[4])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(trainer_mod, "generate_pseudo_labels", spy)
+    spy_evaluations(monkeypatch, [], scores)
+    # one evaluation per round: n_steps < eval_interval
+    config = small_config(rounds=5, n_steps=3, eval_interval=50, patience=2)
+    model = build_model(fx, config)
+    records, _ = augmented_finetune(
+        model, fx.src_train, fx.tgt_train_unlabeled, fx.src_emb, fx.tgt_emb,
+        config, Rng(3), [EvalSet("src_dev", "src", fx.src_emb, fx.src_dev)])
+    assert calls == list(range(rounds))
+    assert len(records) == rounds + 1
 
 
 def test_multi_seed_report_values():
