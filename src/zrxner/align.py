@@ -284,24 +284,6 @@ def _unit_rows(rows):
     return rows / norms
 
 
-def csls(queries, keys, k):
-    """Full CSLS score matrix: 2 cos(q, key) - r_keys(q) - r_queries(key).
-
-    r is the mean cosine of a point's k nearest neighbors in the other set;
-    k larger than a set is clamped to the set size.
-    """
-    if k < 1:
-        raise UsageError("k must be >= 1")
-    qn = _unit_rows(np.atleast_2d(np.asarray(queries, dtype=np.float64)))
-    kn = _unit_rows(np.atleast_2d(np.asarray(keys, dtype=np.float64)))
-    cos = qn @ kn.T
-    k_row = min(k, kn.shape[0])
-    k_col = min(k, qn.shape[0])
-    r_q = np.partition(cos, cos.shape[1] - k_row, axis=1)[:, -k_row:].mean(axis=1)
-    r_k = np.partition(cos, cos.shape[0] - k_col, axis=0)[-k_col:, :].mean(axis=0)
-    return 2 * cos - r_q[:, None] - r_k[None, :]
-
-
 def _top_k(a, k, axis):
     """The k largest entries of a along axis (all of them if there are fewer)."""
     n = a.shape[axis]
@@ -317,7 +299,9 @@ def _whole_64(n):
 
 
 def csls_top1(queries, keys, k):
-    """Row-wise argmax of csls(queries, keys, k) and its score, in tiles.
+    """Row-wise argmax of the CSLS scores 2 cos(q, key) - r_keys(q) -
+    r_queries(key) and its score, in tiles; r is the mean cosine of a
+    point's k nearest neighbors in the other set (k clamped to the set size).
 
     Two passes over (key tile x query block), each tile CSLS_TILE_BYTES of
     cosines. The first keeps every query's and every key's k largest
@@ -419,6 +403,22 @@ def unsupervised_criterion(source_table, target_table, mapper, sample_n=2500, k=
     mapped = target_table.vectors[:n] @ mapper.w.T
     _, scores = csls_top1(mapped, source_table.vectors, k)
     return float(scores.mean())
+
+
+def identical_string_p1(space_table, moving_table, mapper, k, cap=5000):
+    """CSLS P@1 over words spelled identically in both vocabularies."""
+    shared = [
+        (moving_table.index(w), space_table.index(w))
+        for w in moving_table.words[:cap]
+        if w in space_table
+    ]
+    if not shared:
+        return float("nan")
+    m_idx = [m for m, _ in shared]
+    mapped = moving_table.vectors[m_idx] @ mapper.w.T
+    best, _ = csls_top1(mapped, space_table.vectors, k)
+    hits = sum(1 for rank, (_, s) in enumerate(shared) if best[rank] == s)
+    return hits / len(shared)
 
 
 def refine(source_table, target_table, w0, iterations, k=10, top_n=10000,

@@ -35,11 +35,10 @@ from .errors import (
     AlignmentError,
     CheckpointError,
     NumericalError,
-    ParseError,
     UsageError,
 )
 from .numeric import Rng, svd_square
-from .persist import load_mapper, load_model, save_mapper, save_model, save_table
+from .persist import load_mapper, load_model, save_mapper, save_model
 from .trainer import (
     EvalSet,
     TrainingConfig,
@@ -118,22 +117,6 @@ def _convert_dataset(dataset, to_scheme):
 # align
 
 
-def _identical_string_p1(space_table, moving_table, mapper, k, cap=5000):
-    """CSLS P@1 over words spelled identically in both vocabularies."""
-    shared = [
-        (moving_table.index(w), space_table.index(w))
-        for w in moving_table.words[:cap]
-        if w in space_table
-    ]
-    if not shared:
-        return float("nan")
-    m_idx = [m for m, _ in shared]
-    mapped = moving_table.vectors[m_idx] @ mapper.w.T
-    best, _ = al.csls_top1(mapped, space_table.vectors, k)
-    hits = sum(1 for rank, (_, s) in enumerate(shared) if best[rank] == s)
-    return hits / len(shared)
-
-
 def cmd_align(args):
     file_cfg = _read_config_file(args.config)
     config = _align_config(
@@ -163,7 +146,7 @@ def cmd_align(args):
             top_n=config.dict_top_n,
             criterion_sample_n=config.criterion_sample_n, history=history,
         )
-    p1 = _identical_string_p1(space, moving, mapper, config.csls_k)
+    p1 = al.identical_string_p1(space, moving, mapper, config.csls_k)
     if args.log:
         with open(args.log, "w", encoding="utf-8") as fh:
             for step, d_loss, a_loss in game_log:
@@ -191,12 +174,6 @@ def cmd_align(args):
     extra.update({f"align.{f.name}": getattr(config, f.name)
                   for f in fields(al.AlignConfig)})
     save_mapper(args.out, mapper, extra)
-    if args.export_mapped:
-        from .embeddings import apply_mapper
-
-        mapped = apply_mapper(moving, mapper.w)
-        save_table(args.export_mapped, mapped, {"seed": args.seed,
-                                                "mapper": args.out})
     print(f"mapper saved to {args.out}")
     print(f"orthogonality_error\t{mapper.orthogonality_error():.2e}")
     print(f"identical_string_p1\t{p1:.4f}")
@@ -515,8 +492,6 @@ def build_parser():
     p.add_argument("--refine-iters", type=int, default=5)
     p.add_argument("--out", required=True)
     p.add_argument("--dict-out")
-    p.add_argument("--export-mapped",
-                   help="also write the mapped table as a checkpoint")
     p.add_argument("--log")
     p.add_argument("--config")
     p.add_argument("--limit", type=int, default=200000)
@@ -625,9 +600,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

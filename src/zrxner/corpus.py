@@ -182,9 +182,10 @@ def convert_scheme(tags, from_scheme, to_scheme):
     return _emit_spans(len(tags), spans, to_scheme)
 
 
-def _iter_lines(stream):
-    """Lines without their end, which is "\n" or "\r\n" (the `.vec` rule);
-    a str or bytes input splits the way a stream does."""
+def iter_lines(stream):
+    """Lines without their end, which is "\n" or "\r\n", for CoNLL and `.vec`
+    alike; a str or bytes input splits the way a stream does, so a "\r" or a
+    Unicode line separator inside a line stays in it."""
     if isinstance(stream, (str, bytes)):
         text = stream.decode("utf-8") if isinstance(stream, bytes) else stream
         stream = io.StringIO(text)
@@ -222,7 +223,7 @@ def read_conll(stream, token_col=0, tag_col=-1, language="", role="train",
             )
         tokens, tags = [], []
 
-    for lineno, line in enumerate(_iter_lines(stream), start=1):
+    for lineno, line in enumerate(iter_lines(stream), start=1):
         cols = _columns(line)
         if not cols:
             flush()
@@ -341,29 +342,19 @@ def build_char_vocab(datasets):
 def correct_tag_ratio_by_length(gold, pred_tags, buckets):
     """Per length-bucket ratio of correctly tagged tokens (Figure-3 style curve).
 
-    buckets is either an int bucket width or explicit (lo, hi) inclusive
-    ranges. Buckets containing no sentences are absent from the result.
+    buckets is the bucket width: (1, buckets), (buckets + 1, 2 * buckets), ...
+    inclusive. Buckets containing no sentences are absent from the result.
     """
     if len(pred_tags) != len(gold.sentences):
         raise UsageError("gold and predictions are not aligned")
-    if isinstance(buckets, int):
-        if buckets <= 0:
-            raise UsageError("bucket width must be positive")
-        width = buckets
-        max_len = max((len(s) for s in gold.sentences), default=0)
-        ranges = [
-            (lo, lo + width - 1) for lo in range(1, max_len + 1, width)
-        ]
-    else:
-        ranges = [(int(lo), int(hi)) for lo, hi in buckets]
-    totals = {r: [0, 0] for r in ranges}  # correct, total
+    if buckets <= 0:
+        raise UsageError("bucket width must be positive")
+    totals = {}  # (lo, hi) -> [correct, total]
     for sent, pred in zip(gold.sentences, pred_tags):
         if len(pred) != len(sent):
             raise UsageError("length mismatch in correct_tag_ratio_by_length")
-        m = len(sent)
-        for r in ranges:
-            if r[0] <= m <= r[1]:
-                totals[r][0] += sum(1 for g, p in zip(sent.tags, pred) if g == p)
-                totals[r][1] += m
-                break
-    return {r: c / t for r, (c, t) in totals.items() if t > 0}
+        lo = (len(sent) - 1) // buckets * buckets + 1
+        tally = totals.setdefault((lo, lo + buckets - 1), [0, 0])
+        tally[0] += sum(1 for g, p in zip(sent.tags, pred) if g == p)
+        tally[1] += len(sent)
+    return {r: c / t for r, (c, t) in sorted(totals.items())}

@@ -5,10 +5,9 @@ Tables are frozen after load; alignment moves vectors between language
 spaces through a d x d mapper, never by retraining the vectors themselves.
 """
 
-import io
-
 import numpy as np
 
+from .corpus import iter_lines
 from .errors import ParseError, UsageError
 
 DEFAULT_LOAD_LIMIT = 200000
@@ -59,9 +58,7 @@ def load_vec_text(stream, limit=DEFAULT_LOAD_LIMIT, language=""):
     their first occurrence. A row whose value count differs from d raises
     ParseError with the line number.
     """
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)  # lines end at "\n" only, as in a stream
-    lines = (ln.decode("utf-8") if isinstance(ln, bytes) else ln for ln in stream)
+    lines = iter_lines(stream)
     try:
         header = next(lines)
     except StopIteration:
@@ -80,8 +77,6 @@ def load_vec_text(stream, limit=DEFAULT_LOAD_LIMIT, language=""):
     for lineno, line in enumerate(lines, start=2):
         if len(words) >= cap:
             break
-        # one line end: "\n", or "\r\n" as Windows tools write it
-        line = line[:-2] if line.endswith("\r\n") else line.rstrip("\n")
         fields = line.split(" ")
         if fields and fields[-1] == "":
             fields = fields[:-1]  # tolerate fastText's trailing space

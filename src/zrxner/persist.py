@@ -40,31 +40,6 @@ def load_mapper(path):
     return LinearMapper(tensors["mapper.w"], config["direction"]), config
 
 
-def save_table(path, table, extra_config=None):
-    """Export one embedding table (e.g. a mapped vocabulary) on its own."""
-    config = {
-        "kind": "table",
-        "language": table.language,
-        "words": " ".join(table.words),
-        "dim": table.dim,
-    }
-    if extra_config:
-        config.update(extra_config)
-    save_checkpoint(path, config, {"vectors": table.vectors.astype(np.float32)})
-
-
-def load_table(path):
-    config, tensors = load_checkpoint(path)
-    if config.get("kind") != "table":
-        raise CheckpointError(f"{path} is not an embedding-table checkpoint")
-    table = EmbeddingTable(
-        config["words"].split(" "),
-        tensors["vectors"].astype(np.float64),
-        config.get("language", ""),
-    )
-    return table, config
-
-
 def _chars_to_text(char_vocab):
     ordered = sorted(char_vocab.items(), key=lambda kv: kv[1])
     chars = []

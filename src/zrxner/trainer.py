@@ -287,41 +287,29 @@ def pretrain_source(model, dataset, table, config, rng, eval_sets,
 class PseudoDataset:
     dataset: Dataset
     threshold: int
-    generation_round: int
 
     @property
     def sentences(self):
         return self.dataset.sentences
 
 
-def generate_pseudo_labels(model, table, dataset, rng, generation_round=0,
-                           lo=None, hi=None):
+def generate_pseudo_labels(model, table, dataset, rng):
     """Length-thresholded self-labeled target data.
 
     Draws l uniformly between the observed minimum and maximum sentence
-    lengths (overridable via lo/hi), keeps sentences no longer than l, and
-    tags them with the source model. If nothing survives, l is resampled
-    once before giving up.
+    lengths, keeps sentences no longer than l (the shortest always
+    survives), and tags them with the source model.
     """
     if not dataset.sentences:
         raise UsageError("empty target dataset")
     lengths = [len(s) for s in dataset]
-    lo = min(lengths) if lo is None else lo
-    hi = max(lengths) if hi is None else hi
-    kept = []
-    threshold = None
-    for _ in range(2):
-        threshold = rng.uniform_int(lo, hi)
-        kept = [s for s in dataset if len(s) <= threshold]
-        if kept:
-            break
-    if not kept:
-        raise UsageError("no target sentences at or below the length threshold")
+    threshold = rng.uniform_int(min(lengths), max(lengths))
+    kept = [s for s in dataset if len(s) <= threshold]
     tags = predict(model, "src", table, [s.tokens for s in kept])
     labeled = [TaggedSentence(list(s.tokens), t) for s, t in zip(kept, tags)]
     pseudo = Dataset(labeled, role="train", language=dataset.language,
                      scheme=model.cfg.scheme)
-    return PseudoDataset(pseudo, threshold, generation_round)
+    return PseudoDataset(pseudo, threshold)
 
 
 def augmented_finetune(model, src_dataset, tgt_dataset, src_table, tgt_table,
@@ -360,9 +348,7 @@ def augmented_finetune(model, src_dataset, tgt_dataset, src_table, tgt_table,
         epoch = config.epochs + round_idx
         lr = lr_at(config, epoch)
         best_before = tracker.best
-        pseudo = generate_pseudo_labels(
-            model, tgt_table, tgt_dataset, rng, round_idx
-        )
+        pseudo = generate_pseudo_labels(model, tgt_table, tgt_dataset, rng)
         tgt_prepared = [
             model.prepare(tgt_table, s.tokens, s.tags)
             for s in pseudo.sentences

@@ -501,3 +501,28 @@ def select_model(records, selection):
         if record.scores[selection] > best.scores[selection]:
             best = record
     return best
+
+
+# ---------------------------------------------------------------------------
+# Alignment
+
+
+def _unit_rows(rows):
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    return rows / np.where(norms == 0, 1.0, norms)
+
+
+def csls(queries, keys, k):
+    """Full CSLS score matrix: 2 cos(q, key) - r_keys(q) - r_queries(key).
+
+    r is the mean cosine of a point's k nearest neighbors in the other set;
+    k larger than a set is clamped to the set size.
+    """
+    qn = _unit_rows(np.atleast_2d(np.asarray(queries, dtype=np.float64)))
+    kn = _unit_rows(np.atleast_2d(np.asarray(keys, dtype=np.float64)))
+    cos = qn @ kn.T
+    k_row = min(k, kn.shape[0])
+    k_col = min(k, qn.shape[0])
+    r_q = np.partition(cos, cos.shape[1] - k_row, axis=1)[:, -k_row:].mean(axis=1)
+    r_k = np.partition(cos, cos.shape[0] - k_col, axis=0)[-k_col:, :].mean(axis=0)
+    return 2 * cos - r_q[:, None] - r_k[None, :]

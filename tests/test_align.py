@@ -11,7 +11,6 @@ from zrxner.align import (
     LinearMapper,
     adversarial_train,
     adversary_loss,
-    csls,
     csls_top1,
     discriminator_loss,
     induce_dictionary,
@@ -25,7 +24,7 @@ from zrxner.errors import AlignmentError
 from zrxner.numeric import Rng, sigmoid
 
 from fixtures import precision_at_1, random_orthogonal, synthetic_pair
-from oracles import finite_difference_grads
+from oracles import csls, finite_difference_grads
 
 
 def constant_half_disc(dim, hidden=8):

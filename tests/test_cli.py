@@ -478,29 +478,6 @@ def test_conll_crlf_file_reads_like_lf(tmp_path):
     assert [s.tags for s in got] == [s.tags for s in want]
 
 
-def test_align_export_mapped_table(workdir, tmp_path):
-    from zrxner.persist import load_table
-
-    out = tmp_path / "m.zrx"
-    exported = tmp_path / "mapped.zrx"
-    code = main([
-        "align", "--src-emb", workdir["src_emb"], "--tgt-emb",
-        workdir["tgt_emb"], "--direction", "t2s", "--seed", "2",
-        "--refine-iters", "1", "--out", str(out),
-        "--export-mapped", str(exported), "--w-steps", "100",
-        "--disc-steps", "2", "--batch-size", "16", "--disc-hidden", "16",
-        "--vocab-cap", "200", "--restarts", "1",
-    ])
-    assert code == 0
-    mapper, _ = load_mapper(str(out))
-    table, config = load_table(str(exported))
-    fx = workdir["fx"]
-    assert table.words == fx.tgt_emb.words
-    np.testing.assert_allclose(
-        table.vectors, fx.tgt_emb.vectors @ mapper.w.T, atol=1e-6
-    )
-
-
 def test_numerical_failure_maps_to_exit_4(workdir, monkeypatch):
     import zrxner.cli as cli_mod
     from zrxner.errors import NumericalError

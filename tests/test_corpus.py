@@ -274,11 +274,13 @@ def test_correct_tag_ratio_all_o_prediction():
 
 
 def test_correct_tag_ratio_empty_bucket_absent():
-    gold = Dataset([TaggedSentence(["w"] * 2, ["O", "O"])], scheme=IOB2)
+    # lengths 2 and 5 with width 2: the bucket (3, 4) between them is empty
+    gold = Dataset([TaggedSentence(["w"] * 2, ["O", "O"]),
+                    TaggedSentence(["w"] * 5, ["O"] * 5)], scheme=IOB2)
     curve = correct_tag_ratio_by_length(
-        gold, [["O", "O"]], buckets=[(1, 2), (3, 4)]
+        gold, [["O", "O"], ["O"] * 5], buckets=2
     )
-    assert (3, 4) not in curve
+    assert list(curve) == [(1, 2), (5, 6)]
 
 
 def test_correct_tag_ratio_degrading_predictor():

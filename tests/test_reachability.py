@@ -12,8 +12,6 @@ import pathlib
 import zrxner
 
 ALLOWED = {
-    "align.csls": "the full CSLS matrix that csls_top1 is tested against",
-    "persist.load_table": "loads the table that align --export-mapped writes",
     "embeddings.write_vec_text": "writes the .vec files of the test fixtures",
     "tagger.Tagger.parameter_counts":
         "the parameter-tying accounting of acceptance criterion 7",
