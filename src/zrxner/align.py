@@ -139,32 +139,6 @@ class Discriminator:
         self.b2 -= lr * grads["b2"]
 
 
-def discriminator_loss(disc, w, source_batch, target_batch, smoothing=0.0):
-    """Mean BCE of the discriminator: mapped targets labeled src=0 (smoothed
-    to s), true source vectors labeled src=1 (smoothed to 1-s)."""
-    source_batch = np.atleast_2d(source_batch)
-    target_batch = np.atleast_2d(target_batch)
-    if source_batch.size == 0 or target_batch.size == 0:
-        raise UsageError("batches must be non-empty")
-    s = smoothing
-    z_tgt = disc.logits(target_batch @ w.T)
-    z_src = disc.logits(source_batch)
-    tgt_term = (s * _softplus(-z_tgt) + (1 - s) * _softplus(z_tgt)).mean()
-    src_term = ((1 - s) * _softplus(-z_src) + s * _softplus(z_src)).mean()
-    return float(tgt_term + src_term)
-
-
-def adversary_loss(disc, w, source_batch, target_batch):
-    """Mean BCE with flipped labels; only the mapper is trained on this."""
-    source_batch = np.atleast_2d(source_batch)
-    target_batch = np.atleast_2d(target_batch)
-    if source_batch.size == 0 or target_batch.size == 0:
-        raise UsageError("batches must be non-empty")
-    z_tgt = disc.logits(target_batch @ w.T)
-    z_src = disc.logits(source_batch)
-    return float(_softplus(-z_tgt).mean() + _softplus(z_src).mean())
-
-
 def orthogonalize(w, beta):
     """One pull-back step toward the orthogonal manifold (fixed point there)."""
     return (1 + beta) * w - beta * (w @ w.T) @ w
@@ -183,6 +157,7 @@ def _play_game(x_rows, y_rows, rng, config, criterion, log):
     batch = np.empty((2 * b, dim))
     best_w, best_score = None, -np.inf
     score = None
+    z_disc = None  # logits of the last discriminator batch
     for step in range(config.w_steps):
         for _ in range(config.disc_steps):
             idx_y = rng.integers(len(y_rows), b)
@@ -193,7 +168,8 @@ def _play_game(x_rows, y_rows, rng, config, criterion, log):
             if mask is not None:
                 batch *= mask
             cache = disc._forward_cache(batch)
-            dz = (sigmoid(cache[2]) - targets) / b
+            z_disc = cache[2]
+            dz = (sigmoid(z_disc) - targets) / b
             grads, _ = disc.backward(batch, dz, cache, need_input_grad=False)
             disc.sgd(grads, config.lr_disc)
         by = y_rows[rng.integers(len(y_rows), b)]
@@ -215,12 +191,12 @@ def _play_game(x_rows, y_rows, rng, config, criterion, log):
             if score > best_score:
                 best_w, best_score = w.copy(), score
         if log is not None and (step % 100 == 0 or step == config.w_steps - 1):
-            bx = x_rows[rng.integers(len(x_rows), b)]
-            d_loss = discriminator_loss(disc, w, bx, by, s)
-            a_loss = adversary_loss(disc, w, bx, by)
-            if not (np.isfinite(d_loss) and np.isfinite(a_loss)):
-                raise NumericalError(f"non-finite loss at step {step}")
-            log.append((step, d_loss, a_loss))
+            # the losses this step trained on, so keeping a log draws nothing
+            d_loss = float("nan")
+            if z_disc is not None:
+                bce = targets * _softplus(-z_disc) + (1 - targets) * _softplus(z_disc)
+                d_loss = float(bce[:b].mean() + bce[b:].mean())
+            log.append((step, d_loss, float(_softplus(-cache[2]).mean())))
     if score is None:  # the last step was not scored in the loop
         score = criterion(w)
     if score < best_score:
@@ -253,7 +229,11 @@ def adversarial_train(space_table, moving_table, rng, config, log=None):
     whose discriminator accuracy is at most config.restart_disc_acc; the
     best W across games by the criterion is returned.
 
-    Appends (step, disc_loss, adv_loss) tuples to `log` every 100 steps.
+    Appends (step, disc_loss, adv_loss) tuples to `log` every 100 steps and
+    at the last: the discriminator's BCE on its last batch (mapped-target and
+    source halves, each averaged, as trained: smoothed labels, dropout) and
+    the mapper's BCE on its batch against the source label. Logging draws
+    no random numbers, so it never changes the mapper.
     """
     if space_table.dim != moving_table.dim:
         raise UsageError("embedding dimensions differ")

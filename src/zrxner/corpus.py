@@ -245,14 +245,23 @@ def read_conll(stream, token_col=0, tag_col=-1, language="", role="train",
 
 
 def write_conll(dataset, stream):
-    """Inverse of read_conll: 'token tag' rows, blank line between sentences."""
+    """Inverse of read_conll: 'token tag' rows, blank line between sentences.
+
+    A token or tag that would not read back as itself (empty, holding an
+    ASCII space, tab or "\n", or ending its line with "\r") raises
+    UsageError before anything is written.
+    """
+    lines = []
     for sent in dataset:
         for i, token in enumerate(sent.tokens):
-            if sent.tags is not None:
-                stream.write(f"{token} {sent.tags[i]}\n")
-            else:
-                stream.write(f"{token}\n")
-        stream.write("\n")
+            cols = [token] if sent.tags is None else [token, sent.tags[i]]
+            line = " ".join(cols)
+            if _columns(line) != cols or "\n" in line or line.endswith("\r"):
+                raise UsageError(f"{line!r} does not read back as the CoNLL "
+                                 f"columns {cols!r}")
+            lines.append(line + "\n")
+        lines.append("\n")
+    stream.write("".join(lines))
 
 
 @dataclass

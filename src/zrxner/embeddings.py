@@ -101,7 +101,12 @@ def load_vec_text(stream, limit=DEFAULT_LOAD_LIMIT, language=""):
 
 
 def write_vec_text(table, stream, fmt="%.6f"):
-    """Inverse of load_vec_text (floats rounded to the given format)."""
+    """Inverse of load_vec_text (floats rounded to the given format). A word
+    holding a space or "\n" raises UsageError before anything is written."""
+    for word in table.words:
+        if " " in word or "\n" in word:
+            raise UsageError(f"word {word!r} holds a space or line break, "
+                             "which a .vec row cannot store")
     stream.write(f"{len(table)} {table.dim}\n")
     for word, row in zip(table.words, table.vectors):
         stream.write(word + " " + " ".join(fmt % x for x in row) + "\n")

@@ -1,7 +1,7 @@
 """Exception types shared across the toolkit.
 
 The CLI maps these onto process exit codes: UsageError -> 2,
-CheckpointError -> 3, NumericalError -> 4.
+CheckpointError -> 3, NumericalError -> 4, AlignmentError -> 4.
 """
 
 

@@ -526,3 +526,25 @@ def csls(queries, keys, k):
     r_q = np.partition(cos, cos.shape[1] - k_row, axis=1)[:, -k_row:].mean(axis=1)
     r_k = np.partition(cos, cos.shape[0] - k_col, axis=0)[-k_col:, :].mean(axis=0)
     return 2 * cos - r_q[:, None] - r_k[None, :]
+
+
+def _softplus(z):
+    return np.logaddexp(0.0, z)
+
+
+def discriminator_loss(disc, w, source_batch, target_batch, smoothing=0.0):
+    """Mean BCE of the discriminator: mapped targets labeled src=0 (smoothed
+    to s), true source vectors labeled src=1 (smoothed to 1-s)."""
+    s = smoothing
+    z_tgt = disc.logits(np.atleast_2d(target_batch) @ w.T)
+    z_src = disc.logits(np.atleast_2d(source_batch))
+    tgt_term = (s * _softplus(-z_tgt) + (1 - s) * _softplus(z_tgt)).mean()
+    src_term = ((1 - s) * _softplus(-z_src) + s * _softplus(z_src)).mean()
+    return float(tgt_term + src_term)
+
+
+def adversary_loss(disc, w, source_batch, target_batch):
+    """Mean BCE with flipped labels; only the mapper is trained on this."""
+    z_tgt = disc.logits(np.atleast_2d(target_batch) @ w.T)
+    z_src = disc.logits(np.atleast_2d(source_batch))
+    return float(_softplus(-z_tgt).mean() + _softplus(z_src).mean())

@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -10,9 +11,7 @@ from zrxner.align import (
     Discriminator,
     LinearMapper,
     adversarial_train,
-    adversary_loss,
     csls_top1,
-    discriminator_loss,
     induce_dictionary,
     orthogonalize,
     procrustes,
@@ -24,7 +23,12 @@ from zrxner.errors import AlignmentError
 from zrxner.numeric import Rng, sigmoid
 
 from fixtures import precision_at_1, random_orthogonal, synthetic_pair
-from oracles import csls, finite_difference_grads
+from oracles import (
+    adversary_loss,
+    csls,
+    discriminator_loss,
+    finite_difference_grads,
+)
 
 
 def constant_half_disc(dim, hidden=8):
@@ -149,6 +153,47 @@ def test_adversarial_train_zero_steps_identity():
     cfg = AlignConfig(w_steps=0, disc_hidden=8)
     mapper = adversarial_train(src, tgt, Rng(0), cfg)
     np.testing.assert_array_equal(mapper.w, np.eye(4))
+
+
+def test_keeping_a_log_leaves_the_mapper_bit_identical():
+    src, tgt, _ = synthetic_pair(5, n=200, d=8)
+    # two full games, so the end-of-game accuracy draws are covered too
+    cfg = AlignConfig(w_steps=250, disc_steps=2, batch_size=16, disc_hidden=16,
+                      vocab_cap=200, criterion_sample_n=50, csls_k=3,
+                      restarts=2, restart_disc_acc=-1.0)
+    log = []
+    silent = adversarial_train(src, tgt, Rng(0), cfg)
+    logged = adversarial_train(src, tgt, Rng(0), cfg, log=log)
+    assert logged.w.tobytes() == silent.w.tobytes()
+    assert [row[0] for row in log] == [0, 100, 200, 249] * 2
+
+
+def test_logged_losses_are_the_losses_of_the_step(monkeypatch):
+    # the discriminator's loss on its last batch, before its update, and the
+    # mapper's loss on its batch, recomputed from the inputs the step saw
+    seen = []
+    original = Discriminator._forward_cache
+
+    def spy(self, x):
+        seen.append((copy.deepcopy(self), x.copy()))
+        return original(self, x)
+
+    monkeypatch.setattr(Discriminator, "_forward_cache", spy)
+    src, tgt, _ = synthetic_pair(6, n=50, d=4)
+    cfg = AlignConfig(w_steps=1, disc_steps=3, batch_size=8, disc_hidden=8,
+                      vocab_cap=50, criterion_sample_n=20, csls_k=3,
+                      restarts=1, label_smoothing=0.2)
+    log = []
+    adversarial_train(src, tgt, Rng(2), cfg, log=log)
+    assert len(seen) == 4  # three discriminator batches, one mapper batch
+    (disc, batch), (disc_map, mapped) = seen[2], seen[3]
+    b, eye = cfg.batch_size, np.eye(4)
+    step, d_loss, a_loss = log[0]
+    assert step == 0
+    assert d_loss == pytest.approx(discriminator_loss(
+        disc, eye, batch[b:], batch[:b], cfg.label_smoothing), abs=1e-12)
+    assert a_loss == pytest.approx(
+        np.logaddexp(0.0, -disc_map.logits(mapped)).mean(), abs=1e-12)
 
 
 def test_each_mapper_is_scored_once(monkeypatch):

@@ -101,6 +101,55 @@ def test_conll_round_trip_keeps_unusual_characters():
         assert [s.tags for s in again] == [s.tags for s in sentences]
 
 
+@pytest.mark.parametrize("tokens, tags", [
+    (["x y", "z"], ["B-PER", "O"]),  # would read back as "x", "z"
+    (["x\ty"], None),
+    (["x\ny"], ["O"]),
+    ([""], ["O"]),
+    (["x\r"], None),  # "x\r\n" is a CRLF line end
+    (["x"], ["B-P ER"]),
+])
+def test_write_conll_refuses_what_would_not_read_back(tokens, tags):
+    good = TaggedSentence(["a"], None if tags is None else ["O"])
+    out = io.StringIO()
+    with pytest.raises(UsageError, match="does not read back"):
+        write_conll(Dataset([good, TaggedSentence(tokens, tags)]), out)
+    assert out.getvalue() == ""  # nothing written, not even the good sentence
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_conll_write_read_loop(seed):
+    # every dataset either reads back as written or is refused whole
+    rng = np.random.default_rng(seed)
+    alphabet = ["a", "\u00e9", "\u00a0", "\u2028", "\x85", "\r", " ", "\t"]
+    weights = [0.24, 0.16, 0.16, 0.16, 0.12, 0.12, 0.02, 0.02]
+    outcomes = set()
+    for _ in range(20):
+        labeled = bool(rng.integers(2))
+        sentences = []
+        for _ in range(rng.integers(1, 4)):
+            tokens = ["".join(rng.choice(alphabet, size=rng.integers(1, 4),
+                                         p=weights))
+                      for _ in range(rng.integers(1, 5))]
+            tags = (list(rng.choice(["O", "B-LOC"], size=len(tokens)))
+                    if labeled else None)
+            sentences.append(TaggedSentence(tokens, tags))
+        tokens = [t for s in sentences for t in s.tokens]
+        refused = any(" " in t or "\t" in t for t in tokens) or (
+            not labeled and any(t.endswith("\r") for t in tokens))
+        outcomes.add(refused)
+        out = io.StringIO()
+        if refused:
+            with pytest.raises(UsageError):
+                write_conll(Dataset(sentences), out)
+            continue
+        write_conll(Dataset(sentences), out)
+        again = read_conll(out.getvalue(), tag_col=-1 if labeled else None)
+        assert [s.tokens for s in again] == [s.tokens for s in sentences]
+        assert [s.tags for s in again] == [s.tags for s in sentences]
+    assert outcomes == {True, False}
+
+
 @pytest.mark.parametrize("text, token", [
     ("a\u2028b O\n", "a\u2028b"), ("a\xa0b\tO\n", "a\xa0b"),
     ("a\rb  O\r\n", "a\rb"),

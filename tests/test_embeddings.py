@@ -110,3 +110,37 @@ def test_write_read_idempotent():
     buf2 = io.StringIO()
     write_vec_text(again, buf2)
     assert buf.getvalue() == buf2.getvalue()
+
+
+@pytest.mark.parametrize("word", ["a b", "a\nb", " "])
+def test_write_vec_refuses_a_word_that_would_not_load(word):
+    table = EmbeddingTable(["ok", word], [[1.0, 0.0], [0.0, 1.0]])
+    out = io.StringIO()
+    with pytest.raises(UsageError, match="cannot store"):
+        write_vec_text(table, out)
+    assert out.getvalue() == ""
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_vec_write_read_loop_is_bit_identical(seed, tmp_path):
+    rng = np.random.default_rng(seed)
+    alphabet = ["a", "\u00e9", "\u00a0", "\u2028", "\x85", "\t", "\r"]
+    words = []
+    while len(words) < 30:
+        word = "".join(rng.choice(alphabet, size=rng.integers(1, 5)))
+        if word not in words:
+            words.append(word)
+    vectors = rng.normal(size=(30, 6)) * 10.0 ** rng.integers(-300, 300,
+                                                              size=(30, 6))
+    vectors[0, 0] = -0.0
+    table = EmbeddingTable(words, vectors)
+    path = tmp_path / "t.vec"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_vec_text(table, fh, fmt="%.17g")
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        from_file = load_vec_text(fh, limit=None)
+    text = path.read_bytes()
+    for again in (from_file, load_vec_text(text, limit=None),
+                  load_vec_text(text.decode("utf-8"), limit=None)):
+        assert again.words == words
+        assert again.vectors.tobytes() == table.vectors.tobytes()
