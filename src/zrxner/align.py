@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .embeddings import normalize
 from .errors import AlignmentError, NumericalError, UsageError
 from .numeric import dropout_mask, gaussian_init, sigmoid, svd_square
 
@@ -85,6 +86,20 @@ class AlignConfig:
     select_every: int = 500  # criterion-based mapper snapshots; 0 disables
     restarts: int = 3  # max adversarial games; stops early once one converges
     restart_disc_acc: float = 0.7  # end-of-game disc accuracy above this = failed game
+
+    def __post_init__(self):
+        for name, ok, rule in (
+            ("w_steps", self.w_steps >= 0, "at least 0"),
+            ("batch_size", self.batch_size >= 1, "at least 1"),
+            ("disc_hidden", self.disc_hidden >= 1, "at least 1"),
+            ("input_dropout", 0.0 <= self.input_dropout < 1.0, "in [0, 1)"),
+            ("vocab_cap", self.vocab_cap >= 1, "at least 1"),
+            ("csls_k", self.csls_k >= 1, "at least 1"),
+            ("criterion_sample_n", self.criterion_sample_n >= 1, "at least 1"),
+        ):
+            if not ok:
+                raise UsageError(
+                    f"align.{name} must be {rule}, got {getattr(self, name)}")
 
 
 def _leaky(z, slope=0.2):
@@ -258,12 +273,6 @@ def adversarial_train(space_table, moving_table, rng, config, log=None):
     return LinearMapper(best_w, T_TO_S)
 
 
-def _unit_rows(rows):
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return rows / norms
-
-
 def _top_k(a, k, axis):
     """The k largest entries of a along axis (all of them if there are fewer)."""
     n = a.shape[axis]
@@ -292,7 +301,7 @@ def csls_top1(queries, keys, k):
     """
     if k < 1:
         raise UsageError("k must be >= 1")
-    qn = _unit_rows(np.atleast_2d(np.asarray(queries, dtype=np.float64)))
+    qn = normalize(np.atleast_2d(np.asarray(queries, dtype=np.float64)))
     keys = np.atleast_2d(np.asarray(keys, dtype=np.float64))
     nq, nk = qn.shape[0], keys.shape[0]
     if nk == 0:
@@ -310,7 +319,7 @@ def csls_top1(queries, keys, k):
     row_top = np.full((nq, k_row), -np.inf)
     r_k = np.empty(nk)
     for klo, khi in key_tiles:
-        kn = _unit_rows(keys[klo:khi])
+        kn = normalize(keys[klo:khi])
         col_top = np.full((k_col, khi - klo), -np.inf)
         for qlo, qhi in query_blocks:
             cos = qn[qlo:qhi] @ kn.T
@@ -323,7 +332,7 @@ def csls_top1(queries, keys, k):
     best_idx = np.zeros(nq, dtype=np.int64)
     best_score = np.full(nq, -np.inf)
     for klo, khi in key_tiles:
-        kn = _unit_rows(keys[klo:khi])
+        kn = normalize(keys[klo:khi])
         for qlo, qhi in query_blocks:
             scores = qn[qlo:qhi] @ kn.T
             scores *= 2

@@ -93,7 +93,8 @@ def _load_table(path, limit, language):
     # split lines at "\n" only, so a "\r" inside a word stays in the word
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
         table = load_vec_text(fh, limit=limit, language=language)
-    return normalize(table)
+    normalize(table.vectors, out=table.vectors)
+    return table
 
 
 def _read_dataset(path, language, role, scheme, tag_col=-1, token_col=0):

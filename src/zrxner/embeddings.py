@@ -11,6 +11,16 @@ from .corpus import iter_lines
 from .errors import ParseError, UsageError
 
 DEFAULT_LOAD_LIMIT = 200000
+# Rows handled at once when loading, checking and normalizing a table; this
+# bounds the scratch memory of each beside the table itself.
+BLOCK_ROWS = 1024
+# A loading table grows by at most this many bytes at a time and is trimmed
+# to the rows read at the end, so a header that overstates its row count
+# costs at most this much beyond the table, and only while loading.
+GROW_BYTES = 64 << 20
+# NumPy's C parser takes "\r" for a line end and skips "\x1c"-"\x1f" around
+# a number, where float() does neither; other ASCII it reads as float() does.
+_C_PARSER_DIFFERS = "\r\x1c\x1d\x1e\x1f"
 
 
 class EmbeddingTable:
@@ -22,7 +32,8 @@ class EmbeddingTable:
             raise UsageError("words and vectors disagree")
         if len(set(words)) != len(words):
             raise UsageError("duplicate words in embedding table")
-        if not np.isfinite(vectors).all():
+        if not all(np.isfinite(vectors[lo:lo + BLOCK_ROWS]).all()
+                   for lo in range(0, len(vectors), BLOCK_ROWS)):
             raise UsageError("non-finite vector entries")
         self.words = list(words)
         self.vectors = vectors
@@ -51,12 +62,91 @@ class EmbeddingTable:
         return self._lower.get(word.lower(), -1) if i is None else i
 
 
+def _fields(line):
+    """The fields of a .vec line split at single spaces, less the empty
+    field after fastText's trailing space."""
+    fields = line.split(" ")
+    return fields[:-1] if fields[-1] == "" else fields
+
+
+def _check_count(fields, dim, lineno):
+    if len(fields) - 1 != dim:
+        raise ParseError(f"{len(fields) - 1} values for dimension {dim}",
+                         line=lineno)
+
+
+def _rows_by_float(lines, dim):
+    """The value rows of (line number, line) pairs, each value read with
+    float(); the first line with a wrong value count or a value float()
+    cannot read raises ParseError."""
+    rows = np.empty((len(lines), max(dim, 0)))  # d < 0: every count is wrong
+    for i, (lineno, line) in enumerate(lines):
+        fields = _fields(line)
+        _check_count(fields, dim, lineno)
+        try:
+            rows[i] = [float(x) for x in fields[1:]]
+        except ValueError:
+            raise ParseError("non-numeric vector entry", line=lineno)
+    return rows
+
+
+def _rows_by_numpy(values, dim):
+    """The rows of the value texts through NumPy's C parser, or None where
+    it might not read them as _rows_by_float would: non-ASCII text, a
+    character the two treat differently, an empty text (a skipped line to
+    the parser), a value it cannot read, or any row without dim values."""
+    text = "\n".join(values)
+    if (not text.isascii() or any(c in text for c in _C_PARSER_DIFFERS)
+            or not all(values)):
+        return None
+    try:
+        rows = np.loadtxt(values, delimiter=" ", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return rows if rows.shape == (len(values), dim) else None
+
+
+class _GrowingRows:
+    """One float64 array of rows, allocated in steps of at most
+    GROW_BYTES and never beyond `cap` rows; resized in place."""
+
+    def __init__(self, cap, dim):
+        self.cap, self.dim = cap, dim
+        self.step = max(1, GROW_BYTES // (8 * max(dim, 1)))
+        self.array = None
+        self.count = 0
+
+    def append(self, rows):
+        end = self.count + len(rows)
+        if self.array is None:
+            self.array = np.empty((min(self.cap, max(end, self.step)), self.dim))
+        elif end > len(self.array):
+            size = min(self.cap, max(end, len(self.array) + self.step))
+            self.array.resize((size, self.dim), refcheck=False)
+        self.array[self.count:end] = rows
+        self.count = end
+
+    def finish(self):
+        if self.array is None:
+            return np.zeros((0, self.dim))
+        if self.count < len(self.array):
+            self.array.resize((self.count, self.dim), refcheck=False)
+        return self.array
+
+
 def load_vec_text(stream, limit=DEFAULT_LOAD_LIMIT, language=""):
     """Read 'n d' header then 'word v1 .. vd' rows, most frequent first.
 
     Loads the first min(n, limit) entries in file order; duplicate words keep
     their first occurrence. A row whose value count differs from d raises
-    ParseError with the line number.
+    ParseError with the line number, as does the first value that float()
+    cannot read; the first error in file order is the one raised.
+
+    Values are read exactly as float() reads them. Kept rows are parsed in
+    chunks of BLOCK_ROWS by NumPy's C parser, straight into one array of at
+    most min(n, limit) rows; a chunk that parser might read differently, or
+    that holds an error, is read again one line and one float() at a time.
+    Loading holds the table plus about one chunk.
     """
     lines = iter_lines(stream)
     try:
@@ -72,32 +162,42 @@ def load_vec_text(stream, limit=DEFAULT_LOAD_LIMIT, language=""):
         raise ParseError(f"bad header {header!r}", line=1)
     cap = n if limit is None else min(n, limit)
     words = []
-    rows = []
     seen = set()
-    for lineno, line in enumerate(lines, start=2):
-        if len(words) >= cap:
-            break
-        fields = line.split(" ")
-        if fields and fields[-1] == "":
-            fields = fields[:-1]  # tolerate fastText's trailing space
-        if not fields or fields == [""]:
-            continue
-        word = fields[0]
-        if len(fields) - 1 != dim:
-            raise ParseError(
-                f"{len(fields) - 1} values for dimension {dim}", line=lineno
-            )
-        if word in seen:
-            continue
-        try:
-            vec = np.array([float(x) for x in fields[1:]], dtype=np.float64)
-        except ValueError:
-            raise ParseError("non-numeric vector entry", line=lineno)
-        seen.add(word)
-        words.append(word)
-        rows.append(vec)
-    vectors = np.vstack(rows) if rows else np.zeros((0, dim))
-    return EmbeddingTable(words, vectors, language=language)
+    rows = _GrowingRows(cap, dim)
+    chunk, values = [], []  # kept lines not parsed yet, and their value text
+
+    def flush():
+        # parses the pending chunk; its first error precedes anything later
+        if chunk:
+            parsed = _rows_by_numpy(values, dim)
+            rows.append(_rows_by_float(chunk, dim) if parsed is None else parsed)
+            chunk.clear()
+            values.clear()
+
+    try:
+        for lineno, line in enumerate(lines, start=2):
+            if len(words) >= cap:
+                break
+            if line == "" or line == " ":  # no field, or one empty field
+                continue
+            word, _, rest = line.partition(" ")
+            if word in seen:
+                fields = _fields(line)
+                if len(fields) - 1 != dim:
+                    flush()
+                    _check_count(fields, dim, lineno)
+                continue
+            seen.add(word)
+            words.append(word)
+            chunk.append((lineno, line))
+            values.append(rest[:-1] if rest.endswith(" ") else rest)
+            if len(chunk) == BLOCK_ROWS:
+                flush()
+    except UnicodeDecodeError:
+        flush()  # the pending lines come before the undecodable one
+        raise
+    flush()
+    return EmbeddingTable(words, rows.finish(), language=language)
 
 
 def write_vec_text(table, stream, fmt="%.6f"):
@@ -112,11 +212,20 @@ def write_vec_text(table, stream, fmt="%.6f"):
         stream.write(word + " " + " ".join(fmt % x for x in row) + "\n")
 
 
-def normalize(table):
-    """New table with every nonzero row scaled to unit length."""
-    norms = np.linalg.norm(table.vectors, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0  # zero rows untouched
-    return EmbeddingTable(table.words, table.vectors / norms, table.language)
+def normalize(rows, out=None):
+    """rows with every nonzero row scaled to unit length; zero rows stay
+    zero. Works BLOCK_ROWS rows at a time, so out=rows normalizes in place
+    with scratch for one block; a row's norm does not depend on the blocks.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    if out is None:
+        out = np.empty_like(rows)
+    for lo in range(0, len(rows), BLOCK_ROWS):
+        block = rows[lo:lo + BLOCK_ROWS]
+        norms = np.linalg.norm(block, axis=1, keepdims=True)
+        norms[norms == 0] = 1.0
+        np.divide(block, norms, out=out[lo:lo + BLOCK_ROWS])
+    return out
 
 
 def apply_mapper(table, w):

@@ -24,8 +24,8 @@ def synthetic_pair(seed, n=300, d=16, noise=0.0):
     y = x @ omega
     if noise:
         y = y + rng.normal(size=y.shape) * noise
-    src = normalize(EmbeddingTable([f"s{i}" for i in range(n)], x, "src"))
-    tgt = normalize(EmbeddingTable([f"t{i}" for i in range(n)], y, "tgt"))
+    src = EmbeddingTable([f"s{i}" for i in range(n)], normalize(x), "src")
+    tgt = EmbeddingTable([f"t{i}" for i in range(n)], normalize(y), "tgt")
     return src, tgt, omega
 
 
@@ -105,9 +105,9 @@ class BilingualFixture:
         omega = random_orthogonal(rng, dim)
         y = x @ omega + noise * rng.normal(size=x.shape)
         self.omega = omega
-        self.src_emb = normalize(EmbeddingTable(vocab, x, "src"))
+        self.src_emb = EmbeddingTable(vocab, normalize(x), "src")
         tgt_vocab = [cipher_word(w) for w in vocab]
-        self.tgt_emb = normalize(EmbeddingTable(tgt_vocab, y, "tgt"))
+        self.tgt_emb = EmbeddingTable(tgt_vocab, normalize(y), "tgt")
 
         self.src_train = self._dataset(rng, n_train, "src", "train")
         self.src_dev = self._dataset(rng, n_dev, "src", "dev")

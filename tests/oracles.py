@@ -548,3 +548,66 @@ def adversary_loss(disc, w, source_batch, target_batch):
     z_tgt = disc.logits(np.atleast_2d(target_batch) @ w.T)
     z_src = disc.logits(np.atleast_2d(source_batch))
     return float(_softplus(-z_tgt).mean() + _softplus(z_src).mean())
+
+
+# ---------------------------------------------------------------------------
+# Embedding tables
+
+
+def load_vec_text(stream, limit=200000, language=""):
+    """The .vec reader one line and one float() at a time: the reference for
+    the chunked loader, which must give the same words, the same vector bits
+    and the same first error."""
+    from zrxner.corpus import iter_lines
+    from zrxner.embeddings import EmbeddingTable
+    from zrxner.errors import ParseError
+
+    lines = iter_lines(stream)
+    try:
+        header = next(lines)
+    except StopIteration:
+        raise ParseError("missing header", line=1)
+    parts = header.split()
+    if len(parts) != 2:
+        raise ParseError(f"bad header {header!r}, expected 'n d'", line=1)
+    try:
+        n, dim = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ParseError(f"bad header {header!r}", line=1)
+    cap = n if limit is None else min(n, limit)
+    words = []
+    rows = []
+    seen = set()
+    for lineno, line in enumerate(lines, start=2):
+        if len(words) >= cap:
+            break
+        fields = line.split(" ")
+        if fields and fields[-1] == "":
+            fields = fields[:-1]  # tolerate fastText's trailing space
+        if not fields or fields == [""]:
+            continue
+        word = fields[0]
+        if len(fields) - 1 != dim:
+            raise ParseError(
+                f"{len(fields) - 1} values for dimension {dim}", line=lineno
+            )
+        if word in seen:
+            continue
+        try:
+            vec = np.array([float(x) for x in fields[1:]], dtype=np.float64)
+        except ValueError:
+            raise ParseError("non-numeric vector entry", line=lineno)
+        seen.add(word)
+        words.append(word)
+        rows.append(vec)
+    vectors = np.vstack(rows) if rows else np.zeros((0, dim))
+    return EmbeddingTable(words, vectors, language=language)
+
+
+def normalize_table(table):
+    """New table with every nonzero row scaled to unit length, whole-table."""
+    from zrxner.embeddings import EmbeddingTable
+
+    norms = np.linalg.norm(table.vectors, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0  # zero rows untouched
+    return EmbeddingTable(table.words, table.vectors / norms, table.language)

@@ -397,7 +397,8 @@ def test_criterion_8_conll2003_monolingual():
             sent.tags = convert_scheme(sent.tags, IOB1, IOBES)
         ds.scheme = IOBES
     with open(vec_path, encoding="utf-8") as fh:
-        table = normalize(load_vec_text(fh, limit=200000, language="en"))
+        table = load_vec_text(fh, limit=200000, language="en")
+    normalize(table.vectors, out=table.vectors)
     assert table.dim == 300
     config = TrainingConfig(variant="source_mono", scheme=IOBES, seed=0)
     chars = build_char_vocab([train, dev])

@@ -19,7 +19,7 @@ from zrxner.align import (
     unsupervised_criterion,
 )
 from zrxner.embeddings import EmbeddingTable
-from zrxner.errors import AlignmentError
+from zrxner.errors import AlignmentError, UsageError
 from zrxner.numeric import Rng, sigmoid
 
 from fixtures import precision_at_1, random_orthogonal, synthetic_pair
@@ -468,3 +468,14 @@ def test_dictionary_collapse_returns_best_so_far(monkeypatch):
     monkeypatch.setattr(align_mod, "induce_dictionary", exploding_induce)
     got = align_mod.refine(src, tgt, w0, iterations=3, k=5, top_n=30)
     assert got is w0
+
+
+def test_align_config_range_checks():
+    AlignConfig(w_steps=0, disc_steps=0, batch_size=1, disc_hidden=1,
+                input_dropout=0.0, vocab_cap=1, csls_k=1, criterion_sample_n=1)
+    for field, value in (("w_steps", -1), ("batch_size", 0),
+                         ("disc_hidden", 0), ("input_dropout", 1.0),
+                         ("input_dropout", -0.1), ("vocab_cap", 0),
+                         ("csls_k", 0), ("criterion_sample_n", 0)):
+        with pytest.raises(UsageError, match=f"align.{field} must be"):
+            AlignConfig(**{field: value})

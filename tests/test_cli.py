@@ -158,6 +158,33 @@ def test_align_unknown_config_key_exit_2(workdir, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, key", [
+    ("--vocab-cap", "0", "align.vocab_cap must be at least 1, got 0"),
+    ("--batch-size", "0", "align.batch_size must be at least 1, got 0"),
+    ("--w-steps", "-1", "align.w_steps must be at least 0, got -1"),
+    ("--disc-hidden", "0", "align.disc_hidden must be at least 1, got 0"),
+    ("--csls-k", "0", "align.csls_k must be at least 1, got 0"),
+])
+def test_align_out_of_range_value_exit_2_before_reading_tables(
+        flag, value, key, tmp_path, capsys, monkeypatch):
+    import zrxner.cli as cli_mod
+
+    for name in ("s.vec", "t.vec"):
+        (tmp_path / name).write_text("3 2\na 1 0\nb 0 1\nc 1 1\n")
+    read = []
+    monkeypatch.setattr(cli_mod, "_load_table",
+                        lambda *args: read.append(args) or _load_table(*args))
+    out = tmp_path / "m.zrx"
+    code = main([
+        "align", "--src-emb", str(tmp_path / "s.vec"), "--tgt-emb",
+        str(tmp_path / "t.vec"), "--out", str(out), "--w-steps", "3",
+        "--restarts", "1", "--refine-iters", "0", flag, value,
+    ])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert read == [] and not out.exists()
+
+
 def test_align_dimension_mismatch_exit_2(workdir, tmp_path):
     bad = tmp_path / "bad.vec"
     bad.write_text("2 3\na 1 2 3\nb 4 5 6\n")

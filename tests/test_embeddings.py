@@ -1,8 +1,12 @@
 import io
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import zrxner.embeddings as embeddings_mod
+from zrxner.cli import _load_table
 from zrxner.embeddings import (
     EmbeddingTable,
     apply_mapper,
@@ -11,6 +15,8 @@ from zrxner.embeddings import (
     write_vec_text,
 )
 from zrxner.errors import ParseError, UsageError
+
+import oracles
 
 VEC_3X4 = "3 4\nthe 0.1 0.2 0.3 0.4\nof 1 2 3 4\nParis -1 0 0.5 2\n"
 
@@ -59,10 +65,23 @@ def test_lookup_exact_lower_unk():
 
 
 def test_normalize_unit():
-    table = EmbeddingTable(["w", "z"], [[3.0, 4.0], [0.0, 0.0]])
-    unit = normalize(table)
-    np.testing.assert_allclose(unit.vectors[0], [0.6, 0.8])
-    np.testing.assert_allclose(unit.vectors[1], [0.0, 0.0])  # zero row kept
+    rows = np.array([[3.0, 4.0], [0.0, 0.0]])
+    unit = normalize(rows)
+    np.testing.assert_allclose(unit[0], [0.6, 0.8])
+    np.testing.assert_allclose(unit[1], [0.0, 0.0])  # zero row kept
+    assert rows[0, 0] == 3.0  # a new array unless out= says otherwise
+    assert normalize(rows, out=rows) is rows
+    assert rows.tobytes() == unit.tobytes()
+
+
+def test_normalize_bits_do_not_depend_on_the_blocks():
+    rng = np.random.default_rng(4)
+    rows = rng.normal(size=(2 * embeddings_mod.BLOCK_ROWS + 37, 300))
+    rows[5] = 0.0
+    whole = oracles.normalize_table(EmbeddingTable(
+        [str(i) for i in range(len(rows))], rows)).vectors
+    assert normalize(rows).tobytes() == whole.tobytes()
+    assert normalize(rows, out=rows.copy()).tobytes() == whole.tobytes()
 
 
 def test_apply_mapper_identity_and_scale():
@@ -144,3 +163,163 @@ def test_vec_write_read_loop_is_bit_identical(seed, tmp_path):
                   load_vec_text(text.decode("utf-8"), limit=None)):
         assert again.words == words
         assert again.vectors.tobytes() == table.vectors.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The chunked loader against the per-line reference
+
+
+def _outcome(load, data, limit):
+    """Words and vector bits, or the type, message and line of the error."""
+    try:
+        table = load(data, limit=limit)
+    except Exception as exc:
+        return ("raised", type(exc), str(exc), getattr(exc, "line", None))
+    return ("loaded", table.words, table.vectors.shape, table.vectors.tobytes())
+
+
+_WORDS = ["the", "of", "Paris", "caf\u00e9", "a\rb", "x\u2028y", "", "#",
+          "\u0663", "nan"]
+
+
+_ODD_VALUES = ["-0.0", "nan", "-inf", "1e-400", "1_0", "\u0661\u0662", "\t1",
+               "1\x0b", "1\x1c", "abc", ""]
+
+
+def _value(rng):
+    x = rng.normal() * 10.0 ** rng.integers(-30, 30)
+    return ("%.17g" % x, "%.6f" % x, "%.3e" % x,
+            *_ODD_VALUES)[rng.integers(3 + len(_ODD_VALUES))]
+
+
+def _fuzz_vec(rng):
+    """A small .vec text with the rough edges of real and broken files."""
+    dim = int(rng.integers(1, 5))
+    n_rows = int(rng.integers(0, 12))
+    lines = []
+    for _ in range(n_rows):
+        roll = rng.random()
+        if roll < 0.08:
+            lines.append(["\n", " \n"][rng.integers(2)])  # blank
+            continue
+        count = dim + (int(rng.integers(-1, 2)) if roll < 0.16 else 0)
+        values = [_value(rng) if rng.random() < 0.15 else "%.17g" % rng.normal()
+                  for _ in range(max(count, 0))]
+        sep = "  " if rng.random() < 0.03 else " "
+        line = sep.join([_WORDS[rng.integers(len(_WORDS))]] + values)
+        if rng.random() < 0.3:
+            line += " "  # fastText's trailing space
+        if rng.random() < 0.03:
+            line = line.replace(" ", " 1\r", 1)
+        lines.append(line + ("\r\n" if rng.random() < 0.1 else "\n"))
+    n = n_rows + int(rng.integers(-3, 4))
+    header = [f"{n} {dim}", f"{n} {dim}", f"{n} {dim}", f"{10 ** 12} {dim}",
+              f" {n}  {dim} ", f"{n}"][rng.integers(6)]
+    return header + "\n" + "".join(lines)
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 1024])
+def test_chunked_loader_matches_the_per_line_reader(block_rows, monkeypatch):
+    monkeypatch.setattr(embeddings_mod, "BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(embeddings_mod, "GROW_BYTES", 40)  # grow every chunk
+    rng = np.random.default_rng(block_rows)
+    outcomes = set()
+    for _ in range(400):
+        text = _fuzz_vec(rng)
+        limit = [None, 200000, 0, 2, 5][rng.integers(5)]
+        expected = _outcome(oracles.load_vec_text, text, limit)
+        outcomes.add(expected[0] if expected[0] == "loaded" else expected[2][:12])
+        for data in (text, text.encode("utf-8"), io.StringIO(text),
+                     io.BytesIO(text.encode("utf-8"))):
+            assert _outcome(load_vec_text, data, limit) == expected, text
+    assert len(outcomes) >= 4  # loads, count errors, value errors, headers
+
+
+@pytest.mark.parametrize("text", [
+    "3 2\na 1 2\nb 1 x\nc 1\n",  # value error before a count error
+    "4 2\na 1 2\nb 1 2 3\nc x 1\n",  # count error before a value error
+    "3 2\na 1 2\na 1\nb 1 2\n",  # a skipped duplicate still counts values
+    "3 2\na x 2\na 1\n",  # a value error before a duplicate's count error
+    "5 2\na 1 2\nb 1 2\n",  # header overstates n
+    "1 2\na 1 2\nb 1\n",  # header understates n: line 3 is never read
+    "9 2\na 1 2\n\n \nb 1 2 \r\nc 1_0 2\n",
+    "2 2\na 1\x1c 2\nb \u0663 -0.0\n",
+    "2 1\nb 1\r2\na \r",  # NumPy's parser takes a "\r" for a line end
+    "2 2\na nan 2\nb 1 x\n",  # the value error precedes the finite check
+    "2 0\na\nb \n",
+    "0 -1\n",
+    "2 -1\na\n",
+])
+@pytest.mark.parametrize("block_rows", [1, 1024])
+def test_chunked_loader_cases(text, block_rows, monkeypatch):
+    monkeypatch.setattr(embeddings_mod, "BLOCK_ROWS", block_rows)
+    for limit in (None, 1):
+        assert (_outcome(load_vec_text, text, limit)
+                == _outcome(oracles.load_vec_text, text, limit))
+
+
+def test_a_value_error_comes_before_a_later_undecodable_line():
+    data = b"3 2\na 1 x\nb \xff 1\nc 1 2\n"
+    with pytest.raises(ParseError, match="line 2: non-numeric"):
+        load_vec_text(io.BytesIO(data))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cli_table_is_the_normalized_per_line_table(seed, tmp_path):
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}\u00e9" if i % 3 else f"w{i}" for i in range(2500)]
+    vectors = rng.normal(size=(2500, 7)) * 10.0 ** rng.integers(-5, 5,
+                                                               size=(2500, 1))
+    vectors[17] = 0.0
+    path = tmp_path / "t.vec"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_vec_text(EmbeddingTable(words, vectors), fh, fmt="%.17g")
+    table = _load_table(str(path), None, "src")
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        expected = oracles.normalize_table(
+            oracles.load_vec_text(fh, limit=None, language="src"))
+    assert table.words == expected.words
+    assert table.vectors.tobytes() == expected.vectors.tobytes()
+
+
+def _write_generated_vec(path, n, dim, header_n=None):
+    rng = np.random.default_rng(0)
+    rows = [" ".join("%.6f" % x for x in rng.normal(size=dim))
+            for _ in range(64)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{n if header_n is None else header_n} {dim}\n")
+        for i, row in zip(range(n), itertools.cycle(rows)):
+            fh.write(f"w{i} {row}\n")
+
+
+# Beyond the table: one chunk of text and its parsed rows, and the words
+# with their lookup dictionaries.
+LOAD_ALLOWANCE = 16 << 20
+
+
+def test_loading_holds_the_table_plus_one_chunk(tmp_path):
+    path = tmp_path / "big.vec"
+    _write_generated_vec(path, 20000, 300)
+    tracemalloc.start()
+    try:
+        table = _load_table(str(path), None, "")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.vectors.shape == (20000, 300)
+    assert peak <= table.vectors.nbytes + LOAD_ALLOWANCE
+
+
+@pytest.mark.parametrize("limit", [None, 200000])
+def test_an_overstated_header_reserves_at_most_one_step(limit, tmp_path):
+    path = tmp_path / "few.vec"
+    _write_generated_vec(path, 3, 300, header_n=10 ** 12)
+    tracemalloc.start()
+    try:
+        table = _load_table(str(path), limit, "")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.vectors.shape == (3, 300)
+    assert table.vectors.base is None  # trimmed to the rows read
+    assert peak <= embeddings_mod.GROW_BYTES + LOAD_ALLOWANCE
