@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import FlatConfig
 from .embeddings import normalize
 from .errors import AlignmentError, NumericalError, UsageError
 from .numeric import dropout_mask, gaussian_init, sigmoid, svd_square
@@ -69,7 +70,9 @@ class SeedDictionary:
 
 
 @dataclass
-class AlignConfig:
+class AlignConfig(FlatConfig):
+    PREFIX = "align"
+
     w_steps: int = 30000
     disc_steps: int = 5
     batch_size: int = 32
@@ -88,18 +91,18 @@ class AlignConfig:
     restart_disc_acc: float = 0.7  # end-of-game disc accuracy above this = failed game
 
     def __post_init__(self):
-        for name, ok, rule in (
+        self.check((
             ("w_steps", self.w_steps >= 0, "at least 0"),
+            ("disc_steps", self.disc_steps >= 0, "at least 0"),
             ("batch_size", self.batch_size >= 1, "at least 1"),
             ("disc_hidden", self.disc_hidden >= 1, "at least 1"),
             ("input_dropout", 0.0 <= self.input_dropout < 1.0, "in [0, 1)"),
             ("vocab_cap", self.vocab_cap >= 1, "at least 1"),
             ("csls_k", self.csls_k >= 1, "at least 1"),
+            ("dict_top_n", self.dict_top_n >= 1, "at least 1"),
             ("criterion_sample_n", self.criterion_sample_n >= 1, "at least 1"),
-        ):
-            if not ok:
-                raise UsageError(
-                    f"align.{name} must be {rule}, got {getattr(self, name)}")
+            ("restarts", self.restarts >= 1, "at least 1"),
+        ))
 
 
 def _leaky(z, slope=0.2):
@@ -251,7 +254,9 @@ def adversarial_train(space_table, moving_table, rng, config, log=None):
     no random numbers, so it never changes the mapper.
     """
     if space_table.dim != moving_table.dim:
-        raise UsageError("embedding dimensions differ")
+        raise UsageError(f"dimension mismatch: {space_table.language or 'space'} "
+                         f"{space_table.dim} vs {moving_table.language or 'moving'} "
+                         f"{moving_table.dim}")
     x_rows = np.ascontiguousarray(space_table.vectors[: config.vocab_cap])
     y_rows = np.ascontiguousarray(moving_table.vectors[: config.vocab_cap])
 
@@ -264,7 +269,7 @@ def adversarial_train(space_table, moving_table, rng, config, log=None):
     if config.w_steps == 0:
         return LinearMapper(np.eye(space_table.dim), T_TO_S)
     best_w, best_score = None, -np.inf
-    for _ in range(max(1, config.restarts)):
+    for _ in range(config.restarts):
         w, score, disc = _play_game(x_rows, y_rows, rng, config, criterion, log)
         if score > best_score:
             best_w, best_score = w, score

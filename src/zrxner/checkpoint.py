@@ -7,6 +7,7 @@ Layout (all integers little-endian):
   trailing 8-byte checksum (first 8 bytes of SHA-256 over everything before).
 
 Round trips are bit-exact per tensor; the checksum is verified on load.
+The config block is also the flat form of the run settings (FlatConfig).
 """
 
 import hashlib
@@ -73,6 +74,28 @@ def flat_to_fields(cls, prefix, flat):
         except ValueError:
             raise UsageError(f"{key}={raw!r} is not a valid {kind.__name__}") from None
     return kwargs
+
+
+class FlatConfig:
+    """Base of the run-setting dataclasses: each field travels as the flat
+    entry `PREFIX.field=value` in config files and checkpoints."""
+
+    PREFIX = ""
+
+    def to_flat(self):
+        return {f"{self.PREFIX}.{f.name}": str(getattr(self, f.name))
+                for f in fields(self)}
+
+    @classmethod
+    def from_flat(cls, flat):
+        return cls(**flat_to_fields(cls, cls.PREFIX, flat))
+
+    def check(self, rules):
+        """Raise UsageError for the first (field, holds, rule) that fails."""
+        for name, ok, rule in rules:
+            if not ok:
+                raise UsageError(
+                    f"{self.PREFIX}.{name} must be {rule}, got {getattr(self, name)}")
 
 
 def save_checkpoint(path, config, tensors):

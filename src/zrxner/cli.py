@@ -6,8 +6,10 @@ pretrain take --seed, finetune takes --seeds; tag, eval and project accept
 finetune read an optional --config file of flat key=value lines (flags
 override the file); the effective configuration is embedded in every
 checkpoint written, and a trained checkpoint holds the selected state.
-Exit codes: 0 success, 2 input or usage error, 3 artifact or version
-error, 4 numerical failure.
+Each config flag is derived from a field of AlignConfig or TrainingConfig
+(_config_flags), which also own the flat form and the range checks.
+Exit codes: 0 success, 2 input or usage error (an input that is not UTF-8
+included), 3 artifact or version error, 4 numerical failure.
 """
 
 import argparse
@@ -20,17 +22,19 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import align as al
-from .checkpoint import flat_to_fields, text_to_config
+from .checkpoint import text_to_config
 from .corpus import (
     IOB2,
+    _columns,
     build_char_vocab,
     convert_scheme,
     correct_tag_ratio_by_length,
     entity_f1,
+    iter_lines,
     read_conll,
     write_conll,
 )
-from .embeddings import load_vec_text, normalize
+from .embeddings import DEFAULT_LOAD_LIMIT, load_vec_text, normalize
 from .errors import (
     AlignmentError,
     CheckpointError,
@@ -64,29 +68,21 @@ def _read_config_file(path):
         return text_to_config(fh.read())
 
 
-def _flat_overlay(cls, prefix, file_cfg, overrides):
-    """The `prefix.` entries of the file config, then the CLI overrides;
-    every key must name a field of the dataclass cls."""
-    flat = {k: v for k, v in file_cfg.items() if k.startswith(prefix + ".")}
-    for name, value in overrides.items():
+def _config(cls, file_cfg, args):
+    """The config cls from the `cls.PREFIX.` entries of the file config and
+    then the config flags given on the command line; every key must name a
+    field of cls."""
+    prefix = cls.PREFIX + "."
+    flat = {k: v for k, v in file_cfg.items() if k.startswith(prefix)}
+    for name, dest in args.config_flags.items():
+        value = getattr(args, dest)
         if value is not None:
-            flat[f"{prefix}.{name}"] = str(value)
-    known = {f.name for f in fields(cls)}
+            flat[prefix + name] = str(value)
+    known = {prefix + f.name for f in fields(cls)}
     for key in flat:
-        name = key[len(prefix) + 1 :]
-        if name not in known:
-            raise UsageError(f"unknown {prefix} config key {name!r}")
-    return flat
-
-
-def _training_config(file_cfg, **overrides):
-    return TrainingConfig.from_flat(
-        _flat_overlay(TrainingConfig, "train", file_cfg, overrides))
-
-
-def _align_config(file_cfg, **overrides):
-    flat = _flat_overlay(al.AlignConfig, "align", file_cfg, overrides)
-    return al.AlignConfig(**flat_to_fields(al.AlignConfig, "align", flat))
+        if key not in known:
+            raise UsageError(f"unknown {cls.PREFIX} config key {key[len(prefix):]!r}")
+    return cls.from_flat(flat)
 
 
 def _load_table(path, limit, language):
@@ -119,19 +115,11 @@ def _convert_dataset(dataset, to_scheme):
 
 
 def cmd_align(args):
-    file_cfg = _read_config_file(args.config)
-    config = _align_config(
-        file_cfg, w_steps=args.w_steps, disc_steps=args.disc_steps,
-        batch_size=args.batch_size, disc_hidden=args.disc_hidden,
-        vocab_cap=args.vocab_cap, csls_k=args.csls_k,
-        dict_top_n=args.dict_top_n, restarts=args.restarts,
-    )
+    config = _config(al.AlignConfig, _read_config_file(args.config), args)
+    if args.refine_iters < 0:
+        raise UsageError(f"--refine-iters must be at least 0, got {args.refine_iters}")
     src = _load_table(args.src_emb, args.limit, "src")
     tgt = _load_table(args.tgt_emb, args.limit, "tgt")
-    if src.dim != tgt.dim:
-        raise UsageError(
-            f"dimension mismatch: source {src.dim} vs target {tgt.dim}"
-        )
     if args.direction == "s2t":
         space, moving, direction = tgt, src, al.S_TO_T
     else:
@@ -172,8 +160,7 @@ def cmd_align(args):
         "refine_iters": args.refine_iters,
         "identical_string_p1": "nan" if math.isnan(p1) else f"{p1:.4f}",
     }
-    extra.update({f"align.{f.name}": getattr(config, f.name)
-                  for f in fields(al.AlignConfig)})
+    extra.update(config.to_flat())
     save_mapper(args.out, mapper, extra)
     print(f"mapper saved to {args.out}")
     print(f"orthogonality_error\t{mapper.orthogonality_error():.2e}")
@@ -207,16 +194,7 @@ def _build_eval_sets(args, src_dev, model_scheme, src_table, tgt_table):
 
 
 def cmd_pretrain(args):
-    file_cfg = _read_config_file(args.config)
-    config = _training_config(
-        file_cfg, variant=args.variant, scheme=args.scheme,
-        selection=args.select, seed=args.seed, epochs=args.epochs,
-        batch_size=args.batch_size, eval_interval=args.eval_interval,
-        dropout=args.dropout, lr0=args.lr0, char_dim=args.char_dim,
-        char_hidden=args.char_hidden, word_hidden=args.word_hidden,
-        head_hidden=args.head_hidden, emb_limit=args.limit,
-        constrained_decoding=args.constrained or None,
-    )
+    config = _config(TrainingConfig, _read_config_file(args.config), args)
     train = _convert_dataset(
         _read_dataset(args.train, "src", "train", args.input_scheme,
                       tag_col=args.tag_col, token_col=args.token_col),
@@ -272,12 +250,9 @@ def cmd_pretrain(args):
 
 def cmd_finetune(args):
     model, config, tables, raw_cfg = load_model(args.checkpoint)
-    file_cfg = _read_config_file(args.config)
-    config = _training_config(
-        {**config.to_flat(), **file_cfg},
-        selection=args.select, rounds=args.rounds, n_steps=args.n_steps,
-        patience=args.patience, eval_interval=args.eval_interval,
-    )
+    config = _config(TrainingConfig,
+                     {**config.to_flat(), **_read_config_file(args.config)},
+                     args)
     src_train = _convert_dataset(
         _read_dataset(args.src_train, "src", "train", args.input_scheme,
                       tag_col=args.tag_col, token_col=args.token_col),
@@ -304,10 +279,8 @@ def cmd_finetune(args):
     per_seed = {}
     paths = {}
     for seed in seeds:
-        if "tgt" not in model.encoders:
-            model.add_target_encoder(Rng(seed))
         restore_state(model, base_state)
-        model.encoders["tgt"].copy_from(model.encoders["src"])
+        model.add_target_encoder(Rng(seed))  # a copy of the source encoder
         run_config = replace(config, seed=seed, variant="cross_augmented")
         log_stream = (
             open(f"{args.log}.seed{seed}", "w", encoding="utf-8")
@@ -446,9 +419,10 @@ def cmd_project(args):
         raise UsageError("pass --emb or --checkpoint")
     tag_of = {}
     if args.tags:
-        with open(args.tags, "r", encoding="utf-8") as fh:
-            for line in fh:
-                parts = line.split()
+        # the CoNLL line and column rule, so a word may hold what a .vec word may
+        with open(args.tags, "r", encoding="utf-8", newline="\n") as fh:
+            for line in iter_lines(fh):
+                parts = _columns(line)
                 if len(parts) >= 2:
                     tag_of[parts[0]] = parts[1]
     coords, spectrum = _pca_2d(np.asarray(vectors, dtype=np.float64))
@@ -478,6 +452,22 @@ def cmd_project(args):
 # argument surface
 
 
+def _config_flags(p, cls, *names, **renamed):
+    """Add a flag per named field of the config dataclass cls, typed by the
+    field's default (a bool field is a switch that sets it true); renamed
+    maps a flag's name to its field. A flag not given is None, so the value
+    from the config file or the checkpoint holds."""
+    kinds = {f.name: type(f.default) for f in fields(cls)}
+    dests = {**{name: name for name in names}, **renamed}
+    for dest, name in dests.items():
+        flag = "--" + dest.replace("_", "-")
+        if kinds[name] is bool:
+            p.add_argument(flag, action="store_const", const=True)
+        else:
+            p.add_argument(flag, type=kinds[name])
+    p.set_defaults(config_flags={name: dest for dest, name in dests.items()})
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="zrxner",
@@ -495,15 +485,10 @@ def build_parser():
     p.add_argument("--dict-out")
     p.add_argument("--log")
     p.add_argument("--config")
-    p.add_argument("--limit", type=int, default=200000)
-    p.add_argument("--w-steps", type=int)
-    p.add_argument("--disc-steps", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--disc-hidden", type=int)
-    p.add_argument("--vocab-cap", type=int)
-    p.add_argument("--csls-k", type=int)
-    p.add_argument("--dict-top-n", type=int)
-    p.add_argument("--restarts", type=int)
+    p.add_argument("--limit", type=int, default=DEFAULT_LOAD_LIMIT)
+    _config_flags(p, al.AlignConfig, "w_steps", "disc_steps", "batch_size",
+                  "disc_hidden", "vocab_cap", "csls_k", "dict_top_n",
+                  "restarts")
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("pretrain", help="train the source model")
@@ -514,24 +499,14 @@ def build_parser():
     p.add_argument("--src-emb", required=True)
     p.add_argument("--tgt-emb")
     p.add_argument("--mapper")
-    p.add_argument("--variant", default=None)
-    p.add_argument("--scheme", default=None)
     p.add_argument("--input-scheme", default="IOB1")
     p.add_argument("--token-col", type=int, default=0)
     p.add_argument("--tag-col", type=int, default=-1)
-    p.add_argument("--select", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--eval-interval", type=int, default=None)
-    p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--lr0", type=float, default=None)
-    p.add_argument("--char-dim", type=int, default=None)
-    p.add_argument("--char-hidden", type=int, default=None)
-    p.add_argument("--word-hidden", type=int, default=None)
-    p.add_argument("--head-hidden", type=int, default=None)
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--constrained", action="store_true", default=False)
+    _config_flags(p, TrainingConfig, "variant", "scheme", "seed", "epochs",
+                  "batch_size", "eval_interval", "dropout", "lr0", "char_dim",
+                  "char_hidden", "word_hidden", "head_hidden",
+                  select="selection", limit="emb_limit",
+                  constrained="constrained_decoding")
     p.add_argument("--out", required=True)
     p.add_argument("--log")
     p.add_argument("--config")
@@ -546,12 +521,9 @@ def build_parser():
     p.add_argument("--tgt-test")
     p.add_argument("--tgt-emb")
     p.add_argument("--mapper")
-    p.add_argument("--select", default=None)
     p.add_argument("--seeds", default="0")
-    p.add_argument("--rounds", type=int, default=None)
-    p.add_argument("--n-steps", type=int, default=None)
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--eval-interval", type=int, default=None)
+    _config_flags(p, TrainingConfig, "rounds", "n_steps", "patience",
+                  "eval_interval", select="selection")
     p.add_argument("--input-scheme", default="IOB1")
     p.add_argument("--token-col", type=int, default=0)
     p.add_argument("--tag-col", type=int, default=-1)
@@ -610,6 +582,10 @@ def main(argv=None):
     except OSError as exc:  # a missing or unreadable input, an unwritable output
         where = f"{exc.filename}: " if exc.filename else ""
         print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not valid UTF-8: {exc.reason} "
+              f"(byte {exc.object[exc.start]:#04x})", file=sys.stderr)
         return EXIT_USAGE
     except (NumericalError, AlignmentError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

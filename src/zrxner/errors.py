@@ -1,7 +1,9 @@
 """Exception types shared across the toolkit.
 
 The CLI maps these onto process exit codes: UsageError -> 2,
-CheckpointError -> 3, NumericalError -> 4, AlignmentError -> 4.
+CheckpointError -> 3, NumericalError -> 4, AlignmentError -> 4; an OSError
+(a missing input) and a UnicodeDecodeError (an input that is not UTF-8)
+also exit 2.
 """
 
 

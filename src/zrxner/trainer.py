@@ -10,13 +10,13 @@ stage ends with the model restored to it.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import flat_to_fields
+from .checkpoint import FlatConfig
 from .corpus import IOBES, Dataset, TaggedSentence, entity_f1
-from .embeddings import apply_mapper
+from .embeddings import DEFAULT_LOAD_LIMIT, apply_mapper
 from .errors import NumericalError, UsageError
 from .numeric import clipped_sgd_step, dropout_mask
 from .tagger import TaggerConfig, backward_pass, predict
@@ -32,7 +32,9 @@ SELECTIONS = ("src_dev", "tgt_dev", "tgt_test")
 
 
 @dataclass
-class TrainingConfig:
+class TrainingConfig(FlatConfig):
+    PREFIX = "train"
+
     lr0: float = 0.1
     decay: float = 0.01
     lr_floor: float = 0.0001
@@ -54,7 +56,7 @@ class TrainingConfig:
     word_hidden: int = 100
     head_hidden: int = 100
     constrained_decoding: bool = False
-    emb_limit: int = 200000
+    emb_limit: int = DEFAULT_LOAD_LIMIT
     source_term: bool = True  # ablation hook: drop the source-batch loss term
 
     def __post_init__(self):
@@ -62,15 +64,12 @@ class TrainingConfig:
             raise UsageError(f"unknown variant {self.variant!r}")
         if self.selection not in SELECTIONS:
             raise UsageError(f"unknown selection mode {self.selection!r}")
-        for name, ok, rule in (
+        self.check((
             ("batch_size", self.batch_size >= 1, "at least 1"),
             ("eval_interval", self.eval_interval >= 1, "at least 1"),
             ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),
             ("epochs", self.epochs >= 0, "at least 0"),
-        ):
-            if not ok:
-                raise UsageError(
-                    f"train.{name} must be {rule}, got {getattr(self, name)}")
+        ))
 
     @property
     def use_char(self):
@@ -94,13 +93,6 @@ class TrainingConfig:
             dropout=self.dropout,
             constrained_decoding=self.constrained_decoding,
         )
-
-    def to_flat(self):
-        return {f"train.{f.name}": str(getattr(self, f.name)) for f in fields(self)}
-
-    @classmethod
-    def from_flat(cls, flat):
-        return cls(**flat_to_fields(cls, "train", flat))
 
 
 def lr_at(config, epoch):

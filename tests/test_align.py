@@ -472,10 +472,13 @@ def test_dictionary_collapse_returns_best_so_far(monkeypatch):
 
 def test_align_config_range_checks():
     AlignConfig(w_steps=0, disc_steps=0, batch_size=1, disc_hidden=1,
-                input_dropout=0.0, vocab_cap=1, csls_k=1, criterion_sample_n=1)
+                input_dropout=0.0, vocab_cap=1, csls_k=1, dict_top_n=1,
+                criterion_sample_n=1, restarts=1)
     for field, value in (("w_steps", -1), ("batch_size", 0),
                          ("disc_hidden", 0), ("input_dropout", 1.0),
                          ("input_dropout", -0.1), ("vocab_cap", 0),
-                         ("csls_k", 0), ("criterion_sample_n", 0)):
+                         ("csls_k", 0), ("criterion_sample_n", 0),
+                         ("dict_top_n", 0), ("dict_top_n", -1),
+                         ("disc_steps", -1), ("restarts", 0)):
         with pytest.raises(UsageError, match=f"align.{field} must be"):
             AlignConfig(**{field: value})

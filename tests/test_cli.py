@@ -164,6 +164,11 @@ def test_align_unknown_config_key_exit_2(workdir, tmp_path, capsys):
     ("--w-steps", "-1", "align.w_steps must be at least 0, got -1"),
     ("--disc-hidden", "0", "align.disc_hidden must be at least 1, got 0"),
     ("--csls-k", "0", "align.csls_k must be at least 1, got 0"),
+    ("--dict-top-n", "0", "align.dict_top_n must be at least 1, got 0"),
+    ("--dict-top-n", "-1", "align.dict_top_n must be at least 1, got -1"),
+    ("--disc-steps", "-1", "align.disc_steps must be at least 0, got -1"),
+    ("--restarts", "0", "align.restarts must be at least 1, got 0"),
+    ("--refine-iters", "-1", "--refine-iters must be at least 0, got -1"),
 ])
 def test_align_out_of_range_value_exit_2_before_reading_tables(
         flag, value, key, tmp_path, capsys, monkeypatch):
@@ -185,7 +190,7 @@ def test_align_out_of_range_value_exit_2_before_reading_tables(
     assert read == [] and not out.exists()
 
 
-def test_align_dimension_mismatch_exit_2(workdir, tmp_path):
+def test_align_dimension_mismatch_exit_2(workdir, tmp_path, capsys):
     bad = tmp_path / "bad.vec"
     bad.write_text("2 3\na 1 2 3\nb 4 5 6\n")
     code = main([
@@ -193,6 +198,27 @@ def test_align_dimension_mismatch_exit_2(workdir, tmp_path):
         "--out", str(tmp_path / "m.zrx"),
     ])
     assert code == 2
+    assert "dimension mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["align", "eval"])
+def test_input_that_is_not_utf8_exit_2(command, tmp_path, capsys):
+    if command == "align":
+        (tmp_path / "good.vec").write_bytes(b"2 2\na 1 2\nb 3 2\n")
+        (tmp_path / "bad.vec").write_bytes(b"2 2\na 1 2\nb \xff 2\n")
+        argv = ["align", "--src-emb", str(tmp_path / "bad.vec"), "--tgt-emb",
+                str(tmp_path / "good.vec"), "--out", str(tmp_path / "m.zrx"),
+                "--w-steps", "2", "--restarts", "1", "--refine-iters", "0"]
+    else:
+        (tmp_path / "gold.conll").write_bytes(b"a B-PER\nb O\n")
+        (tmp_path / "pred.conll").write_bytes(b"a B-PER\n\xff O\n")
+        argv = ["eval", "--gold", str(tmp_path / "gold.conll"),
+                "--pred", str(tmp_path / "pred.conll")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "UTF-8" in err and "Traceback" not in err
+    assert not (tmp_path / "m.zrx").exists()
 
 
 def test_pretrain_artifacts(workdir, pretrained_path):
@@ -448,6 +474,22 @@ def test_project_from_vec(workdir, tmp_path):
     assert residual == pytest.approx(eigs[2:].sum(), abs=1e-8)
 
 
+def test_project_tags_follow_the_conll_line_and_column_rule(tmp_path):
+    # a word may hold a no-break space or a "\r", in the table and the tags
+    vec = tmp_path / "t.vec"
+    vec.write_bytes("3 2\na\u00a0b 1 0\nc\rd 0 1\ne 1 1\n".encode())
+    tags = tmp_path / "tags.txt"
+    tags.write_bytes("a\u00a0b B-PER\nc\rd\tI-LOC\r\n\ne\n".encode())
+    out = tmp_path / "proj.csv"
+    code = main(["project", "--emb", str(vec), "--tags", str(tags),
+                 "--out", str(out)])
+    assert code == 0
+    with open(out, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [(r[0], r[3]) for r in rows] == [
+        ("a\u00a0b", "B-PER"), ("c\rd", "I-LOC"), ("e", "")]
+
+
 def test_project_2d_input_is_identity_up_to_rotation(tmp_path):
     vec = tmp_path / "two.vec"
     rng = np.random.default_rng(0)
@@ -676,3 +718,150 @@ def test_select_split_not_evaluated_exit_2(workdir, pretrained_path, tmp_path,
     for log in tmp_path.glob("run.log*"):
         assert log.read_text() == ""
     assert not list(tmp_path.glob("*.zrx"))
+
+
+# Every option of every subcommand, by the type its value parses to; a
+# "switch" takes no value.
+FLAG_SURFACE = {
+    "align": {
+        "str": "src-emb tgt-emb direction out dict-out log config",
+        "int": "seed refine-iters limit w-steps disc-steps batch-size "
+               "disc-hidden vocab-cap csls-k dict-top-n restarts",
+    },
+    "pretrain": {
+        "str": "train dev tgt-dev tgt-test src-emb tgt-emb mapper variant "
+               "scheme input-scheme select out log config",
+        "int": "token-col tag-col seed epochs batch-size eval-interval "
+               "char-dim char-hidden word-hidden head-hidden limit",
+        "float": "dropout lr0",
+        "switch": "constrained",
+    },
+    "finetune": {
+        "str": "checkpoint src-train tgt-train src-dev tgt-dev tgt-test "
+               "tgt-emb mapper select seeds input-scheme out manifest log "
+               "config",
+        "int": "rounds n-steps patience eval-interval token-col tag-col",
+    },
+    "tag": {
+        "str": "checkpoint input output language",
+        "int": "token-col seed",
+        "switch": "to-iob2",
+    },
+    "eval": {
+        "str": "gold pred scheme curve-out",
+        "int": "buckets token-col tag-col seed",
+    },
+    "project": {
+        "str": "emb checkpoint language tags out manifest",
+        "int": "limit seed",
+    },
+}
+
+
+def test_flag_surface_of_every_subcommand():
+    import argparse
+
+    from zrxner.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(FLAG_SURFACE)
+    total = 0
+    for command, parser in sub.choices.items():
+        got = {}
+        for action in parser._actions:
+            if action.option_strings == ["-h", "--help"]:
+                continue
+            kind = "switch" if action.nargs == 0 else (action.type or str).__name__
+            got.setdefault(kind, set()).update(
+                opt[2:] for opt in action.option_strings)
+            total += 1
+        want = {kind: set(names.split()) for kind, names in
+                FLAG_SURFACE[command].items()}
+        assert got == want, command
+    assert total == 90
+
+
+def _tiny_vec(path):
+    path.write_text("4 2\na 1 0\nb 0 1\nc 1 1\nd 1 -1\n")
+    return str(path)
+
+
+def test_align_config_flags_reach_the_mapper(tmp_path):
+    # every align config flag, at a value other than its default
+    flags = {"w-steps": "3", "disc-steps": "2", "batch-size": "4",
+             "disc-hidden": "5", "vocab-cap": "3", "csls-k": "2",
+             "dict-top-n": "2", "restarts": "2"}
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text("align.beta=0.02\nalign.w_steps=9\n")
+    out = tmp_path / "m.zrx"
+    code = main(["align", "--src-emb", _tiny_vec(tmp_path / "s.vec"),
+                 "--tgt-emb", _tiny_vec(tmp_path / "t.vec"), "--config",
+                 str(cfg), "--refine-iters", "0", "--out", str(out)]
+                + [arg for flag, value in flags.items()
+                   for arg in (f"--{flag}", value)])
+    assert code == 0
+    _, raw = load_mapper(str(out))
+    for flag, value in flags.items():
+        assert raw["align." + flag.replace("-", "_")] == value, flag
+    assert raw["align.beta"] == "0.02"  # the file value survives
+    assert len([key for key in raw if key.startswith("align.")]) == 16
+
+
+@pytest.fixture(scope="module")
+def flagged_pretrain(workdir):
+    """A pretrain run with every train config flag off its default: (the
+    checkpoint path, each flag's field and the value it embeds)."""
+    root = workdir["root"]
+    flags = {
+        "variant": ("variant", "source_mono"), "scheme": ("scheme", "IOB2"),
+        "select": ("selection", "tgt_dev"), "seed": ("seed", "3"),
+        "epochs": ("epochs", "1"), "batch-size": ("batch_size", "8"),
+        "eval-interval": ("eval_interval", "7"),
+        "dropout": ("dropout", "0.25"), "lr0": ("lr0", "0.05"),
+        "char-dim": ("char_dim", "4"), "char-hidden": ("char_hidden", "3"),
+        "word-hidden": ("word_hidden", "6"),
+        "head-hidden": ("head_hidden", "5"), "limit": ("emb_limit", "150"),
+    }
+    out = str(root / "flagged.zrx")
+    code = main(["pretrain", "--train", workdir["src_train"], "--dev",
+                 workdir["src_dev"], "--tgt-dev", workdir["tgt_dev"],
+                 "--src-emb", workdir["src_emb"], "--tgt-emb",
+                 workdir["tgt_emb"], "--input-scheme", "IOB2",
+                 "--constrained", "--out", out]
+                + [arg for flag, (_, value) in flags.items()
+                   for arg in (f"--{flag}", value)])
+    assert code == 0
+    flags["constrained"] = ("constrained_decoding", "True")
+    return out, flags
+
+
+def test_pretrain_config_flags_reach_the_checkpoint(flagged_pretrain):
+    path, flags = flagged_pretrain
+    raw = load_checkpoint(path)[0]
+    for flag, (name, value) in flags.items():
+        assert raw["train." + name] == value, flag
+    assert len([key for key in raw if key.startswith("train.")]) == 23
+
+
+def test_finetune_config_flags_reach_the_checkpoint(workdir, flagged_pretrain,
+                                                    tmp_path):
+    flags = {"select": ("selection", "src_dev"), "rounds": ("rounds", "1"),
+             "n-steps": ("n_steps", "2"), "patience": ("patience", "1"),
+             "eval-interval": ("eval_interval", "3")}
+    out = str(tmp_path / "ft")
+    code = main(["finetune", "--checkpoint", flagged_pretrain[0],
+                 "--src-train", workdir["src_train"], "--tgt-train",
+                 workdir["tgt_train"], "--src-dev", workdir["src_dev"],
+                 "--input-scheme", "IOB2", "--seeds", "4", "--out", out,
+                 "--manifest", str(tmp_path / "ft.json")]
+                + [arg for flag, (_, value) in flags.items()
+                   for arg in (f"--{flag}", value)])
+    assert code == 0
+    raw = load_checkpoint(out + ".seed4.zrx")[0]
+    manifest = json.loads((tmp_path / "ft.json").read_text())["config"]
+    for flag, (name, value) in flags.items():
+        assert raw["train." + name] == value, flag
+        assert manifest["train." + name] == value, flag
+    # what finetune was not told stays as pretrain embedded it
+    assert raw["train.word_hidden"] == "6" and raw["train.seed"] == "4"
