@@ -7,10 +7,16 @@ Layout (all integers little-endian):
   trailing 8-byte checksum (first 8 bytes of SHA-256 over everything before).
 
 Round trips are bit-exact per tensor; the checksum is verified on load.
-The config block is also the flat form of the run settings (FlatConfig).
+Saving and loading stream: each tensor goes between its array and the file
+CHUNK_BYTES at a time through the running checksum, so neither holds the
+file as one bytes object. The config block is also the flat form of the
+run settings (FlatConfig).
 """
 
 import hashlib
+import io
+import math
+import os
 import struct
 from dataclasses import fields
 
@@ -20,13 +26,15 @@ from .errors import CheckpointError, UsageError
 
 MAGIC = b"ZRXN"
 FORMAT_VERSION = 1
+CHECKSUM_BYTES = 8
+# Bytes of a tensor written, read or hashed in one call; loading a file
+# that fails its checksum reads the rest in pieces of this size.
+CHUNK_BYTES = 1 << 20
+# The most dimensions a NumPy array can have (NumPy 2).
+MAX_RANK = 64
 
 _DTYPE_TAGS = {np.dtype("<f4"): 0, np.dtype("<f8"): 1}
 _TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
-
-
-def _checksum(payload):
-    return hashlib.sha256(payload).digest()[:8]
 
 
 def config_to_text(config):
@@ -40,16 +48,17 @@ def config_to_text(config):
     return "\n".join(lines)
 
 
-def text_to_config(text):
+def text_to_config(text, error=CheckpointError):
     """Inverse of config_to_text. Lines end at "\n" only, the one line break
-    that config_to_text rejects, so values may hold any other."""
+    that config_to_text rejects, so values may hold any other. A line
+    without "=" raises `error`, naming the line."""
     config = {}
     for line in text.split("\n"):
         if not line:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise CheckpointError(f"malformed config line {line!r}")
+            raise error(f"malformed config line {line!r}")
         config[key] = value
     return config
 
@@ -98,77 +107,177 @@ class FlatConfig:
                     f"{self.PREFIX}.{name} must be {rule}, got {getattr(self, name)}")
 
 
+class _Malformed(Exception):
+    """A structural fault in a checkpoint; load_checkpoint raises it as a
+    CheckpointError only once the checksum over the whole file has passed."""
+
+
+def _byte_chunks(arr):
+    """Consecutive pieces of at most CHUNK_BYTES of the memory of a
+    C-contiguous array, as views that share it."""
+    view = memoryview(arr.reshape(-1).view(np.uint8))
+    for lo in range(0, len(view), CHUNK_BYTES):
+        yield view[lo : lo + CHUNK_BYTES]
+
+
+def _file_array(value):
+    """value as the C-contiguous little-endian f32 or f64 array the file
+    stores (any other dtype becomes f64); a view where value already is."""
+    arr = np.asarray(value)
+    if arr.dtype not in _DTYPE_TAGS:
+        arr = arr.astype(np.float64)
+    return np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
+
+
 def save_checkpoint(path, config, tensors):
-    """Write config (dict of str->str-able) and named float arrays."""
-    parts = [MAGIC, struct.pack("<H", FORMAT_VERSION)]
+    """Write config (dict of str->str-able) and named float arrays.
+
+    Every entry is encoded and checked before the file is created, so a
+    refused input leaves no file. Then the header and each tensor's buffer
+    go to the file and the checksum CHUNK_BYTES at a time: beside its
+    inputs, saving holds only tensors that are not already C-contiguous
+    little-endian f32 or f64.
+    """
     config_bytes = config_to_text(config).encode("utf-8")
-    parts.append(struct.pack("<I", len(config_bytes)))
-    parts.append(config_bytes)
-    parts.append(struct.pack("<I", len(tensors)))
+    entries = []
     for name in sorted(tensors):
-        arr = np.asarray(tensors[name])
-        if arr.dtype not in _DTYPE_TAGS:
-            arr = arr.astype(np.float64)
-        arr = np.ascontiguousarray(arr)
+        arr = _file_array(tensors[name])
         name_bytes = name.encode("utf-8")
-        parts.append(struct.pack("<I", len(name_bytes)))
-        parts.append(name_bytes)
-        parts.append(struct.pack("<I", arr.ndim))
-        for dim in arr.shape:
-            parts.append(struct.pack("<I", dim))
-        parts.append(struct.pack("<B", _DTYPE_TAGS[arr.dtype.newbyteorder("<")]))
-        parts.append(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
-    payload = b"".join(parts)
+        header = struct.pack(f"<I{len(name_bytes)}sI{arr.ndim}IB", len(name_bytes),
+                             name_bytes, arr.ndim, *arr.shape,
+                             _DTYPE_TAGS[arr.dtype])
+        entries.append((header, arr))
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(payload)
-        fh.write(_checksum(payload))
+
+        def put(data):
+            fh.write(data)
+            digest.update(data)
+
+        put(MAGIC + struct.pack("<HI", FORMAT_VERSION, len(config_bytes)))
+        put(config_bytes)
+        put(struct.pack("<I", len(entries)))
+        for header, arr in entries:
+            put(header)
+            for chunk in _byte_chunks(arr):
+                put(chunk)
+        fh.write(digest.digest()[:CHECKSUM_BYTES])
+
+
+class _PayloadReader:
+    """Reads the payload of an open checkpoint (every byte before the
+    checksum) in order, feeding each byte to the running checksum. A read
+    that would pass the end of the payload raises _Malformed before
+    anything is read or allocated for it."""
+
+    def __init__(self, fh, size):
+        self.fh, self.left = fh, size
+        self.digest = hashlib.sha256()
+
+    def _check_fits(self, n, what):
+        if n > self.left:
+            raise _Malformed(f"truncated {what}")
+
+    def read(self, n, what):
+        self._check_fits(n, what)
+        self.left -= n
+        data = self.fh.read(n)
+        self.digest.update(data)
+        if len(data) != n:  # the file shrank while being read
+            raise _Malformed(f"truncated {what}")
+        return data
+
+    def unpack(self, fmt, what):
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
+
+    def text(self, n, what):
+        try:
+            return self.read(n, what).decode("utf-8")
+        except UnicodeDecodeError:
+            raise _Malformed(f"{what} is not valid UTF-8") from None
+
+    def tensor(self, shape, dtype):
+        """A new array of shape and dtype filled from the payload."""
+        n_bytes = math.prod(shape) * dtype.itemsize
+        self._check_fits(n_bytes, "tensor data")
+        try:
+            arr = np.empty(shape, dtype)
+        except ValueError:  # NumPy before 2.0 allows 32 dimensions
+            raise _Malformed(f"tensor rank {len(shape)} is not supported") from None
+        self.left -= n_bytes
+        for part in _byte_chunks(arr):
+            got = self.fh.readinto(part)
+            self.digest.update(part[:got])
+            if got != len(part):
+                raise _Malformed("truncated tensor data")
+        return arr
+
+    def checksum(self):
+        """The checksum of the whole payload, reading (CHUNK_BYTES at a
+        time) whatever of it is still unread."""
+        while self.left:
+            data = self.fh.read(min(self.left, CHUNK_BYTES))
+            if not data:
+                break
+            self.digest.update(data)
+            self.left -= len(data)
+        return self.digest.digest()[:CHECKSUM_BYTES]
+
+
+def _read_payload(reader):
+    if reader.read(len(MAGIC), "header") != MAGIC:
+        raise _Malformed("bad magic bytes")
+    (version,) = reader.unpack("<H", "header")
+    if version != FORMAT_VERSION:
+        raise _Malformed(
+            f"unsupported checkpoint version {version} (expected {FORMAT_VERSION})"
+        )
+    (config_len,) = reader.unpack("<I", "header")
+    config = text_to_config(reader.text(config_len, "config block"),
+                            error=_Malformed)
+    (count,) = reader.unpack("<I", "header")
+    tensors = {}
+    for _ in range(count):
+        (name_len,) = reader.unpack("<I", "tensor header")
+        name = reader.text(name_len, "tensor name")
+        (rank,) = reader.unpack("<I", "tensor header")
+        if rank > MAX_RANK:
+            raise _Malformed(f"tensor rank {rank} is not supported")
+        shape = struct.unpack(f"<{rank}I", reader.read(4 * rank, "tensor shape"))
+        (tag,) = reader.unpack("<B", "tensor header")
+        if tag not in _TAG_DTYPES:
+            raise _Malformed(f"unknown dtype tag {tag}")
+        tensors[name] = reader.tensor(shape, _TAG_DTYPES[tag])
+    if reader.left:
+        raise _Malformed("trailing bytes after tensor section")
+    return config, tensors
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (config dict, dict of name -> array)."""
+    """Read a checkpoint; returns (config dict, dict of name -> array).
+
+    Streams the file once, reading each tensor straight into its array and
+    hashing as it goes, so loading holds the tensors and no copy of them. A
+    tensor is allocated only after its bytes are known to fit in what is
+    left of the file. The checksum decides first: a file that fails it
+    raises "checksum mismatch" whatever else is wrong with it, and only a
+    file that passes it gets a structural error.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(MAGIC) + 2 + 8:
-        raise CheckpointError("file too short to be a checkpoint")
-    payload, stored = blob[:-8], blob[-8:]
-    if _checksum(payload) != stored:
-        raise CheckpointError("checksum mismatch: file is corrupt")
-    if payload[:4] != MAGIC:
-        raise CheckpointError("bad magic bytes")
-    offset = 4
-    (version,) = struct.unpack_from("<H", payload, offset)
-    offset += 2
-    if version != FORMAT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {version} (expected {FORMAT_VERSION})"
-        )
-    (config_len,) = struct.unpack_from("<I", payload, offset)
-    offset += 4
-    config = text_to_config(payload[offset : offset + config_len].decode("utf-8"))
-    offset += config_len
-    (count,) = struct.unpack_from("<I", payload, offset)
-    offset += 4
-    tensors = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", payload, offset)
-        offset += 4
-        name = payload[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<I", payload, offset)
-        offset += 4
-        shape = struct.unpack_from(f"<{rank}I", payload, offset)
-        offset += 4 * rank
-        (tag,) = struct.unpack_from("<B", payload, offset)
-        offset += 1
-        if tag not in _TAG_DTYPES:
-            raise CheckpointError(f"unknown dtype tag {tag}")
-        dtype = _TAG_DTYPES[tag]
-        n_bytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        data = payload[offset : offset + n_bytes]
-        if len(data) != n_bytes:
-            raise CheckpointError("truncated tensor data")
-        offset += n_bytes
-        tensors[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
-    if offset != len(payload):
-        raise CheckpointError("trailing bytes after tensor section")
-    return config, tensors
+        if not fh.seekable():  # a pipe: its size is known once it is read
+            fh = io.BytesIO(fh.read())
+        size = fh.seek(0, os.SEEK_END)
+        fh.seek(0)
+        if size < len(MAGIC) + 2 + CHECKSUM_BYTES:
+            raise CheckpointError("file too short to be a checkpoint")
+        reader = _PayloadReader(fh, size - CHECKSUM_BYTES)
+        fault = None
+        try:
+            result = _read_payload(reader)
+        except _Malformed as exc:
+            fault = str(exc)
+        if reader.checksum() != fh.read(CHECKSUM_BYTES):
+            raise CheckpointError("checksum mismatch: file is corrupt")
+    if fault is not None:
+        raise CheckpointError(fault)
+    return result

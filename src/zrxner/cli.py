@@ -65,7 +65,7 @@ def _read_config_file(path):
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        return text_to_config(fh.read())
+        return text_to_config(fh.read(), error=UsageError)
 
 
 def _config(cls, file_cfg, args):

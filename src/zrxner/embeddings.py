@@ -24,10 +24,15 @@ _C_PARSER_DIFFERS = "\r\x1c\x1d\x1e\x1f"
 
 
 class EmbeddingTable:
-    """Frequency-ordered vocabulary with one float64 row per word."""
+    """Frequency-ordered vocabulary with one row per word. Rows are stored
+    as float32 when given as float32 (a table loaded from a checkpoint) and
+    as float64 otherwise; the tagger and apply_mapper widen float32 rows to
+    float64, which is exact."""
 
     def __init__(self, words, vectors, language=""):
-        vectors = np.asarray(vectors, dtype=np.float64)
+        vectors = np.asarray(vectors)
+        if vectors.dtype != np.float32:
+            vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2 or len(words) != vectors.shape[0]:
             raise UsageError("words and vectors disagree")
         if len(set(words)) != len(words):
@@ -235,4 +240,5 @@ def apply_mapper(table, w):
         raise UsageError(
             f"mapper shape {w.shape} does not match dimension {table.dim}"
         )
-    return EmbeddingTable(table.words, table.vectors @ w.T, table.language)
+    vectors = np.asarray(table.vectors, dtype=np.float64)
+    return EmbeddingTable(table.words, vectors @ w.T, table.language)

@@ -2,9 +2,11 @@
 checkpoint container.
 
 Trainable tensors are stored in float64 (bit-exact round trips); frozen
-embedding tables are stored in float32. Vocabulary lists ride in the flat
-config block: words are whitespace-free by construction, characters are
-stored as one string in index order.
+embedding tables are stored in float32 and load as float32 tables, which
+the readers of their rows widen to float64 exactly. A table that is already
+float32 is saved without a copy. Vocabulary lists ride in the flat config
+block: words are whitespace-free by construction, characters are stored as
+one string in index order.
 """
 
 from dataclasses import replace
@@ -84,7 +86,7 @@ def save_model(path, model, train_config, tables, extra_config=None):
             continue
         config[f"emb.{lang}.words"] = " ".join(table.words)
         config[f"emb.{lang}.language"] = table.language
-        tensors[f"emb.{lang}.vectors"] = table.vectors.astype(np.float32)
+        tensors[f"emb.{lang}.vectors"] = np.asarray(table.vectors, np.float32)
     save_checkpoint(path, config, tensors)
 
 
@@ -114,7 +116,7 @@ def load_model(path):
         lang = key[len("emb.") : -len(".vectors")]
         tables[lang] = EmbeddingTable(
             config[f"emb.{lang}.words"].split(" "),
-            tensors[key].astype(np.float64),
+            tensors[key],
             config.get(f"emb.{lang}.language", lang),
         )
     return model, train_config, tables, config

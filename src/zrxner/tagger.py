@@ -508,7 +508,9 @@ class PreparedSentence:
 
     @property
     def word_vecs(self):
-        vecs = self.table.vectors[self.rows]
+        """(m, dim) float64 rows of the tokens, widened from the table's
+        storage dtype."""
+        vecs = self.table.vectors[self.rows].astype(np.float64, copy=False)
         vecs[self.rows < 0] = 0.0
         return vecs
 

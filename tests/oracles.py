@@ -611,3 +611,102 @@ def normalize_table(table):
     norms = np.linalg.norm(table.vectors, axis=1, keepdims=True)
     norms[norms == 0] = 1.0  # zero rows untouched
     return EmbeddingTable(table.words, table.vectors / norms, table.language)
+
+
+# ---------------------------------------------------------------------------
+# Checkpoint container
+
+
+def save_checkpoint(path, config, tensors):
+    """The checkpoint writer that builds the whole file as one bytes object:
+    the reference for the streaming writer, which must write the same bytes
+    or refuse the same input."""
+    import hashlib
+    import struct
+
+    from zrxner.checkpoint import FORMAT_VERSION, MAGIC, config_to_text
+
+    dtype_tags = {np.dtype("<f4"): 0, np.dtype("<f8"): 1}
+    parts = [MAGIC, struct.pack("<H", FORMAT_VERSION)]
+    config_bytes = config_to_text(config).encode("utf-8")
+    parts.append(struct.pack("<I", len(config_bytes)))
+    parts.append(config_bytes)
+    parts.append(struct.pack("<I", len(tensors)))
+    for name in sorted(tensors):
+        arr = np.asarray(tensors[name])
+        if arr.dtype not in dtype_tags:
+            arr = arr.astype(np.float64)
+        arr = np.ascontiguousarray(arr)
+        name_bytes = name.encode("utf-8")
+        parts.append(struct.pack("<I", len(name_bytes)))
+        parts.append(name_bytes)
+        parts.append(struct.pack("<I", arr.ndim))
+        for dim in arr.shape:
+            parts.append(struct.pack("<I", dim))
+        parts.append(struct.pack("<B", dtype_tags[arr.dtype.newbyteorder("<")]))
+        parts.append(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
+    payload = b"".join(parts)
+    with open(path, "wb") as fh:
+        fh.write(payload)
+        fh.write(hashlib.sha256(payload).digest()[:8])
+
+
+def load_checkpoint(path):
+    """The checkpoint reader that holds the whole file and checks the
+    checksum before parsing it: the reference for the streaming reader,
+    which must return the same config and tensor bits or raise the same
+    error (a read past the end of the file, or a name or config block that
+    is not UTF-8, raises struct.error or UnicodeDecodeError here)."""
+    import hashlib
+    import struct
+
+    from zrxner.checkpoint import FORMAT_VERSION, MAGIC, text_to_config
+    from zrxner.errors import CheckpointError
+
+    tag_dtypes = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if len(blob) < len(MAGIC) + 2 + 8:
+        raise CheckpointError("file too short to be a checkpoint")
+    payload, stored = blob[:-8], blob[-8:]
+    if hashlib.sha256(payload).digest()[:8] != stored:
+        raise CheckpointError("checksum mismatch: file is corrupt")
+    if payload[:4] != MAGIC:
+        raise CheckpointError("bad magic bytes")
+    offset = 4
+    (version,) = struct.unpack_from("<H", payload, offset)
+    offset += 2
+    if version != FORMAT_VERSION:
+        raise CheckpointError(
+            f"unsupported checkpoint version {version} (expected {FORMAT_VERSION})"
+        )
+    (config_len,) = struct.unpack_from("<I", payload, offset)
+    offset += 4
+    config = text_to_config(payload[offset : offset + config_len].decode("utf-8"))
+    offset += config_len
+    (count,) = struct.unpack_from("<I", payload, offset)
+    offset += 4
+    tensors = {}
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<I", payload, offset)
+        offset += 4
+        name = payload[offset : offset + name_len].decode("utf-8")
+        offset += name_len
+        (rank,) = struct.unpack_from("<I", payload, offset)
+        offset += 4
+        shape = struct.unpack_from(f"<{rank}I", payload, offset)
+        offset += 4 * rank
+        (tag,) = struct.unpack_from("<B", payload, offset)
+        offset += 1
+        if tag not in tag_dtypes:
+            raise CheckpointError(f"unknown dtype tag {tag}")
+        dtype = tag_dtypes[tag]
+        n_bytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        data = payload[offset : offset + n_bytes]
+        if len(data) != n_bytes:
+            raise CheckpointError("truncated tensor data")
+        offset += n_bytes
+        tensors[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+    if offset != len(payload):
+        raise CheckpointError("trailing bytes after tensor section")
+    return config, tensors

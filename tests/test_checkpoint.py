@@ -1,3 +1,9 @@
+import hashlib
+import math
+import os
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +13,9 @@ from zrxner.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from zrxner.errors import CheckpointError
+from zrxner.errors import CheckpointError, UsageError
+
+import oracles
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -78,3 +86,307 @@ def test_deterministic_bytes(tmp_path):
     save_checkpoint(p1, {"a": 1, "b": "two"}, tensors)
     save_checkpoint(p2, {"b": "two", "a": 1}, tensors)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# The streaming writer and reader against the whole-file ones in oracles.py
+
+# characters a config line may hold beside "\n" and "=" (which it may not)
+CONFIG_CHARS = ["a", "Z", "0", ".", " ", "\u2028", "\x85", "\r", "\x1c",
+                "\x00", "\U0001F600", "\u00e9", "\t"]
+SPECIALS = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-310, 1.5e-45]
+
+
+def _random_text(rng, allowed, max_len=6):
+    return "".join(allowed[i] for i in rng.integers(0, len(allowed),
+                                                    rng.integers(0, max_len)))
+
+
+def _random_config(rng):
+    chars = CONFIG_CHARS + (["\n", "="] if rng.random() < 0.15 else [])
+    config = {}
+    for _ in range(rng.integers(0, 5)):
+        config[_random_text(rng, chars)] = _random_text(rng, chars)
+    return config
+
+
+def _random_tensor(rng):
+    rank = int(rng.integers(0, 4))
+    shape = tuple(int(d) for d in rng.integers(0, 4, rank))
+    dtype = [np.float32, np.float64][rng.integers(0, 2)]
+    arr = rng.normal(size=shape).astype(dtype)
+    flat = arr.reshape(-1)
+    for i in range(flat.size):
+        if rng.random() < 0.3:
+            flat[i] = SPECIALS[rng.integers(0, len(SPECIALS))]
+    if flat.size and rng.random() < 0.3:  # a NaN with a payload
+        bits = flat.view(np.uint32 if dtype == np.float32 else np.uint64)
+        bits[0] = 0x7FC00123 if dtype == np.float32 else 0x7FF8000000000123
+    kind = rng.integers(0, 9)
+    if rank == 0 and kind == 0:
+        return dtype(arr[()])  # a NumPy scalar
+    if kind == 1:  # stored as f64
+        return arr.astype([">f8", ">f4", np.float16][rng.integers(0, 3)])
+    if kind == 2:
+        return rng.integers(-9, 9, shape).astype(np.int32)
+    if kind == 3:
+        return arr.T  # not C-contiguous from rank 2
+    if kind == 4:
+        return arr.tolist()
+    return arr
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except Exception as exc:  # compared by type and message below
+        return None, exc
+
+
+def test_writer_matches_whole_file_writer(tmp_path):
+    rng = np.random.default_rng(20261019)
+    refused = 0
+    for case in range(300):
+        config = _random_config(rng)
+        names = CONFIG_CHARS + ["\n", "="]
+        tensors = {_random_text(rng, names): _random_tensor(rng)
+                   for _ in range(rng.integers(0, 4))}
+        new, old = tmp_path / f"new{case}.zrx", tmp_path / f"old{case}.zrx"
+        _, new_exc = _outcome(save_checkpoint, new, config, tensors)
+        _, old_exc = _outcome(oracles.save_checkpoint, old, config, tensors)
+        if old_exc is not None:
+            assert isinstance(old_exc, UsageError)
+            assert type(new_exc) is type(old_exc)
+            assert str(new_exc) == str(old_exc)
+            assert not new.exists()
+            refused += 1
+            continue
+        assert new_exc is None, new_exc
+        assert new.read_bytes() == old.read_bytes(), case
+        got_config, got = load_checkpoint(new)
+        want_config, want = oracles.load_checkpoint(old)
+        _assert_same_load((got_config, got), (want_config, want))
+    assert 10 < refused < 150
+
+
+def _assert_same_load(got, want):
+    got_config, got_tensors = got
+    want_config, want_tensors = want
+    assert got_config == want_config
+    assert list(got_tensors) == list(want_tensors)
+    for name, arr in want_tensors.items():
+        assert got_tensors[name].dtype == arr.dtype
+        assert got_tensors[name].shape == arr.shape
+        assert got_tensors[name].tobytes() == arr.tobytes()  # NaN bits too
+
+
+def _signed(payload):
+    return bytes(payload) + hashlib.sha256(bytes(payload)).digest()[:8]
+
+
+def _header_fields(payload):
+    """(offset, struct format) of every integer header field of a valid
+    payload, in file order."""
+    spots = [(4, "<H"), (6, "<I")]
+    (config_len,) = struct.unpack_from("<I", payload, 6)
+    offset = 10 + config_len
+    spots.append((offset, "<I"))
+    (count,) = struct.unpack_from("<I", payload, offset)
+    offset += 4
+    for _ in range(count):
+        spots.append((offset, "<I"))
+        offset += 4 + struct.unpack_from("<I", payload, offset)[0]
+        spots.append((offset, "<I"))
+        (rank,) = struct.unpack_from("<I", payload, offset)
+        offset += 4
+        spots.extend((offset + 4 * i, "<I") for i in range(rank))
+        shape = struct.unpack_from(f"<{rank}I", payload, offset)
+        offset += 4 * rank
+        spots.append((offset, "<B"))
+        offset += 1 + math.prod(shape) * (4, 8)[payload[offset]]
+    return spots
+
+
+# structural errors whose message the streaming reader changes on purpose:
+# the whole-file reader ran past the end of its buffer (struct.error, or a
+# reshape ValueError after an int64 overflow), read a shape of more than 64
+# dimensions, or raised UnicodeDecodeError
+REWORDED = ("truncated header", "truncated config block", "truncated tensor header",
+            "truncated tensor name", "truncated tensor shape",
+            "config block is not valid UTF-8", "tensor name is not valid UTF-8")
+
+
+def _reworded(message):
+    return message in REWORDED or message.startswith("tensor rank ")
+
+
+def _assert_loads_alike(path):
+    got, new_exc = _outcome(load_checkpoint, path)
+    want, old_exc = _outcome(oracles.load_checkpoint, path)
+    if old_exc is None:
+        assert new_exc is None, new_exc
+        _assert_same_load(got, want)
+        return None
+    assert isinstance(new_exc, CheckpointError), (old_exc, new_exc)
+    message = str(new_exc)
+    if isinstance(old_exc, CheckpointError) and not _reworded(message):
+        assert message == str(old_exc)
+    elif not isinstance(old_exc, CheckpointError):
+        assert isinstance(old_exc, (struct.error, UnicodeDecodeError, ValueError))
+        assert _reworded(message) or message == "truncated tensor data", \
+            (old_exc, message)
+    return message
+
+
+def _small_checkpoint(path):
+    save_checkpoint(path, {"a": "1", "k": "v\u2028w", "\U0001F600": ""}, {
+        "w": np.arange(6, dtype=np.float64).reshape(2, 3),
+        "e": np.array([1.5, -0.0], dtype=np.float32),
+        "s": np.float64(np.nan),
+    })
+    return path.read_bytes()
+
+
+def test_reader_matches_whole_file_reader_on_damaged_files(tmp_path):
+    blob = _small_checkpoint(tmp_path / "ok.zrx")
+    payload = blob[:-8]
+    path = tmp_path / "m.zrx"
+    variants = []
+    for cut in range(len(blob)):  # every truncation, raw and re-signed
+        variants.append(blob[:cut])
+        variants.append(_signed(payload[:cut]))
+    for extra in (b"\x00", b"xyz" * 5):  # appended, raw and re-signed
+        variants.append(blob + extra)
+        variants.append(_signed(payload + extra))
+    rng = np.random.default_rng(7)
+    for _ in range(200):  # byte flips, raw and re-signed
+        damaged = bytearray(blob)
+        damaged[rng.integers(0, len(blob))] ^= int(rng.integers(1, 256))
+        variants.append(bytes(damaged))
+        variants.append(_signed(damaged[:-8]))
+    for offset, fmt in _header_fields(payload):  # rewritten header fields
+        (value,) = struct.unpack_from(fmt, payload, offset)
+        top = 2 ** (8 * struct.calcsize(fmt)) - 1
+        for new in {0, 1, 2, 3, 65, value - 1, value + 1, 2**31, top} - {value}:
+            if 0 <= new <= top:
+                damaged = bytearray(payload)
+                struct.pack_into(fmt, damaged, offset, new)
+                variants.append(_signed(damaged))
+    name = _header_fields(payload)[3][0] + 4  # the first tensor's name
+    for where, bad in [(10, b"\xff"), (10, b"a\xc3"), (10, b"\xed\xa0\x80"),
+                       (name, b"\xff"), (name, b"\x80")]:  # not UTF-8
+        variants.append(_signed(payload[:where] + bad + payload[where + len(bad):]))
+    messages = {}
+    for data in variants:
+        path.write_bytes(data)
+        message = _assert_loads_alike(path)
+        messages[message] = messages.get(message, 0) + 1
+    # the damage reaches every check of the reader
+    for expected in ("checksum mismatch: file is corrupt", "bad magic bytes",
+                     "truncated tensor data", "trailing bytes after tensor section",
+                     "file too short to be a checkpoint", "truncated header",
+                     "truncated tensor name", "truncated tensor shape",
+                     "config block is not valid UTF-8",
+                     "tensor name is not valid UTF-8"):
+        assert messages.get(expected), (expected, messages)
+    assert any(m and m.startswith("unknown dtype tag") for m in messages)
+    assert any(m and m.startswith("unsupported checkpoint version") for m in messages)
+    assert any(m and m.startswith("malformed config line") for m in messages)
+    assert None in messages  # some rewrites still load, and load alike
+
+
+def _rewritten(path, field, value):
+    """path's checkpoint with one header field set to value and the checksum
+    recomputed, so only the structural check can refuse it."""
+    payload = bytearray(path.read_bytes()[:-8])
+    offset, fmt = _header_fields(payload)[field]
+    struct.pack_into(fmt, payload, offset, value)
+    path.write_bytes(_signed(payload))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    (1, 2**31, "truncated config block"),
+    (2, 2**32 - 1, "truncated tensor header"),
+    (3, 2**31, "truncated tensor name"),  # the first tensor's name length
+    (4, 2**31, "tensor rank 2147483648 is not supported"),  # its rank
+    (4, 64, "truncated tensor shape"),
+    (5, 2**31, "truncated tensor data"),  # its only dimension
+    (4, 65, "tensor rank 65 is not supported"),
+])
+def test_overrun_raises_checkpoint_error_without_allocating(tmp_path, field,
+                                                            value, message):
+    path = tmp_path / "m.zrx"
+    save_checkpoint(path, {"k": "v"}, {"t": np.ones(3)})
+    _rewritten(path, field, value)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == message
+    assert peak < path.stat().st_size + (64 << 10)
+
+
+@pytest.mark.parametrize("rank", [64, 65, 70])
+def test_rank_beyond_numpy_is_a_checkpoint_error(tmp_path, rank):
+    # a tensor of zero size and any rank fits the file; NumPy holds at most 64
+    path = tmp_path / "m.zrx"
+    tensor = struct.pack(f"<I1sI{rank}IB", 1, b"t", rank, 0, *[1] * (rank - 1), 1)
+    payload = (MAGIC + struct.pack("<HI", FORMAT_VERSION, 0)
+               + struct.pack("<I", 1) + tensor)
+    path.write_bytes(_signed(payload))
+    if rank <= 64:
+        assert load_checkpoint(path)[1]["t"].shape == (0,) + (1,) * (rank - 1)
+        return
+    with pytest.raises(CheckpointError, match=f"tensor rank {rank} is not supported"):
+        load_checkpoint(path)
+    with pytest.raises(ValueError):  # the whole-file reader's traceback
+        oracles.load_checkpoint(path)
+
+
+def test_structural_fault_in_a_corrupt_file_reports_the_checksum(tmp_path):
+    path = tmp_path / "m.zrx"
+    save_checkpoint(path, {"k": "v"}, {"t": np.ones(3)})
+    _rewritten(path, 4, 2**31)
+    blob = bytearray(path.read_bytes())
+    blob[-1] ^= 1
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="checksum mismatch"):
+        load_checkpoint(path)
+
+
+def test_save_memory_is_bounded_by_the_largest_tensor(tmp_path):
+    rng = np.random.default_rng(0)
+    tensors = {"emb.src.vectors": rng.normal(size=(20000, 300)).astype(np.float32),
+               "w": rng.normal(size=(400, 400)), "b": rng.normal(size=(400,))}
+    largest = max(arr.nbytes for arr in tensors.values())
+    tracemalloc.start()  # the inputs exist already and are not counted
+    try:
+        save_checkpoint(tmp_path / "m.zrx", {"k": "v"}, tensors)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= largest + (1 << 20)
+    assert (tmp_path / "m.zrx").read_bytes() == _oracle_bytes(tmp_path, tensors)
+
+
+def _oracle_bytes(tmp_path, tensors):
+    oracles.save_checkpoint(tmp_path / "oracle.zrx", {"k": "v"}, tensors)
+    return (tmp_path / "oracle.zrx").read_bytes()
+
+
+def test_checkpoint_read_from_a_pipe(tmp_path):
+    blob = _small_checkpoint(tmp_path / "m.zrx")
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, blob)  # fits in the pipe's buffer
+        os.close(write_end)
+        write_end = None
+        got = load_checkpoint(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+        if write_end is not None:
+            os.close(write_end)
+    _assert_same_load(got, load_checkpoint(tmp_path / "m.zrx"))

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from zrxner.checkpoint import load_checkpoint
+from zrxner.checkpoint import load_checkpoint, save_checkpoint
 from zrxner.cli import _load_table, _read_dataset, main
 from zrxner.corpus import IOB2, read_conll
 from zrxner.embeddings import EmbeddingTable, write_vec_text
@@ -343,6 +343,46 @@ def test_finetune_version_mismatch_exit_3(workdir, pretrained_path, tmp_path):
         "--out", str(tmp_path / "o"),
     ])
     assert code == 3
+
+
+@pytest.mark.parametrize("offset, message", [
+    (14, "truncated tensor name"), (19, "tensor rank 2147483648 is not supported")])
+def test_checkpoint_field_past_the_end_exit_3(tmp_path, capsys, offset, message):
+    # a checksum-valid file whose name length or rank is 2**31; offsets
+    # 14 and 19 are those fields of the one tensor when the config is empty
+    import hashlib
+
+    path = tmp_path / "m.zrx"
+    save_checkpoint(path, {}, {"t": np.ones(2)})
+    payload = bytearray(path.read_bytes()[:-8])
+    payload[offset:offset + 4] = (2**31).to_bytes(4, "little")
+    path.write_bytes(bytes(payload) + hashlib.sha256(payload).digest()[:8])
+    code = main(["project", "--checkpoint", str(path), "--out",
+                 str(tmp_path / "p.csv")])
+    assert code == 3
+    assert capsys.readouterr().err == f"artifact error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["align", "pretrain", "finetune"])
+def test_malformed_config_line_exit_2(workdir, pretrained_path, tmp_path,
+                                      capsys, command):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("garbage\n")
+    inputs = {
+        "align": ["--src-emb", workdir["src_emb"], "--tgt-emb",
+                  workdir["tgt_emb"]],
+        "pretrain": ["--train", workdir["src_train"], "--dev",
+                     workdir["src_dev"], "--src-emb", workdir["src_emb"],
+                     "--variant", "source_mono"],
+        "finetune": ["--checkpoint", pretrained_path, "--src-train",
+                     workdir["src_train"], "--tgt-train", workdir["tgt_train"],
+                     "--src-dev", workdir["src_dev"]],
+    }[command]
+    code = main([command, *inputs, "--config", str(cfg), "--out",
+                 str(tmp_path / "out.zrx")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: malformed config line 'garbage'\n"
+    assert not list(tmp_path.glob("out*"))
 
 
 def test_tag_round_trip_and_eval_consistency(workdir, pretrain_run,

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from zrxner.align import LinearMapper
 from zrxner.checkpoint import load_checkpoint, save_checkpoint
 from zrxner.corpus import IOB2
-from zrxner.embeddings import EmbeddingTable
+from zrxner.embeddings import EmbeddingTable, apply_mapper
 from zrxner.errors import CheckpointError
 from zrxner.numeric import Rng
 from zrxner.persist import (
@@ -136,3 +138,68 @@ def test_vocabulary_with_line_break_character_round_trips(tmp_path, ch):
     loaded, _, tables, _ = load_model(tmp_path / "m.zrx")
     assert tables["src"].words == table.words
     assert loaded.char_vocab == chars
+
+
+def _two_table_checkpoint(path, rows=20000, dim=300):
+    config = TrainingConfig(
+        scheme=IOB2, char_dim=4, char_hidden=4, word_hidden=6, head_hidden=4
+    )
+    model = Tagger(config.tagger_config(dim, ["O", "B-PER"]), CHARS, Rng(0))
+    model.add_target_encoder(Rng(1))
+    rng = np.random.default_rng(4)
+    tables = {lang: EmbeddingTable([f"{lang}{i}" for i in range(rows)],
+                                   rng.normal(size=(rows, dim)), lang)
+              for lang in ("src", "tgt")}
+    save_model(path, model, config, tables)
+    return tables
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_model_memory_is_the_stored_tensors_plus_the_vocabulary(tmp_path):
+    path = tmp_path / "m.zrx"
+    tables = _two_table_checkpoint(path)
+    _, stored = load_checkpoint(path)
+    stored_bytes = sum(arr.nbytes for arr in stored.values())
+    del stored
+    # the words, their index and lowercase maps, built without any rows
+    vocab, vocab_bytes = _traced_peak(lambda: [
+        EmbeddingTable(t.words, np.zeros((len(t), 0), np.float32))
+        for t in tables.values()])
+    del vocab, tables
+    (model, _, loaded, _), peak = _traced_peak(load_model, path)
+    assert peak <= stored_bytes + vocab_bytes + (16 << 20)
+    assert {t.vectors.dtype for t in loaded.values()} == {np.dtype(np.float32)}
+    # saving a loaded float32 table again copies no table
+    _, save_peak = _traced_peak(save_model, tmp_path / "again.zrx", model,
+                                TrainingConfig(scheme=IOB2), loaded)
+    assert save_peak < loaded["src"].vectors.nbytes // 2
+
+
+def test_loaded_float32_rows_widen_exactly(tmp_path):
+    path = tmp_path / "m.zrx"
+    _two_table_checkpoint(path, rows=50, dim=5)
+    model, _, tables, _ = load_model(path)
+    table = tables["tgt"]
+    assert table.vectors.dtype == np.float32
+    widened = EmbeddingTable(table.words, table.vectors.astype(np.float64),
+                             table.language)  # what loading used to build
+    tokens = ["tgt3", "TGT7", "unknown", "tgt49", "tgt3"]
+    got = model.prepare(table, tokens).word_vecs
+    want = model.prepare(widened, tokens).word_vecs
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    assert not got[2].any()  # the out-of-table word
+    w = np.random.default_rng(5).normal(size=(5, 5))
+    assert apply_mapper(table, w).vectors.tobytes() == \
+        apply_mapper(widened, w).vectors.tobytes()
+    np.testing.assert_array_equal(
+        predict(model, "tgt", table, [tokens]),
+        predict(model, "tgt", widened, [tokens]))
