@@ -164,7 +164,8 @@ def orthogonalize(w, beta):
 
 def _play_game(x_rows, y_rows, rng, config, criterion, log):
     """One full adversarial game; returns (best W of the game, its criterion
-    score, discriminator). Each W is scored at most once."""
+    score or None where nothing compared it, discriminator). Each W is
+    scored at most once."""
     dim = x_rows.shape[1]
     w = np.eye(dim)
     disc = Discriminator(dim, config.disc_hidden, rng)
@@ -215,10 +216,11 @@ def _play_game(x_rows, y_rows, rng, config, criterion, log):
                 bce = targets * _softplus(-z_disc) + (1 - targets) * _softplus(z_disc)
                 d_loss = float(bce[:b].mean() + bce[b:].mean())
             log.append((step, d_loss, float(_softplus(-cache[2]).mean())))
-    if score is None:  # the last step was not scored in the loop
-        score = criterion(w)
-    if score < best_score:
-        return best_w, best_score, disc
+    if best_w is not None:  # the final W competes with a snapshot
+        if score is None:  # the last step was not scored in the loop
+            score = criterion(w)
+        if score < best_score:
+            return best_w, best_score, disc
     return w, score, disc
 
 
@@ -257,6 +259,9 @@ def adversarial_train(space_table, moving_table, rng, config, log=None):
         raise UsageError(f"dimension mismatch: {space_table.language or 'space'} "
                          f"{space_table.dim} vs {moving_table.language or 'moving'} "
                          f"{moving_table.dim}")
+    for table, role in ((space_table, "space"), (moving_table, "moving")):
+        if len(table) == 0:
+            raise UsageError(f"{table.language or role} table has no rows to align")
     x_rows = np.ascontiguousarray(space_table.vectors[: config.vocab_cap])
     y_rows = np.ascontiguousarray(moving_table.vectors[: config.vocab_cap])
 
@@ -268,23 +273,23 @@ def adversarial_train(space_table, moving_table, rng, config, log=None):
 
     if config.w_steps == 0:
         return LinearMapper(np.eye(space_table.dim), T_TO_S)
-    best_w, best_score = None, -np.inf
+    best_w, best_score = None, None
     for _ in range(config.restarts):
         w, score, disc = _play_game(x_rows, y_rows, rng, config, criterion, log)
-        if score > best_score:
+        if best_w is None:
             best_w, best_score = w, score
+        else:
+            # scored only now that a second game reads the scores; the
+            # criterion draws no random numbers, so W does not change
+            if best_score is None:
+                best_score = criterion(best_w)
+            if score is None:
+                score = criterion(w)
+            if score > best_score:
+                best_w, best_score = w, score
         if _disc_accuracy(disc, w, x_rows, y_rows, rng) <= config.restart_disc_acc:
             break
     return LinearMapper(best_w, T_TO_S)
-
-
-def _top_k(a, k, axis):
-    """The k largest entries of a along axis (all of them if there are fewer)."""
-    n = a.shape[axis]
-    if n <= k:
-        return a
-    top = np.partition(a, n - k, axis=axis)
-    return top[:, n - k :] if axis == 1 else top[n - k :]
 
 
 def _whole_64(n):
@@ -292,53 +297,83 @@ def _whole_64(n):
     return n - n % 64 if n >= 64 else max(1, n)
 
 
-def csls_top1(queries, keys, k):
-    """Row-wise argmax of the CSLS scores 2 cos(q, key) - r_keys(q) -
-    r_queries(key) and its score, in tiles; r is the mean cosine of a
-    point's k nearest neighbors in the other set (k clamped to the set size).
-
-    Two passes over (key tile x query block), each tile CSLS_TILE_BYTES of
-    cosines. The first keeps every query's and every key's k largest
-    cosines; the second recomputes the cosines, forms the scores and keeps a
-    running argmax per query, key tiles in increasing order, so ties go to
-    the lowest key index. Keys are normalized tile by tile: the working
-    memory is the queries, a few floats per row, and a few tiles.
-    """
-    if k < 1:
-        raise UsageError("k must be >= 1")
-    qn = normalize(np.atleast_2d(np.asarray(queries, dtype=np.float64)))
-    keys = np.atleast_2d(np.asarray(keys, dtype=np.float64))
-    nq, nk = qn.shape[0], keys.shape[0]
-    if nk == 0:
-        raise UsageError("no keys to match")
-    k_row = min(k, nk)
-    k_col = min(k, nq)
+def _tiling(nq, nk):
+    """(query blocks, key tiles) of nq queries against nk >= 1 keys, each
+    tile CSLS_TILE_BYTES of cosines."""
     # tiles start at multiples of 64 rows, where the kernel blocks of one
     # whole-matrix BLAS product start, so the cosines match that product's
     cells = max(1, CSLS_TILE_BYTES // 8)
     key_step = min(nk, _whole_64(math.isqrt(cells)))
     query_step = _whole_64(cells // key_step)
-    key_tiles = [(lo, min(lo + key_step, nk)) for lo in range(0, nk, key_step)]
-    query_blocks = [(lo, min(lo + query_step, nq))
-                    for lo in range(0, nq, query_step)]
-    row_top = np.full((nq, k_row), -np.inf)
-    r_k = np.empty(nk)
+    return ([(lo, min(lo + query_step, nq)) for lo in range(0, nq, query_step)],
+            [(lo, min(lo + key_step, nk)) for lo in range(0, nk, key_step)])
+
+
+def _keep_top(vals, ids, a, offset):
+    """Fold each row of a into that row's running largest values (vals, in
+    place) and their ids (ids, in place: offset + column of a)."""
+    n, m = a.shape
+    k = vals.shape[1]
+    # the k groups with the largest maxima hold a row's k largest entries
+    # (a larger entry elsewhere would need k groups of larger maxima); group
+    # j holds columns j, j + m/f, ..., so the maxima are f slabs compared
+    f = next((f for f in (8, 4, 2) if m % f == 0 and m // f > k), 1)
+    if f > 1:
+        g = m // f
+        maxima = a.reshape(n, f, g).max(axis=1)
+        groups = np.argpartition(maxima, g - k, axis=1)[:, g - k:]
+        cols = (groups[:, :, None] + g * np.arange(f)).reshape(n, k * f)
+    else:
+        cols = np.broadcast_to(np.arange(m), a.shape)
+    both = np.hstack([vals, np.take_along_axis(a, cols, axis=1)])
+    both_ids = np.hstack([ids, cols + offset])
+    keep = np.argpartition(both, both.shape[1] - k, axis=1)[:, -k:]
+    vals[...] = np.take_along_axis(both, keep, axis=1)
+    ids[...] = np.take_along_axis(both_ids, keep, axis=1)
+
+
+def _sweep(qn, keys, k, query_blocks, key_tiles, key_top=None):
+    """One pass over every (key tile x query block) of cosines between the
+    unit queries qn and the keys, normalized tile by tile.
+
+    Returns each query's k largest cosines with their key ids, and r_keys,
+    each key's mean over its k largest cosines (k clamped to the set sizes).
+    key_top, a pair of (nk, k) arrays, receives each key's k largest
+    cosines with their query ids; otherwise that state lives one key tile
+    at a time.
+    """
+    nq, nk = qn.shape[0], keys.shape[0]
+    k_row, k_col = min(k, nk), min(k, nq)
+    row_vals = np.full((nq, k_row), -np.inf)
+    row_ids = np.zeros((nq, k_row), dtype=np.intp)
+    r_keys = np.empty(nk)
     for klo, khi in key_tiles:
         kn = normalize(keys[klo:khi])
-        col_top = np.full((k_col, khi - klo), -np.inf)
+        col_vals = np.full((khi - klo, k_col), -np.inf)
+        col_ids = np.zeros((khi - klo, k_col), dtype=np.intp)
         for qlo, qhi in query_blocks:
             cos = qn[qlo:qhi] @ kn.T
-            row_top[qlo:qhi] = _top_k(np.hstack(
-                [row_top[qlo:qhi], _top_k(cos, k_row, 1)]), k_row, 1)
-            col_top = _top_k(np.vstack([col_top, _top_k(cos, k_col, 0)]), k_col, 0)
-        # sorted before averaging, so the means do not depend on the tiling
-        r_k[klo:khi] = np.sort(col_top, axis=0).mean(axis=0)
-    r_q = np.sort(row_top, axis=1).mean(axis=1)
-    best_idx = np.zeros(nq, dtype=np.int64)
-    best_score = np.full(nq, -np.inf)
+            _keep_top(row_vals[qlo:qhi], row_ids[qlo:qhi], cos, klo)
+            _keep_top(col_vals, col_ids, cos.T, qlo)
+        # sorted, then summed down a C-order (k, tile) array: the order in
+        # which the means were always taken, so the bits do not move
+        r_keys[klo:khi] = np.ascontiguousarray(
+            np.sort(col_vals, axis=1).T).mean(axis=0)
+        if key_top is not None:
+            key_top[0][klo:khi] = col_vals
+            key_top[1][klo:khi] = col_ids
+    return row_vals, row_ids, r_keys
+
+
+def _rescore(qn, keys, r_q, r_k, key_tiles, blocks, best_idx, best_score):
+    """Every CSLS score of the given query blocks, key tiles in increasing
+    order, with a running argmax per query (ties to the lowest key id)."""
+    for qlo, qhi in blocks:
+        best_idx[qlo:qhi] = 0
+        best_score[qlo:qhi] = -np.inf
     for klo, khi in key_tiles:
         kn = normalize(keys[klo:khi])
-        for qlo, qhi in query_blocks:
+        for qlo, qhi in blocks:
             scores = qn[qlo:qhi] @ kn.T
             scores *= 2
             scores -= r_q[qlo:qhi, None]
@@ -348,7 +383,88 @@ def csls_top1(queries, keys, k):
             better = top > best_score[qlo:qhi]
             np.copyto(best_idx[qlo:qhi], arg + klo, where=better)
             np.copyto(best_score[qlo:qhi], top, where=better)
+
+
+def _candidate_top1(vals, ids, r_q, r_k, n_keys, slack):
+    """CSLS top-1 of each query among its candidates, its k largest cosines
+    (vals) with their key ids, and its score; and whether it is settled:
+    it beats every other candidate, and the bound that no key outside them
+    can pass, by more than 2 * slack. The scores and the bound are formed
+    by the operations of _rescore in its order, and rounding is monotone,
+    so with slack 0 a settled top-1 is the search's over all keys, bit for
+    bit; slack covers cosines that the search rounds otherwise."""
+    scores = vals * 2
+    scores -= r_q[:, None]
+    scores -= r_k[ids]
+    pos = scores.argmax(axis=1)[:, None]
+    best = np.take_along_axis(scores, pos, axis=1)[:, 0]
+    settled = ~np.isnan(best)
+    k = vals.shape[1]
+    if k > 1:
+        second = np.partition(scores, k - 2, axis=1)[:, k - 2]
+        settled &= best - second > 2 * slack
+    if k < n_keys:
+        # a cosine of at most the k-th largest and an r of at least the least
+        bound = vals.min(axis=1) * 2
+        bound -= r_q
+        bound -= r_k.min()
+        settled &= best - bound > 2 * slack
+    return np.take_along_axis(ids, pos, axis=1)[:, 0], best, settled
+
+
+def _top1(qn, keys, row_vals, row_ids, r_k, query_blocks, key_tiles):
+    """CSLS top-1 per query from its k largest cosines; only the query
+    blocks that hold a query the candidates cannot settle (zero rows, ties)
+    are rescored."""
+    nq = row_vals.shape[0]
+    best_idx = np.empty(nq, dtype=np.int64)
+    best_score = np.empty(nq)
+    r_q = np.empty(nq)
+    rerun = []
+    for lo, hi in query_blocks:
+        vals = row_vals[lo:hi]
+        r_q[lo:hi] = np.sort(vals, axis=1).mean(axis=1)
+        best_idx[lo:hi], best_score[lo:hi], settled = _candidate_top1(
+            vals, row_ids[lo:hi], r_q[lo:hi], r_k, keys.shape[0], 0.0)
+        if not settled.all():
+            rerun.append((lo, hi))
+    _rescore(qn, keys, r_q, r_k, key_tiles, rerun, best_idx, best_score)
     return best_idx, best_score
+
+
+def csls_top1(queries, keys, k):
+    """Row-wise argmax of the CSLS scores 2 cos(q, key) - r_keys(q) -
+    r_queries(key) and its score, in tiles; r is the mean cosine of a
+    point's k nearest neighbors in the other set (k clamped to the set size).
+
+    One pass over (key tile x query block), each tile CSLS_TILE_BYTES of
+    cosines, keeps every query's k largest cosines with their key ids and
+    every key's k largest cosines. The argmax is then found among each
+    query's k candidates, and it is the argmax over all keys whenever it
+    beats the bound no other key can reach; the query blocks where it does
+    not are rescored tile by tile. Either way ties go to the lowest key
+    index, and ids and scores are those of scoring every cosine. Keys are
+    normalized tile by tile: the working memory is the queries, a few
+    floats and ids per row, and a few tiles.
+    """
+    if k < 1:
+        raise UsageError("k must be >= 1")
+    qn = normalize(np.atleast_2d(np.asarray(queries, dtype=np.float64)))
+    keys = np.atleast_2d(np.asarray(keys, dtype=np.float64))
+    if keys.shape[0] == 0:
+        raise UsageError("no keys to match")
+    query_blocks, key_tiles = _tiling(qn.shape[0], keys.shape[0])
+    row_vals, row_ids, r_k = _sweep(qn, keys, k, query_blocks, key_tiles)
+    return _top1(qn, keys, row_vals, row_ids, r_k, query_blocks, key_tiles)
+
+
+def _rounding_slack(dim, k):
+    """The most that a CSLS score of unit rows of dim entries can move when
+    its cosines are summed in another order: a dot product's rounding error
+    is at most dim u |q| |key| in any order (u = eps / 2), and a score holds
+    twice a cosine, two means of k of them and a few roundings of its own.
+    This bound, doubled."""
+    return (16 * dim + 8 * k + 64) * np.finfo(np.float64).eps
 
 
 def induce_dictionary(source_table, target_table, mapper, k=10, top_n=10000):
@@ -356,6 +472,15 @@ def induce_dictionary(source_table, target_table, mapper, k=10, top_n=10000):
 
     Pairs are (target index, source index); one-directional matches are
     dropped. An empty result raises AlignmentError (failed alignment).
+
+    One sweep over the cosines, in the tiles of the target -> source
+    search, keeps the k largest of every target's and every source word's
+    cosines. The target -> source matches follow as in csls_top1. A source
+    word's match is taken from its candidates only where no rounding of
+    the same cosines in the source -> target tiles could change it, since
+    BLAS need not give a tile and its transpose the same bits. Should a
+    source word that some target matches stay unsettled, the source ->
+    target search runs in full.
     """
     n_t = min(top_n, len(target_table))
     n_s = min(top_n, len(source_table))
@@ -363,8 +488,25 @@ def induce_dictionary(source_table, target_table, mapper, k=10, top_n=10000):
         raise AlignmentError("empty vocabulary")
     mapped_t = target_table.vectors[:n_t] @ mapper.w.T
     src = source_table.vectors[:n_s]
-    fwd, _ = csls_top1(mapped_t, src, k)
-    bwd, _ = csls_top1(src, mapped_t, k)
+    nt = normalize(mapped_t)
+    query_blocks, key_tiles = _tiling(n_t, n_s)
+    k_col = min(k, n_t)
+    src_vals = np.empty((n_s, k_col))
+    src_ids = np.empty((n_s, k_col), dtype=np.intp)
+    tgt_vals, tgt_ids, r_src = _sweep(nt, src, k, query_blocks, key_tiles,
+                                      (src_vals, src_ids))
+    fwd, _ = _top1(nt, src, tgt_vals, tgt_ids, r_src, query_blocks, key_tiles)
+    del nt
+    slack = _rounding_slack(mapped_t.shape[1], k)
+    r_tgt = tgt_vals.mean(axis=1)
+    bwd = np.empty(n_s, dtype=np.int64)
+    settled = np.empty(n_s, dtype=bool)
+    for lo, hi in key_tiles:
+        vals = src_vals[lo:hi]
+        bwd[lo:hi], _, settled[lo:hi] = _candidate_top1(
+            vals, src_ids[lo:hi], vals.mean(axis=1), r_tgt, n_t, slack)
+    if not settled[fwd].all():
+        bwd, _ = csls_top1(src, mapped_t, k)
     pairs = [(t, int(s)) for t, s in enumerate(fwd) if bwd[s] == t]
     if not pairs:
         raise AlignmentError("induced dictionary is empty")

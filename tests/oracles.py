@@ -5,6 +5,7 @@ finite differences) and stays independent of the code paths it validates.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -526,6 +527,78 @@ def csls(queries, keys, k):
     r_q = np.partition(cos, cos.shape[1] - k_row, axis=1)[:, -k_row:].mean(axis=1)
     r_k = np.partition(cos, cos.shape[0] - k_col, axis=0)[-k_col:, :].mean(axis=0)
     return 2 * cos - r_q[:, None] - r_k[None, :]
+
+
+def _top_k(a, k, axis):
+    """The k largest entries of a along axis (all of them if there are fewer)."""
+    n = a.shape[axis]
+    if n <= k:
+        return a
+    top = np.partition(a, n - k, axis=axis)
+    return top[:, n - k :] if axis == 1 else top[n - k :]
+
+
+def _whole_64(n):
+    return n - n % 64 if n >= 64 else max(1, n)
+
+
+def csls_top1_two_pass(queries, keys, k, tile_bytes):
+    """The two-pass tiled CSLS top-1 the package used to ship: pass 1 keeps
+    every query's and every key's k largest cosines, pass 2 recomputes every
+    cosine tile and keeps a running argmax per query, key tiles in
+    increasing order. The reference for the one-pass search's ids and
+    score bits, with the same tiles (tile_bytes of cosines each)."""
+    qn = _unit_rows(np.atleast_2d(np.asarray(queries, dtype=np.float64)))
+    keys = np.atleast_2d(np.asarray(keys, dtype=np.float64))
+    nq, nk = qn.shape[0], keys.shape[0]
+    k_row = min(k, nk)
+    k_col = min(k, nq)
+    cells = max(1, tile_bytes // 8)
+    key_step = min(nk, _whole_64(math.isqrt(cells)))
+    query_step = _whole_64(cells // key_step)
+    key_tiles = [(lo, min(lo + key_step, nk)) for lo in range(0, nk, key_step)]
+    query_blocks = [(lo, min(lo + query_step, nq))
+                    for lo in range(0, nq, query_step)]
+    row_top = np.full((nq, k_row), -np.inf)
+    r_k = np.empty(nk)
+    for klo, khi in key_tiles:
+        kn = _unit_rows(keys[klo:khi])
+        col_top = np.full((k_col, khi - klo), -np.inf)
+        for qlo, qhi in query_blocks:
+            cos = qn[qlo:qhi] @ kn.T
+            row_top[qlo:qhi] = _top_k(np.hstack(
+                [row_top[qlo:qhi], _top_k(cos, k_row, 1)]), k_row, 1)
+            col_top = _top_k(np.vstack([col_top, _top_k(cos, k_col, 0)]), k_col, 0)
+        r_k[klo:khi] = np.sort(col_top, axis=0).mean(axis=0)
+    r_q = np.sort(row_top, axis=1).mean(axis=1)
+    best_idx = np.zeros(nq, dtype=np.int64)
+    best_score = np.full(nq, -np.inf)
+    for klo, khi in key_tiles:
+        kn = _unit_rows(keys[klo:khi])
+        for qlo, qhi in query_blocks:
+            scores = qn[qlo:qhi] @ kn.T
+            scores *= 2
+            scores -= r_q[qlo:qhi, None]
+            scores -= r_k[None, klo:khi]
+            arg = scores.argmax(axis=1)
+            top = scores[np.arange(qhi - qlo), arg]
+            better = top > best_score[qlo:qhi]
+            np.copyto(best_idx[qlo:qhi], arg + klo, where=better)
+            np.copyto(best_score[qlo:qhi], top, where=better)
+    return best_idx, best_score
+
+
+def induce_dictionary_two_calls(source_table, target_table, w, k, top_n,
+                                tile_bytes):
+    """Mutual CSLS top-1 pairs (target index, source index) from one
+    two-pass search in each direction, as the package used to find them."""
+    n_t = min(top_n, len(target_table))
+    n_s = min(top_n, len(source_table))
+    mapped_t = target_table.vectors[:n_t] @ w.T
+    src = source_table.vectors[:n_s]
+    fwd, _ = csls_top1_two_pass(mapped_t, src, k, tile_bytes)
+    bwd, _ = csls_top1_two_pass(src, mapped_t, k, tile_bytes)
+    return [(t, int(s)) for t, s in enumerate(fwd) if bwd[s] == t]
 
 
 def _softplus(z):

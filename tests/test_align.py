@@ -26,8 +26,10 @@ from fixtures import precision_at_1, random_orthogonal, synthetic_pair
 from oracles import (
     adversary_loss,
     csls,
+    csls_top1_two_pass,
     discriminator_loss,
     finite_difference_grads,
+    induce_dictionary_two_calls,
 )
 
 
@@ -228,6 +230,25 @@ def test_each_mapper_is_scored_once(monkeypatch):
         winner = max(chosen, key=lambda c: c[1])
         assert mapper.w.tobytes() == winner[0].tobytes()
 
+    # a score that no comparison reads is not computed: one game without a
+    # snapshot returns its final W unscored
+    calls.clear()
+    cfg = AlignConfig(w_steps=5, select_every=6, restarts=1, batch_size=8,
+                      disc_hidden=8, vocab_cap=60, criterion_sample_n=30,
+                      csls_k=3)
+    mapper = adversarial_train(src, tgt, Rng(4), cfg)
+    assert calls == []
+    # two forced games without snapshots: each final W is scored once, and
+    # the second wins only by scoring strictly higher
+    cfg.select_every, cfg.restarts, cfg.restart_disc_acc = 0, 2, -1.0
+    mapper = adversarial_train(src, tgt, Rng(4), cfg)
+    assert len(calls) == 2
+    (first_w, first), (second_w, second) = calls
+    assert first_w.tobytes() == adversarial_train(
+        src, tgt, Rng(4), AlignConfig(**{**vars(cfg), "restarts": 1})).w.tobytes()
+    winner = second_w if second > first else first_w
+    assert mapper.w.tobytes() == winner.tobytes()
+
 
 def test_csls_self_match_orthonormal():
     basis = np.eye(5)
@@ -331,6 +352,162 @@ def test_csls_top1_memory_is_bounded_by_the_tile_budget(monkeypatch):
     # the only state that grows with the keys is one float per key (r_k),
     # 96 kB for the 12000 more keys here
     assert large - small < budget / 4
+
+
+def _csls_cases(rng, wide=True):
+    """(queries, keys, k) pairs: queries near keys, rotated away and random;
+    zero rows; exact ties; fewer rows than k on either side; unequal sizes,
+    and, if wide, at 300 dimensions, where BLAS rounds a tile and its
+    transpose differently."""
+    cases = []
+    sizes = [(40, 25, 6, 5), (90, 130, 8, 10), (300, 200, 16, 10),
+             (3, 50, 8, 10), (50, 4, 8, 10), (7, 9, 6, 10)]
+    for nq, nk, d, k in sizes + [(700, 1000, 300, 10)] * wide:
+        keys = rng.normal(size=(nk, d))
+        near = keys[rng.integers(0, nk, nq)]
+        for queries in (near + 0.01 * rng.normal(size=(nq, d)),
+                        near @ random_orthogonal(rng, d),
+                        rng.normal(size=(nq, d))):
+            cases.append((queries, keys, k))
+        zeroed_q, zeroed_k = near.copy(), keys.copy()
+        zeroed_q[rng.integers(0, nq, 2)] = 0.0
+        zeroed_k[rng.integers(0, nk, 2)] = 0.0
+        cases.append((zeroed_q, zeroed_k, k))
+    dup = quarter_rows(rng, 12)
+    cases.append((quarter_rows(rng, 40), np.vstack([dup, dup, dup[:3]]), 5))
+    cases.append((quarter_rows(rng, 200), quarter_rows(rng, 150), 10))
+    return cases
+
+
+@pytest.fixture
+def rescored(monkeypatch):
+    """Counts of queries settled by their candidates and of queries in the
+    blocks rescored tile by tile, over every csls_top1 search."""
+    counts = {"queries": 0, "rescored": 0}
+    top1, rescore = align_mod._top1, align_mod._rescore
+
+    def counting_top1(qn, *args):
+        counts["queries"] += qn.shape[0]
+        return top1(qn, *args)
+
+    def counting_rescore(qn, keys, r_q, r_k, key_tiles, blocks, *rest):
+        counts["rescored"] += sum(hi - lo for lo, hi in blocks)
+        return rescore(qn, keys, r_q, r_k, key_tiles, blocks, *rest)
+
+    monkeypatch.setattr(align_mod, "_top1", counting_top1)
+    monkeypatch.setattr(align_mod, "_rescore", counting_rescore)
+    return counts
+
+
+@pytest.mark.parametrize("tile_bytes", [42 * 8, 1 << 12, 4 << 20])
+def test_csls_top1_equals_the_two_pass_search(monkeypatch, rescored, tile_bytes):
+    monkeypatch.setattr(align_mod, "CSLS_TILE_BYTES", tile_bytes)
+    rng = np.random.default_rng(41)
+    # 300-d tables in 42-cell tiles would take 19k tiles a search
+    for queries, keys, k in _csls_cases(rng, wide=tile_bytes > 42 * 8):
+        idx, score = csls_top1(queries, keys, k)
+        want_idx, want_score = csls_top1_two_pass(queries, keys, k, tile_bytes)
+        assert idx.dtype == want_idx.dtype and (idx == want_idx).all()
+        assert score.tobytes() == want_score.tobytes()
+    # queries were settled by their candidates, and the rescoring of the
+    # blocks with zero rows, ties or near misses ran too
+    assert 0 < rescored["rescored"] < rescored["queries"]
+
+
+@pytest.mark.parametrize("tile_bytes", [42 * 8, 1 << 12, 4 << 20])
+def test_induce_dictionary_equals_two_searches(monkeypatch, rescored, tile_bytes):
+    monkeypatch.setattr(align_mod, "CSLS_TILE_BYTES", tile_bytes)
+    searches = []
+    full_search = align_mod.csls_top1
+
+    def counting_search(*args):
+        searches.append(args[0].shape[0])
+        return full_search(*args)
+
+    monkeypatch.setattr(align_mod, "csls_top1", counting_search)
+    rng = np.random.default_rng(43)
+    settled = 0
+    for queries, keys, k in _csls_cases(rng, wide=tile_bytes > 42 * 8):
+        d = keys.shape[1]
+        omega = random_orthogonal(rng, d)
+        src = EmbeddingTable([f"s{i}" for i in range(len(keys))], keys)
+        # the targets are the queries rotated, so omega maps them back
+        tgt = EmbeddingTable([f"t{i}" for i in range(len(queries))],
+                             queries @ omega)
+        for top_n in (10**6, 5):
+            want = induce_dictionary_two_calls(src, tgt, omega, k, top_n,
+                                               tile_bytes)
+            before = len(searches)
+            if want:
+                got = induce_dictionary(src, tgt, LinearMapper(omega), k, top_n)
+                assert got.pairs == want
+            else:
+                with pytest.raises(AlignmentError):
+                    induce_dictionary(src, tgt, LinearMapper(omega), k, top_n)
+            settled += len(searches) == before
+    # the source -> target matches came from the one sweep in most cases,
+    # and the full search in that direction ran where they could not
+    assert 0 < len(searches) < settled
+    assert 0 < rescored["rescored"] < rescored["queries"]
+
+
+def test_induce_settles_a_source_match_only_where_no_rounding_changes_it():
+    # cosines with many near ties, a search of them from their k largest,
+    # and the exact search of the same cosines rounded otherwise: each
+    # moved by up to dim u, the most another order of summation can
+    dim, k, n_src, n_tgt = 300, 5, 400, 30
+    rng = np.random.default_rng(53)
+    rounding = dim * np.finfo(np.float64).eps / 2
+    cos = np.round(rng.uniform(-1, 1, size=(n_src, n_tgt)), 1)
+    cos += rng.uniform(-4, 4, size=cos.shape) * rounding
+
+    def means_of_top_k(c):
+        return np.sort(c, axis=1)[:, -k:].mean(axis=1)
+
+    ids = np.argsort(cos, axis=1)[:, -k:]
+    vals = np.take_along_axis(cos, ids, axis=1)
+    got, _, settled = align_mod._candidate_top1(
+        vals, ids, means_of_top_k(cos), means_of_top_k(cos.T), n_tgt,
+        align_mod._rounding_slack(dim, k))
+    assert 0.2 < settled.mean() < 0.9
+    for _ in range(20):
+        other = cos + rng.uniform(-1, 1, size=cos.shape) * rounding
+        exact = (2 * other - means_of_top_k(other)[:, None]
+                 - means_of_top_k(other.T)[None, :]).argmax(axis=1)
+        assert (got[settled] == exact[settled]).all()
+
+
+def test_induce_dictionary_memory_is_the_targets_twice_and_k_per_word(
+        monkeypatch):
+    budget = 1 << 19
+    monkeypatch.setattr(align_mod, "CSLS_TILE_BYTES", budget)
+    d, k = 64, 5
+    rng = np.random.default_rng(47)
+
+    def peak_beyond_inputs(n_t, n_s):
+        keys = rng.normal(size=(max(n_t, n_s), d))
+        omega = random_orthogonal(rng, d)
+        src = EmbeddingTable([f"s{i}" for i in range(n_s)], keys[:n_s])
+        tgt = EmbeddingTable([f"t{i}" for i in range(n_t)], keys[:n_t] @ omega)
+        tracemalloc.start()  # the tables exist already and are not counted
+        try:
+            induce_dictionary(src, tgt, LinearMapper(omega), k, 10**6)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    n = 2000
+    base = peak_beyond_inputs(n, n)
+    per_target = (peak_beyond_inputs(3 * n, n) - base) / (2 * n)
+    per_source = (peak_beyond_inputs(n, 3 * n) - base) / (2 * n)
+    # a target word: its mapped row and one normalized copy of it, as the
+    # two searches held them, k cosines and k ids, and a few floats of r
+    # and results; a source word: k cosines, k ids and a few floats, so no
+    # copy of the source table is held
+    state = k * 8 + k * 8
+    assert per_target <= 2 * d * 8 + state + 96
+    assert per_source <= state + 96
+    assert base <= n * (2 * d * 8 + 2 * state + 2 * 96) + 4 * budget
 
 
 def test_induce_identity_on_exact_rotation():

@@ -201,6 +201,23 @@ def test_align_dimension_mismatch_exit_2(workdir, tmp_path, capsys):
     assert "dimension mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("empty_side", ["src", "tgt"])
+@pytest.mark.parametrize("w_steps", ["0", "5"])
+def test_align_table_without_rows_exit_2(tmp_path, capsys, empty_side, w_steps):
+    (tmp_path / "empty.vec").write_text("0 4\n")
+    (tmp_path / "rows.vec").write_text("3 4\na 1 0 0 0\nb 0 1 0 0\nc 0 0 1 0\n")
+    tables = {"src": "rows.vec", "tgt": "rows.vec", empty_side: "empty.vec"}
+    code = main([
+        "align", "--src-emb", str(tmp_path / tables["src"]),
+        "--tgt-emb", str(tmp_path / tables["tgt"]), "--w-steps", w_steps,
+        "--out", str(tmp_path / "m.zrx"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {empty_side} table has no rows to align\n"
+    assert not (tmp_path / "m.zrx").exists()
+
+
 @pytest.mark.parametrize("command", ["align", "eval"])
 def test_input_that_is_not_utf8_exit_2(command, tmp_path, capsys):
     if command == "align":
