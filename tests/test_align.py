@@ -381,8 +381,8 @@ def _csls_cases(rng, wide=True):
 
 @pytest.fixture
 def rescored(monkeypatch):
-    """Counts of queries settled by their candidates and of queries in the
-    blocks rescored tile by tile, over every csls_top1 search."""
+    """Counts of the queries searched and of the queries in the blocks
+    rescored tile by tile, over every search from candidates."""
     counts = {"queries": 0, "rescored": 0}
     top1, rescore = align_mod._top1, align_mod._rescore
 
