@@ -215,7 +215,7 @@ def _play_game(x_rows, y_rows, rng, config, criterion, log):
             if z_disc is not None:
                 bce = targets * _softplus(-z_disc) + (1 - targets) * _softplus(z_disc)
                 d_loss = float(bce[:b].mean() + bce[b:].mean())
-            log.append((step, d_loss, float(_softplus(-cache[2]).mean())))
+            log((step, d_loss, float(_softplus(-cache[2]).mean())))
     if best_w is not None:  # the final W competes with a snapshot
         if score is None:  # the last step was not scored in the loop
             score = criterion(w)
@@ -249,11 +249,11 @@ def adversarial_train(space_table, moving_table, rng, config, log=None):
     whose discriminator accuracy is at most config.restart_disc_acc; the
     best W across games by the criterion is returned.
 
-    Appends (step, disc_loss, adv_loss) tuples to `log` every 100 steps and
-    at the last: the discriminator's BCE on its last batch (mapped-target and
-    source halves, each averaged, as trained: smoothed labels, dropout) and
-    the mapper's BCE on its batch against the source label. Logging draws
-    no random numbers, so it never changes the mapper.
+    Calls `log`, if given, with a (step, disc_loss, adv_loss) tuple every
+    100 steps and at the last: the discriminator's BCE on its last batch
+    (mapped-target and source halves, each averaged, as trained: smoothed
+    labels, dropout) and the mapper's BCE on its batch against the source
+    label. Logging draws no random numbers, so it never changes the mapper.
     """
     if space_table.dim != moving_table.dim:
         raise UsageError(f"dimension mismatch: {space_table.language or 'space'} "
@@ -558,13 +558,13 @@ def identical_string_p1(space_table, moving_table, mapper, k, cap=5000):
 
 
 def refine(source_table, target_table, w0, iterations, k=10, top_n=10000,
-           criterion_sample_n=2500, history=None):
+           criterion_sample_n=2500, log=None):
     """Alternate dictionary induction and Procrustes; keep the best iterate.
 
     Best is judged by unsupervised_criterion. If the dictionary collapses
     (fewer pairs than the dimension) the loop stops early and the best
-    mapper so far (w0 if none) is returned. history, when given, collects
-    (iteration, criterion, dictionary size) rows.
+    mapper so far (w0 if none) is returned. `log`, if given, is called with
+    an (iteration, criterion, dictionary size) tuple per iteration.
     """
     if iterations < 1:
         raise UsageError("iterations must be >= 1")
@@ -589,8 +589,8 @@ def refine(source_table, target_table, w0, iterations, k=10, top_n=10000,
         score = unsupervised_criterion(
             source_table, target_table, current, criterion_sample_n, k
         )
-        if history is not None:
-            history.append((it, score, dico.size))
+        if log is not None:
+            log((it, score, dico.size))
         if score > best_score:
             best, best_score = LinearMapper(current.w.copy(), direction), score
     return best if best is not None else mapper

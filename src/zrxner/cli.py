@@ -13,6 +13,7 @@ included), 3 artifact or version error, 4 numerical failure.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -110,6 +111,25 @@ def _convert_dataset(dataset, to_scheme):
     return dataset
 
 
+def _progress_row(record):
+    loss_s, loss_ts, loss_tt = record.losses
+    return (f"{record.step}\t{loss_s:.6f}\t{loss_ts:.6f}\t{loss_tt:.6f}"
+            f"\t{record.lr:.6f}\t"
+            + "\t".join(f"{k}={v:.4f}" for k, v in sorted(record.scores.items())))
+
+
+@contextlib.contextmanager
+def _log_file(path):
+    """Open the --log file at path, if any, for the block and yield `sink`:
+    sink(row) is the stage callback that writes the row formatter's
+    row(item) as one line, or None without a path."""
+    if not path:
+        yield lambda row: None
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        yield lambda row: lambda item: fh.write(row(item) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # align
 
@@ -125,23 +145,19 @@ def cmd_align(args):
     else:
         space, moving, direction = src, tgt, al.T_TO_S
     rng = Rng(args.seed)
-    game_log = []
-    mapper = al.adversarial_train(space, moving, rng, config, log=game_log)
-    mapper.direction = direction
-    history = []
-    if args.refine_iters > 0:
-        mapper = al.refine(
-            space, moving, mapper, args.refine_iters, k=config.csls_k,
-            top_n=config.dict_top_n,
-            criterion_sample_n=config.criterion_sample_n, history=history,
-        )
+    with _log_file(args.log) as sink:
+        mapper = al.adversarial_train(
+            space, moving, rng, config,
+            log=sink(lambda row: "adversarial\t%d\t%.6f\t%.6f" % row))
+        mapper.direction = direction
+        if args.refine_iters > 0:
+            mapper = al.refine(
+                space, moving, mapper, args.refine_iters, k=config.csls_k,
+                top_n=config.dict_top_n,
+                criterion_sample_n=config.criterion_sample_n,
+                log=sink(lambda row: "refine\t%d\t%.6f\t%d" % row),
+            )
     p1 = al.identical_string_p1(space, moving, mapper, config.csls_k)
-    if args.log:
-        with open(args.log, "w", encoding="utf-8") as fh:
-            for step, d_loss, a_loss in game_log:
-                fh.write(f"adversarial\t{step}\t{d_loss:.6f}\t{a_loss:.6f}\n")
-            for iteration, criterion, size in history:
-                fh.write(f"refine\t{iteration}\t{criterion:.6f}\t{size}\n")
     if args.dict_out:
         dico = al.induce_dictionary(
             space, moving, mapper, config.csls_k, config.dict_top_n
@@ -222,14 +238,11 @@ def cmd_pretrain(args):
         Rng(config.seed),
     )
     rng = Rng(config.seed)
-    log_stream = open(args.log, "w", encoding="utf-8") if args.log else None
-    try:
+    with _log_file(args.log) as sink:
         _, chosen = pretrain_source(
-            model, train, src_table, config, rng, eval_sets, log_stream
+            model, train, src_table, config, rng, eval_sets,
+            sink(_progress_row),
         )
-    finally:
-        if log_stream:
-            log_stream.close()
     tables = {"src": src_table}
     if tgt_table is not None:
         tables["tgt"] = tgt_table
@@ -248,11 +261,28 @@ def cmd_pretrain(args):
 # finetune
 
 
+def _parse_seeds(text):
+    """The --seeds list: comma-separated integers, none repeated, at least
+    one."""
+    try:
+        seeds = [int(s) for s in text.split(",") if s]
+    except ValueError:
+        raise UsageError(
+            f"--seeds must be comma-separated integers, got {text!r}") from None
+    if not seeds:
+        raise UsageError("at least one seed is required")
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise UsageError(f"--seeds repeats {', '.join(map(str, repeated))}")
+    return seeds
+
+
 def cmd_finetune(args):
-    model, config, tables, raw_cfg = load_model(args.checkpoint)
-    config = _config(TrainingConfig,
-                     {**config.to_flat(), **_read_config_file(args.config)},
-                     args)
+    seeds = _parse_seeds(args.seeds)
+    file_cfg = _read_config_file(args.config)
+    _config(TrainingConfig, file_cfg, args)  # range checks before any read
+    model, config, tables, _ = load_model(args.checkpoint)
+    config = _config(TrainingConfig, {**config.to_flat(), **file_cfg}, args)
     src_train = _convert_dataset(
         _read_dataset(args.src_train, "src", "train", args.input_scheme,
                       tag_col=args.tag_col, token_col=args.token_col),
@@ -272,9 +302,6 @@ def cmd_finetune(args):
         _, tgt_table = common_space_tables(src_table, tgt_raw, mapper)
     eval_sets = _build_eval_sets(args, args.src_dev, config.scheme, src_table,
                                  tgt_table)
-    seeds = [int(s) for s in args.seeds.split(",") if s]
-    if not seeds:
-        raise UsageError("at least one seed is required")
     base_state = snapshot_state(model)
     per_seed = {}
     paths = {}
@@ -282,18 +309,11 @@ def cmd_finetune(args):
         restore_state(model, base_state)
         model.add_target_encoder(Rng(seed))  # a copy of the source encoder
         run_config = replace(config, seed=seed, variant="cross_augmented")
-        log_stream = (
-            open(f"{args.log}.seed{seed}", "w", encoding="utf-8")
-            if args.log else None
-        )
-        try:
+        with _log_file(args.log and f"{args.log}.seed{seed}") as sink:
             _, chosen = augmented_finetune(
                 model, src_train, tgt_train, src_table, tgt_table,
-                run_config, Rng(seed), eval_sets, log_stream,
+                run_config, Rng(seed), eval_sets, sink(_progress_row),
             )
-        finally:
-            if log_stream:
-                log_stream.close()
         out_path = f"{args.out}.seed{seed}.zrx"
         save_model(out_path, model, run_config,
                    {"src": src_table, "tgt": tgt_table}, {

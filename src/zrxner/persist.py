@@ -17,7 +17,7 @@ from .align import LinearMapper
 from .checkpoint import flat_to_fields, load_checkpoint, save_checkpoint
 from .corpus import PAD_CHAR, UNK_CHAR
 from .embeddings import EmbeddingTable
-from .errors import CheckpointError
+from .errors import CheckpointError, UsageError
 from .numeric import RNG_ALGORITHM, Rng
 from .tagger import Tagger, TaggerConfig
 from .trainer import TrainingConfig
@@ -91,17 +91,28 @@ def save_model(path, model, train_config, tables, extra_config=None):
 
 
 def load_model(path):
-    """Rebuild (model, train_config, tables, raw config) from a checkpoint."""
+    """Rebuild (model, train_config, tables, raw config) from a checkpoint.
+    A config value that does not parse, or that the range checks refuse, is
+    an artifact error naming its key."""
     config, tensors = load_checkpoint(path)
     if config.get("kind") != "tagger":
         raise CheckpointError(f"{path} is not a tagger checkpoint")
-    train_config = TrainingConfig.from_flat(config)
+    try:
+        train_config = TrainingConfig.from_flat(config)
+        # the structural keys save_model writes, and only those
+        structure = flat_to_fields(TaggerConfig, "model", {
+            key: config[key] for key in ("model.use_char", "model.tied")
+            if key in config})
+        word_dim = int(config["word_dim"])
+    except UsageError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    except ValueError:
+        raise CheckpointError(f"{path}: word_dim={config['word_dim']!r} "
+                              "is not a valid int") from None
     tags = config["tags"].split(" ")
     char_vocab = _chars_from_text(config.get("chars", ""))
     languages = tuple(config["languages"].split(" "))
-    tagger_cfg = replace(
-        train_config.tagger_config(int(config["word_dim"]), tags),
-        **flat_to_fields(TaggerConfig, "model", config))
+    tagger_cfg = replace(train_config.tagger_config(word_dim, tags), **structure)
     model = Tagger(tagger_cfg, char_vocab, Rng(train_config.seed), languages)
     params = model.all_parameters()
     missing = set(params) - set(tensors)

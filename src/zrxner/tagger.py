@@ -338,6 +338,9 @@ def bilstm_states_backward(bi, cache, dstates):
 # Model
 
 
+# Not a FlatConfig: tags and word_dim have no flat default, as they come
+# from the training data and the embedding table. A checkpoint carries them
+# as the keys tags and word_dim, and the two structural fields as model.*.
 @dataclass
 class TaggerConfig:
     word_dim: int

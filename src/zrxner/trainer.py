@@ -4,9 +4,11 @@ fine-tuning of the source and target models around one shared head.
 
 The learning rate follows max(lr0 / (1 + decay * epoch), floor) with the
 epoch counter continuing across stages (one fine-tuning round advances it by
-one). Models are evaluated every eval_interval batches; only the tensor
-state of the best evaluation on the selection split is retained, and each
-stage ends with the model restored to it.
+one). Models are evaluated every eval_interval batches and at the close of
+each stage and fine-tuning round; only the tensor state of the best
+evaluation on the selection split is retained, and each stage ends with the
+model restored to it. Each stage hands every evaluation record, as it is
+made, to its `log` callback, if one is given.
 """
 
 import math
@@ -60,15 +62,23 @@ class TrainingConfig(FlatConfig):
     source_term: bool = True  # ablation hook: drop the source-batch loss term
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise UsageError(f"unknown variant {self.variant!r}")
-        if self.selection not in SELECTIONS:
-            raise UsageError(f"unknown selection mode {self.selection!r}")
         self.check((
+            ("variant", self.variant in VARIANTS, f"one of {', '.join(VARIANTS)}"),
+            ("selection", self.selection in SELECTIONS,
+             f"one of {', '.join(SELECTIONS)}"),
+            ("decay", self.decay >= 0.0, "at least 0"),
+            ("clip", self.clip > 0.0, "above 0"),
             ("batch_size", self.batch_size >= 1, "at least 1"),
             ("eval_interval", self.eval_interval >= 1, "at least 1"),
             ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),
             ("epochs", self.epochs >= 0, "at least 0"),
+            ("n_steps", self.n_steps >= 0, "at least 0"),
+            ("rounds", self.rounds >= 0, "at least 0"),
+            ("char_dim", self.char_dim >= 1, "at least 1"),
+            ("char_hidden", self.char_hidden >= 1, "at least 1"),
+            ("word_hidden", self.word_hidden >= 1, "at least 1"),
+            ("head_hidden", self.head_hidden >= 1, "at least 1"),
+            ("emb_limit", self.emb_limit >= 1, "at least 1"),
         ))
 
     @property
@@ -133,6 +143,8 @@ class CheckpointRecord:
     step: int
     epoch: int
     scores: dict
+    lr: float = math.nan
+    losses: tuple = (math.nan,) * 3  # mean loss terms since the last record
     state: dict = None  # tensor copies; held only while the record is best
 
 
@@ -159,37 +171,56 @@ def evaluate_model(model, eval_sets):
 
 
 class _Tracker:
-    """Keeps eval records and owns model selection: a record that strictly
-    improves the selection split takes a snapshot of the tensors and
-    releases the one it replaces, so one snapshot is held at a time and ties
-    keep the earliest."""
+    """Owns a stage's progress: counts steps, sums each step's loss terms,
+    evaluates every config.eval_interval steps and at the close of a stage
+    or round, and passes each record to `log`. It also owns model
+    selection: a record that strictly improves the selection split takes a
+    snapshot of the tensors and releases the one it replaces, so one
+    snapshot is held at a time and ties keep the earliest."""
 
-    def __init__(self, model, selection, log_stream=None):
-        self.model = model
-        self.selection = selection
+    def __init__(self, model, config, eval_sets, log):
+        names = [ev.name for ev in eval_sets]
+        if config.selection not in names:
+            raise UsageError(
+                f"selection split {config.selection} is not evaluated "
+                f"(evaluated: {', '.join(names) or 'none'})")
+        self.model, self.config, self.eval_sets, self.log = (
+            model, config, eval_sets, log)
         self.records = []
         self.best = None  # the record holding the snapshot
-        self.log_stream = log_stream
+        self.step = 0
+        self.loss_sum, self.loss_n = np.zeros(3), 0  # since the last record
 
-    def evaluate(self, eval_sets, step, epoch, lr, losses):
-        scores = evaluate_model(self.model, eval_sets)
-        record = CheckpointRecord(step=step, epoch=epoch, scores=scores)
-        sel = self.selection
+    def after_step(self, epoch, lr, losses):
+        """Count one training step and its (loss_s, loss_ts, loss_tt);
+        evaluate when the step completes an eval_interval."""
+        self.loss_sum += losses
+        self.loss_n += 1
+        self.step += 1
+        if self.step % self.config.eval_interval == 0:
+            self.evaluate(epoch, lr)
+
+    def close(self, epoch, lr):
+        """The closing evaluation of a stage or round: evaluate unless the
+        last step already was."""
+        if self.loss_n or not self.records:
+            self.evaluate(epoch, lr)
+
+    def evaluate(self, epoch, lr):
+        losses = (tuple(self.loss_sum / self.loss_n) if self.loss_n
+                  else CheckpointRecord.losses)
+        self.loss_sum, self.loss_n = np.zeros(3), 0
+        scores = evaluate_model(self.model, self.eval_sets)
+        record = CheckpointRecord(self.step, epoch, scores, lr, losses)
+        sel = self.config.selection
         if self.best is None or scores[sel] > self.best.scores[sel]:
             if self.best is not None:
                 self.best.state = None
             record.state = snapshot_state(self.model)
             self.best = record
         self.records.append(record)
-        if self.log_stream is not None:
-            loss_s, loss_ts, loss_tt = losses
-            self.log_stream.write(
-                f"{step}\t{loss_s:.6f}\t{loss_ts:.6f}\t{loss_tt:.6f}"
-                f"\t{lr:.6f}\t" +
-                "\t".join(f"{k}={v:.4f}" for k, v in sorted(scores.items())) +
-                "\n"
-            )
-        return scores
+        if self.log is not None:
+            self.log(record)
 
     def restore_best(self):
         """Put the model at the selected record's tensors and release the
@@ -197,15 +228,6 @@ class _Tracker:
         restore_state(self.model, self.best.state)
         self.best.state = None
         return self.records, self.best
-
-
-def _check_selection(config, eval_sets):
-    """Model selection needs its split among the evaluated ones."""
-    names = [ev.name for ev in eval_sets]
-    if config.selection not in names:
-        raise UsageError(
-            f"selection split {config.selection} is not evaluated "
-            f"(evaluated: {', '.join(names) or 'none'})")
 
 
 def _prepare_labeled(model, table, dataset, max_len):
@@ -233,22 +255,19 @@ def _masks_for(rng, batch, model):
     ]
 
 
-def pretrain_source(model, dataset, table, config, rng, eval_sets,
-                    log_stream=None):
+def pretrain_source(model, dataset, table, config, rng, eval_sets, log=None):
     """Clipped-SGD training of theta_s on the (mapped) source data.
 
     Shuffled batches, the epoch-decayed learning rate, an evaluation every
-    config.eval_interval batches plus one final evaluation. Leaves the model
-    at the selected record's tensors and returns (records, selected record).
+    config.eval_interval batches plus one final evaluation; `log`, if given,
+    is called with each CheckpointRecord as it is made. Leaves the model at
+    the selected record's tensors and returns (records, selected record).
     """
-    _check_selection(config, eval_sets)
+    tracker = _Tracker(model, config, eval_sets, log)
     prepared = _prepare_labeled(model, table, dataset, config.max_sentence_length)
     if not prepared:
         raise UsageError("empty training dataset")
     params = model.named_parameters("src")
-    tracker = _Tracker(model, config.selection, log_stream)
-    step = 0
-    loss_acc, loss_n = 0.0, 0
     lr = lr_at(config, 0)
     for epoch in range(config.epochs):
         lr = lr_at(config, epoch)
@@ -258,20 +277,8 @@ def pretrain_source(model, dataset, table, config, rng, eval_sets,
             masks = _masks_for(rng, batch, model)
             loss, grads = backward_pass(model, "src", batch, masks)
             clipped_sgd_step(params, grads, lr, config.clip)
-            loss_acc += loss
-            loss_n += 1
-            step += 1
-            if step % config.eval_interval == 0:
-                tracker.evaluate(
-                    eval_sets, step, epoch, lr,
-                    (loss_acc / loss_n, float("nan"), float("nan")),
-                )
-                loss_acc, loss_n = 0.0, 0
-    if not tracker.records or tracker.records[-1].step != step:
-        tracker.evaluate(
-            eval_sets, step, config.epochs - 1, lr,
-            (loss_acc / max(loss_n, 1), float("nan"), float("nan")),
-        )
+            tracker.after_step(epoch, lr, (loss, math.nan, math.nan))
+    tracker.close(config.epochs - 1, lr)
     return tracker.restore_best()
 
 
@@ -305,18 +312,19 @@ def generate_pseudo_labels(model, table, dataset, rng):
 
 
 def augmented_finetune(model, src_dataset, tgt_dataset, src_table, tgt_table,
-                       config, rng, eval_sets, log_stream=None):
+                       config, rng, eval_sets, log=None):
     """Joint fine-tuning: per step, theta_s trains on one source batch plus
     one pseudo-labeled target batch, theta_t trains on the target batch; the
     shared head and character table receive gradients from all three terms.
 
     Pseudo-labels are regenerated with a fresh length threshold every round.
     Stops after config.rounds rounds or config.patience rounds without
-    improvement on the selection split. Leaves the model at the selected
+    improvement on the selection split. `log`, if given, is called with
+    each CheckpointRecord as it is made. Leaves the model at the selected
     record's tensors and returns (records, selected record); the first
     record is the initialization.
     """
-    _check_selection(config, eval_sets)
+    tracker = _Tracker(model, config, eval_sets, log)
     if "tgt" not in model.encoders:
         model.add_target_encoder(rng)
     src_prepared = _prepare_labeled(
@@ -328,12 +336,8 @@ def augmented_finetune(model, src_dataset, tgt_dataset, src_table, tgt_table,
         raise UsageError("empty target dataset")
     params_s = model.named_parameters("src")
     params_t = model.named_parameters("tgt")
-    tracker = _Tracker(model, config.selection, log_stream)
     n_steps = config.n_steps or math.ceil(len(src_prepared) / config.batch_size)
-    step = 0
-    lr = lr_at(config, config.epochs)
-    tracker.evaluate(eval_sets, step, config.epochs, lr,
-                     (float("nan"), float("nan"), float("nan")))
+    tracker.evaluate(config.epochs, lr_at(config, config.epochs))
     stall_rounds = 0
     initial_round_loss = None
     for round_idx in range(config.rounds):
@@ -345,8 +349,6 @@ def augmented_finetune(model, src_dataset, tgt_dataset, src_table, tgt_table,
             model.prepare(tgt_table, s.tokens, s.tags)
             for s in pseudo.sentences
         ]
-        losses = np.zeros(3)
-        loss_n = 0
         round_loss = 0.0
         for _ in range(n_steps):
             batch_s = _draw_batch(rng, src_prepared, config.batch_size)
@@ -367,15 +369,9 @@ def augmented_finetune(model, src_dataset, tgt_dataset, src_table, tgt_table,
             loss_tt, grads_tt = backward_pass(
                 model, "tgt", batch_t, _masks_for(rng, batch_t, model))
             clipped_sgd_step(params_t, grads_tt, lr, config.clip)
-            losses += (loss_s, loss_ts, loss_tt)
-            loss_n += 1
             round_loss += float(np.nansum([loss_s, loss_ts, loss_tt]))
-            step += 1
-            if step % config.eval_interval == 0:
-                tracker.evaluate(eval_sets, step, epoch, lr, losses / loss_n)
-                losses[:] = 0.0
-                loss_n = 0
-        round_loss /= max(n_steps, 1)
+            tracker.after_step(epoch, lr, (loss_s, loss_ts, loss_tt))
+        round_loss /= n_steps
         if initial_round_loss is None:
             initial_round_loss = round_loss
         elif round_loss > 10.0 * initial_round_loss:
@@ -383,11 +379,7 @@ def augmented_finetune(model, src_dataset, tgt_dataset, src_table, tgt_table,
                 f"fine-tuning diverged: round loss {round_loss:.3f} vs "
                 f"initial {initial_round_loss:.3f}"
             )
-        if loss_n or not tracker.records or tracker.records[-1].step != step:
-            tracker.evaluate(
-                eval_sets, step, epoch, lr,
-                losses / loss_n if loss_n else (np.nan, np.nan, np.nan),
-            )
+        tracker.close(epoch, lr)
         if tracker.best is not best_before:
             stall_rounds = 0
         else:

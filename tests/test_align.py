@@ -165,7 +165,7 @@ def test_keeping_a_log_leaves_the_mapper_bit_identical():
                       restarts=2, restart_disc_acc=-1.0)
     log = []
     silent = adversarial_train(src, tgt, Rng(0), cfg)
-    logged = adversarial_train(src, tgt, Rng(0), cfg, log=log)
+    logged = adversarial_train(src, tgt, Rng(0), cfg, log=log.append)
     assert logged.w.tobytes() == silent.w.tobytes()
     assert [row[0] for row in log] == [0, 100, 200, 249] * 2
 
@@ -186,7 +186,7 @@ def test_logged_losses_are_the_losses_of_the_step(monkeypatch):
                       vocab_cap=50, criterion_sample_n=20, csls_k=3,
                       restarts=1, label_smoothing=0.2)
     log = []
-    adversarial_train(src, tgt, Rng(2), cfg, log=log)
+    adversarial_train(src, tgt, Rng(2), cfg, log=log.append)
     assert len(seen) == 4  # three discriminator batches, one mapper batch
     (disc, batch), (disc_map, mapped) = seen[2], seen[3]
     b, eye = cfg.batch_size, np.eye(4)
@@ -575,7 +575,7 @@ def test_refine_stable_at_perfect_mapper():
     src, tgt, omega = synthetic_pair(3, n=60, d=8)
     history = []
     mapper = refine(src, tgt, LinearMapper(omega), iterations=3, k=5,
-                    top_n=60, criterion_sample_n=60, history=history)
+                    top_n=60, criterion_sample_n=60, log=history.append)
     assert np.abs(mapper.w - omega).max() < 1e-6
     crits = [c for _, c, _ in history]
     assert all(b >= a - 1e-9 for a, b in zip(crits, crits[1:]))
@@ -597,7 +597,7 @@ def test_refine_orthogonality_invariant():
     src, tgt, _ = synthetic_pair(5, n=80, d=8, noise=0.05)
     history = []
     mapper = refine(src, tgt, LinearMapper(np.eye(8)), iterations=4, k=5,
-                    top_n=80, criterion_sample_n=80, history=history)
+                    top_n=80, criterion_sample_n=80, log=history.append)
     for _ in history:
         pass
     assert mapper.orthogonality_error() < 1e-6

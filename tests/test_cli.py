@@ -129,6 +129,53 @@ def test_align_deterministic_dictionary(workdir, mapper_path):
         (workdir["root"] / "dict2.txt").read_bytes()
 
 
+def test_align_unwritable_log_exits_2_before_the_game(workdir, tmp_path,
+                                                     capsys, monkeypatch):
+    import zrxner.align as al
+
+    def no_game(*args, **kwargs):
+        raise AssertionError("the game started")
+
+    monkeypatch.setattr(al, "adversarial_train", no_game)
+    log = tmp_path / "no-such-dir" / "align.log"
+    code = main([
+        "align", "--src-emb", workdir["src_emb"], "--tgt-emb",
+        workdir["tgt_emb"], "--log", str(log), "--out", str(tmp_path / "m.zrx"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(log) in err and "Traceback" not in err
+    assert not (tmp_path / "m.zrx").exists()
+
+
+def test_align_numerical_failure_mid_game_leaves_the_rows_reached(
+        workdir, tmp_path, capsys, monkeypatch):
+    import zrxner.align as al
+
+    original, calls = al.orthogonalize, []
+
+    def fail_at_step_250(w, beta):
+        calls.append(None)
+        w = original(w, beta)
+        return w * np.nan if len(calls) == 251 else w
+
+    monkeypatch.setattr(al, "orthogonalize", fail_at_step_250)
+    log = tmp_path / "align.log"
+    code = main([
+        "align", "--src-emb", workdir["src_emb"], "--tgt-emb",
+        workdir["tgt_emb"], "--w-steps", "400", "--disc-steps", "1",
+        "--batch-size", "16", "--disc-hidden", "16", "--vocab-cap", "200",
+        "--restarts", "1", "--log", str(log), "--out", str(tmp_path / "m.zrx"),
+    ])
+    assert code == 4
+    assert "non-finite at step 250" in capsys.readouterr().err
+    rows = [row.split("\t") for row in log.read_text().splitlines()]
+    assert [row[:2] for row in rows] == [
+        ["adversarial", "0"], ["adversarial", "100"], ["adversarial", "200"]]
+    assert all(len(row) == 4 for row in rows)
+    assert not (tmp_path / "m.zrx").exists()
+
+
 def test_align_refine_zero_saves_adversarial_only(workdir):
     out = str(workdir["root"] / "mapper_raw.zrx")
     code = main([
@@ -255,6 +302,123 @@ def test_pretrain_artifacts(workdir, pretrained_path):
         cols = line.split("\t")
         assert len(cols) == 7
         assert [c.split("=")[0] for c in cols[5:]] == ["src_dev", "tgt_dev"]
+
+
+def test_pretrain_zero_epochs_logs_one_row_with_nan_source_loss(workdir,
+                                                                tmp_path):
+    # no batch ran, so no loss term has a value
+    log = tmp_path / "run.log"
+    code = main([
+        "pretrain", "--train", workdir["src_train"], "--dev",
+        workdir["src_dev"], "--src-emb", workdir["src_emb"],
+        "--variant", "source_mono", "--input-scheme", "IOB2", "--epochs", "0",
+        "--char-dim", "8", "--char-hidden", "8", "--word-hidden", "16",
+        "--head-hidden", "16", "--log", str(log), "--out", str(tmp_path / "m"),
+    ])
+    assert code == 0
+    rows = log.read_text().splitlines()
+    assert len(rows) == 1
+    assert rows[0].split("\t")[:5] == ["0", "nan", "nan", "nan", "0.100000"]
+
+
+@pytest.mark.parametrize("command, flags, line, message", [
+    ("pretrain", [], "train.decay=-1", "train.decay must be at least 0, got -1.0"),
+    ("pretrain", [], "train.clip=0", "train.clip must be above 0, got 0.0"),
+    ("pretrain", ["--word-hidden", "0"], None,
+     "train.word_hidden must be at least 1, got 0"),
+    ("pretrain", ["--char-hidden", "-2"], None,
+     "train.char_hidden must be at least 1, got -2"),
+    ("pretrain", ["--char-dim", "0"], None,
+     "train.char_dim must be at least 1, got 0"),
+    ("pretrain", ["--head-hidden", "0"], None,
+     "train.head_hidden must be at least 1, got 0"),
+    ("pretrain", ["--limit", "0"], None,
+     "train.emb_limit must be at least 1, got 0"),
+    ("pretrain", ["--limit", "-1"], None,
+     "train.emb_limit must be at least 1, got -1"),
+    ("finetune", ["--rounds", "-1"], None,
+     "train.rounds must be at least 0, got -1"),
+    ("finetune", ["--n-steps", "-3"], None,
+     "train.n_steps must be at least 0, got -3"),
+    ("finetune", [], "train.decay=-1", "train.decay must be at least 0, got -1.0"),
+    ("finetune", ["--seeds", "0,x"], None,
+     "--seeds must be comma-separated integers, got '0,x'"),
+    ("finetune", ["--seeds", ","], None, "at least one seed is required"),
+])
+def test_bad_training_value_exit_2_before_reading_anything(
+        command, flags, line, message, tmp_path, capsys, monkeypatch):
+    import zrxner.cli as cli_mod
+
+    read = []
+    for name in ("_read_dataset", "_load_table", "load_model"):
+        monkeypatch.setattr(cli_mod, name, lambda *a, **k: read.append(a))
+    missing = str(tmp_path / "missing")
+    if command == "pretrain":
+        argv = ["pretrain", "--train", missing, "--dev", missing,
+                "--src-emb", missing]
+    else:
+        argv = ["finetune", "--checkpoint", missing, "--src-train", missing,
+                "--tgt-train", missing]
+    if line is not None:
+        (tmp_path / "run.cfg").write_text(line + "\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    code = main(argv + flags + ["--out", str(tmp_path / "m")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert read == [] and not list(tmp_path.glob("m*"))
+
+
+def test_finetune_repeated_seed_exit_2_before_training(
+        workdir, pretrained_path, tmp_path, capsys):
+    code = main([
+        "finetune", "--checkpoint", pretrained_path, "--src-train",
+        workdir["src_train"], "--tgt-train", workdir["tgt_train"],
+        "--src-dev", workdir["src_dev"], "--input-scheme", "IOB2",
+        "--select", "src_dev", "--seeds", "0,1,0", "--rounds", "1",
+        "--log", str(tmp_path / "ft.log"), "--manifest",
+        str(tmp_path / "ft.json"), "--out", str(tmp_path / "ft"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --seeds repeats 0\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("train.epochs", "abc", "train.epochs='abc' is not a valid int"),
+    ("train.decay", "-1", "train.decay must be at least 0, got -1.0"),
+    ("train.rounds", "-1", "train.rounds must be at least 0, got -1"),
+    ("train.variant", "bogus", "train.variant must be one of"),
+    ("model.tied", "maybe", "model.tied='maybe' is not true or false"),
+    ("word_dim", "x", "word_dim='x' is not a valid int"),
+])
+def test_checkpoint_config_value_refused_exit_3(pretrained_path, workdir,
+                                                tmp_path, capsys, key, value,
+                                                message):
+    config, tensors = load_checkpoint(pretrained_path)
+    assert key in config
+    config[key] = value
+    path = tmp_path / "crafted.zrx"
+    save_checkpoint(path, config, tensors)
+    code = main(["tag", "--checkpoint", str(path), "--input",
+                 workdir["tgt_dev"], "--output", str(tmp_path / "out.conll")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"artifact error: {path}: {message}")
+    assert err.count("\n") == 1 and not (tmp_path / "out.conll").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("model.word_dim", "3"), ("model.tags", "B-PER O"),
+])
+def test_checkpoint_model_keys_beyond_the_structural_two_are_ignored(
+        pretrained_path, tmp_path, key, value):
+    config, tensors = load_checkpoint(pretrained_path)
+    config[key] = value
+    path = tmp_path / "crafted.zrx"
+    save_checkpoint(path, config, tensors)
+    model = load_model(str(path))[0]
+    base = load_model(pretrained_path)[0]
+    assert model.cfg == base.cfg
 
 
 def test_pretrain_missing_tag_column_exit_2(workdir):

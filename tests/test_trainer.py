@@ -1,4 +1,3 @@
-import io
 import math
 import statistics
 import weakref
@@ -99,13 +98,24 @@ def test_config_non_numeric_value_is_usage_error(key, raw):
 
 @pytest.mark.parametrize("field, value", [
     ("batch_size", 0), ("eval_interval", 0), ("dropout", 1.0),
-    ("dropout", -0.1), ("epochs", -1),
+    ("dropout", -0.1), ("epochs", -1), ("decay", -1.0), ("rounds", -1),
+    ("n_steps", -3), ("clip", 0.0), ("clip", -1.0), ("char_dim", 0),
+    ("char_hidden", -2), ("word_hidden", 0), ("head_hidden", 0),
+    ("emb_limit", 0), ("emb_limit", -1),
 ])
 def test_config_out_of_range_value_is_usage_error(field, value):
     with pytest.raises(UsageError, match=field):
         small_config(**{field: value})
     with pytest.raises(UsageError, match=field):
         TrainingConfig.from_flat({f"train.{field}": str(value)})
+
+
+def test_config_accepts_each_bound_itself():
+    cfg = small_config(decay=0.0, rounds=0, n_steps=0, clip=1e-12, char_dim=1,
+                       char_hidden=1, word_hidden=1, head_hidden=1,
+                       emb_limit=1, epochs=0, batch_size=1, eval_interval=1,
+                       dropout=0.0)
+    assert TrainingConfig.from_flat(cfg.to_flat()) == cfg
 
 
 def test_variant_flags():
@@ -146,15 +156,17 @@ def test_pretrain_deterministic_loss_trajectory(fx):
     logs = []
     for _ in range(2):
         model = build_model(fx, config)
-        stream = io.StringIO()
+        records = []
         pretrain_source(
             model, fx.src_train, fx.src_emb, config, Rng(7),
             [EvalSet("src_dev", "src", fx.src_emb, fx.src_dev)],
-            log_stream=stream,
+            log=records.append,
         )
-        logs.append(stream.getvalue())
+        # repr, so that nan loss terms compare equal
+        logs.append([repr((r.step, r.epoch, r.lr, r.losses, r.scores))
+                     for r in records])
     assert logs[0] == logs[1]
-    assert logs[0].count("\n") >= 2  # eval lines were actually written
+    assert len(logs[0]) >= 2  # eval records were actually reported
 
 
 def test_pretrain_rejects_empty_dataset(fx):
@@ -218,6 +230,51 @@ def finetuned(fx, config, rounds, seed=0, **kw):
         [EvalSet("src_dev", "src", fx.src_emb, fx.src_dev)],
     )
     return model, records
+
+
+def test_each_stage_logs_every_record_in_order_with_lr_and_losses(
+        fx, monkeypatch):
+    config = small_config(epochs=1, eval_interval=4)
+    model = build_model(fx, config)
+    dev = [EvalSet("src_dev", "src", fx.src_emb, fx.src_dev)]
+    logged = []
+    records, _ = pretrain_source(model, fx.src_train, fx.src_emb, config,
+                                 Rng(0), dev, log=logged.append)
+    assert len(logged) == len(records) >= 2
+    assert all(a is b for a, b in zip(logged, records))
+    for r in records:
+        assert r.lr == lr_at(config, r.epoch)
+        assert math.isfinite(r.losses[0])
+        assert math.isnan(r.losses[1]) and math.isnan(r.losses[2])
+
+    step_losses = []  # per step: source, target via source, target
+    original = trainer_mod.backward_pass
+
+    def spy(model, lang, batch, masks):
+        loss, grads = original(model, lang, batch, masks)
+        if not step_losses or len(step_losses[-1]) == 3:
+            step_losses.append([])
+        step_losses[-1].append(loss)
+        return loss, grads
+
+    monkeypatch.setattr(trainer_mod, "backward_pass", spy)
+    ft_cfg = small_config(epochs=1, rounds=3, n_steps=6, eval_interval=4)
+    logged = []
+    records, _ = augmented_finetune(
+        model, fx.src_train, fx.tgt_train_unlabeled, fx.src_emb, fx.tgt_emb,
+        ft_cfg, Rng(1), dev, log=logged.append,
+    )
+    assert len(logged) == len(records)
+    assert all(a is b for a, b in zip(logged, records))
+    # every 4 steps, and at each round's end unless its last step was
+    assert [r.step for r in records] == [0, 4, 6, 8, 12, 16, 18]
+    assert [r.epoch for r in records] == [1, 1, 1, 2, 2, 3, 3]
+    assert all(r.lr == lr_at(ft_cfg, r.epoch) for r in records)
+    assert all(math.isnan(x) for x in records[0].losses)
+    assert len(step_losses) == 18
+    for prev, r in zip(records, records[1:]):
+        want = np.mean(step_losses[prev.step : r.step], axis=0)
+        assert r.losses == pytest.approx(tuple(want), rel=1e-12)
 
 
 def spy_evaluations(monkeypatch, states, scores=None):
