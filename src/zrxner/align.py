@@ -136,19 +136,24 @@ class Discriminator:
         z2 = a1 @ self.w2 + self.b2
         return z1, a1, z2
 
-    def backward(self, x, dz2, cache=None, need_input_grad=True):
-        """Backprop dL/dz2 through the net; returns (param grads, dL/dx)."""
+    def _dz1(self, dz2, z1):
+        return (dz2[:, None] * self.w2) * _leaky_grad(z1)
+
+    def backward(self, x, dz2, cache=None):
+        """Backprop dL/dz2 through the net; returns the parameter grads."""
         z1, a1, _ = cache if cache is not None else self._forward_cache(x)
-        dw2 = a1.T @ dz2
-        db2 = float(dz2.sum())
-        dz1 = (dz2[:, None] * self.w2) * _leaky_grad(z1)
-        grads = {
+        dz1 = self._dz1(dz2, z1)
+        return {
             "w1": dz1.T @ x,
             "b1": dz1.sum(axis=0),
-            "w2": dw2,
-            "b2": db2,
+            "w2": a1.T @ dz2,
+            "b2": float(dz2.sum()),
         }
-        return grads, (dz1 @ self.w1 if need_input_grad else None)
+
+    def input_grad(self, x, dz2, cache=None):
+        """Backprop dL/dz2 through the net; returns dL/dx alone."""
+        z1 = (cache if cache is not None else self._forward_cache(x))[0]
+        return self._dz1(dz2, z1) @ self.w1
 
     def sgd(self, grads, lr):
         self.w1 -= lr * grads["w1"]
@@ -189,15 +194,14 @@ def _play_game(x_rows, y_rows, rng, config, criterion, log):
             cache = disc._forward_cache(batch)
             z_disc = cache[2]
             dz = (sigmoid(z_disc) - targets) / b
-            grads, _ = disc.backward(batch, dz, cache, need_input_grad=False)
-            disc.sgd(grads, config.lr_disc)
+            disc.sgd(disc.backward(batch, dz, cache), config.lr_disc)
         by = y_rows[rng.integers(len(y_rows), b)]
         mapped = by @ w.T
         mask_t = dropout_mask(rng, mapped.shape, rate)
         in_t = mapped * mask_t if mask_t is not None else mapped
         cache = disc._forward_cache(in_t)
         dz_t = (sigmoid(cache[2]) - 1.0) / b
-        _, d_input = disc.backward(in_t, dz_t, cache)
+        d_input = disc.input_grad(in_t, dz_t, cache)
         if mask_t is not None:
             d_input = d_input * mask_t
         w -= config.lr_map * (d_input.T @ by)

@@ -17,7 +17,11 @@ import contextlib
 import csv
 import json
 import math
+import os
+import signal
+import struct
 import sys
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -35,7 +39,12 @@ from .corpus import (
     read_conll,
     write_conll,
 )
-from .embeddings import DEFAULT_LOAD_LIMIT, load_vec_text, normalize
+from .embeddings import (
+    DEFAULT_LOAD_LIMIT,
+    EmbeddingTable,
+    load_vec_text,
+    normalize,
+)
 from .errors import (
     AlignmentError,
     CheckpointError,
@@ -60,6 +69,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_ARTIFACT = 3
 EXIT_NUMERIC = 4
+# rows, dimension and byte length of the words of a table sent by a
+# _load_tables child; the words ("\n"-joined UTF-8) and the rows follow
+_TABLE_HEAD = struct.Struct("<3q")
 
 
 def _read_config_file(path):
@@ -92,6 +104,87 @@ def _load_table(path, limit, language):
         table = load_vec_text(fh, limit=limit, language=language)
     normalize(table.vectors, out=table.vectors)
     return table
+
+
+def _read_into(pipe, buf):
+    """Fill buf, a bytes-like object, from pipe; False where the pipe ends
+    first."""
+    view = memoryview(buf)
+    while view:
+        got = pipe.readinto(view)
+        if not got:
+            return False
+        view = view[got:]
+    return True
+
+
+def _receive_table(pipe, language):
+    """The table a _load_tables child sends through pipe, or None where the
+    child failed or died before sending all of it."""
+    head = bytearray(_TABLE_HEAD.size)
+    if not _read_into(pipe, head):
+        return None
+    rows, dim, text_len = _TABLE_HEAD.unpack(head)
+    text = bytearray(text_len)
+    vectors = np.empty((rows, dim))
+    if not (_read_into(pipe, text)
+            and _read_into(pipe, vectors.reshape(-1).view(np.uint8))):
+        return None
+    words = text.decode("utf-8").split("\n") if rows else []
+    return EmbeddingTable(words, vectors, language)
+
+
+def _load_tables(src_path, tgt_path, limit):
+    """_load_table of the source ("src") and the target ("tgt") table, the
+    two parsed at once: a forked child parses the target table while this
+    process parses the source one, then writes its words and normalized rows
+    to a pipe that this process reads straight into the final array. Where
+    the child fails or dies, this process loads the target table itself, so
+    an error is the one loading the two in turn raises, the source's first.
+    A target that is not a regular file (a pipe, say) can be read only once,
+    so it is loaded here, after the source, as it is where fork is missing.
+    """
+    if not (hasattr(os, "fork") and os.path.isfile(tgt_path)):
+        return (_load_table(src_path, limit, "src"),
+                _load_table(tgt_path, limit, "tgt"))
+    read_fd, write_fd = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns that forking a process with threads may
+        # deadlock the child. The only other threads here are OpenBLAS
+        # workers, and OpenBLAS shuts its pool down around a fork; the child
+        # calls no BLAS routine and takes no lock, parses and normalizes
+        # with NumPy's elementwise code, and leaves through os._exit.
+        warnings.filterwarnings("ignore", r".*fork\(\) may lead to deadlocks",
+                                DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            # a warning fails the child, so that this process loads the
+            # table again and shows the warning itself
+            warnings.simplefilter("error")
+            table = _load_table(tgt_path, limit, "tgt")
+            text = "\n".join(table.words).encode("utf-8")
+            with open(write_fd, "wb") as pipe:
+                pipe.write(_TABLE_HEAD.pack(*table.vectors.shape, len(text)))
+                pipe.write(text)
+                pipe.write(table.vectors)
+            code = 0
+        finally:
+            # no exit handlers, and no flush of buffers copied from the parent
+            os._exit(code)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb", buffering=0) as pipe:
+            src = _load_table(src_path, limit, "src")
+            tgt = _receive_table(pipe, "tgt")
+    finally:
+        os.kill(pid, signal.SIGKILL)  # a no-op where it has exited
+        os.waitpid(pid, 0)
+    if tgt is None:
+        tgt = _load_table(tgt_path, limit, "tgt")
+    return src, tgt
 
 
 def _read_dataset(path, language, role, scheme, tag_col=-1, token_col=0):
@@ -138,8 +231,7 @@ def cmd_align(args):
     config = _config(al.AlignConfig, _read_config_file(args.config), args)
     if args.refine_iters < 0:
         raise UsageError(f"--refine-iters must be at least 0, got {args.refine_iters}")
-    src = _load_table(args.src_emb, args.limit, "src")
-    tgt = _load_table(args.tgt_emb, args.limit, "tgt")
+    src, tgt = _load_tables(args.src_emb, args.tgt_emb, args.limit)
     if args.direction == "s2t":
         space, moving, direction = tgt, src, al.S_TO_T
     else:
@@ -218,11 +310,11 @@ def cmd_pretrain(args):
     )
     if any(s.tags is None for s in train):
         raise UsageError("training data must carry a tag column")
-    src_raw = _load_table(args.src_emb, config.emb_limit, "src")
-    tgt_raw = (
-        _load_table(args.tgt_emb, config.emb_limit, "tgt")
-        if args.tgt_emb else None
-    )
+    if args.tgt_emb:
+        src_raw, tgt_raw = _load_tables(args.src_emb, args.tgt_emb,
+                                        config.emb_limit)
+    else:
+        src_raw, tgt_raw = _load_table(args.src_emb, config.emb_limit, "src"), None
     mapper = None
     if args.mapper:
         mapper = load_mapper(args.mapper)[0]

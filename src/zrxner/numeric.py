@@ -1,8 +1,10 @@
 """Deterministic numeric substrate: stable log-sum-exp, small dense SVD,
 clipped SGD steps, and seeded random draws.
 
-All training math is float64. The random generator is PCG64; its name is
-recorded in checkpoints so runs can be reproduced across platforms.
+All training math is float64. The random generator is PCG64, and its name
+is recorded in checkpoints. A run is deterministic given the seed, the
+NumPy and BLAS build, and the BLAS thread count: some matrix products give
+other bits with another OpenBLAS thread count.
 """
 
 import numpy as np

@@ -92,26 +92,33 @@ def save_model(path, model, train_config, tables, extra_config=None):
 
 def load_model(path):
     """Rebuild (model, train_config, tables, raw config) from a checkpoint.
-    A config value that does not parse, or that the range checks refuse, is
-    an artifact error naming its key."""
+    A missing key, a config value that does not parse or that the range
+    checks refuse, and a tensor whose shape is not the model's are artifact
+    errors naming the key or the tensor."""
     config, tensors = load_checkpoint(path)
     if config.get("kind") != "tagger":
         raise CheckpointError(f"{path} is not a tagger checkpoint")
+
+    def required(key):
+        if key not in config:
+            raise CheckpointError(f"{path}: checkpoint lacks config key {key!r}")
+        return config[key]
+
     try:
         train_config = TrainingConfig.from_flat(config)
         # the structural keys save_model writes, and only those
         structure = flat_to_fields(TaggerConfig, "model", {
             key: config[key] for key in ("model.use_char", "model.tied")
             if key in config})
-        word_dim = int(config["word_dim"])
+        word_dim = int(required("word_dim"))
     except UsageError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
     except ValueError:
         raise CheckpointError(f"{path}: word_dim={config['word_dim']!r} "
                               "is not a valid int") from None
-    tags = config["tags"].split(" ")
+    tags = required("tags").split(" ")
     char_vocab = _chars_from_text(config.get("chars", ""))
-    languages = tuple(config["languages"].split(" "))
+    languages = tuple(required("languages").split(" "))
     tagger_cfg = replace(train_config.tagger_config(word_dim, tags), **structure)
     model = Tagger(tagger_cfg, char_vocab, Rng(train_config.seed), languages)
     params = model.all_parameters()
@@ -119,15 +126,22 @@ def load_model(path):
     if missing:
         raise CheckpointError(f"checkpoint lacks tensors: {sorted(missing)}")
     for name, arr in params.items():
+        if tensors[name].shape != arr.shape:
+            raise CheckpointError(
+                f"{path}: tensor {name} has shape {tensors[name].shape}, "
+                f"the model's is {arr.shape}")
         np.copyto(arr, tensors[name])
     tables = {}
     for key in tensors:
         if not (key.startswith("emb.") and key.endswith(".vectors")):
             continue
         lang = key[len("emb.") : -len(".vectors")]
-        tables[lang] = EmbeddingTable(
-            config[f"emb.{lang}.words"].split(" "),
-            tensors[key],
-            config.get(f"emb.{lang}.language", lang),
-        )
+        try:
+            tables[lang] = EmbeddingTable(
+                required(f"emb.{lang}.words").split(" "),
+                tensors[key],
+                config.get(f"emb.{lang}.language", lang),
+            )
+        except UsageError as exc:
+            raise CheckpointError(f"{path}: tensor {key}: {exc}") from None
     return model, train_config, tables, config

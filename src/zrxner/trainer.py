@@ -66,7 +66,9 @@ class TrainingConfig(FlatConfig):
             ("variant", self.variant in VARIANTS, f"one of {', '.join(VARIANTS)}"),
             ("selection", self.selection in SELECTIONS,
              f"one of {', '.join(SELECTIONS)}"),
+            ("lr0", self.lr0 > 0.0, "above 0"),
             ("decay", self.decay >= 0.0, "at least 0"),
+            ("lr_floor", self.lr_floor >= 0.0, "at least 0"),
             ("clip", self.clip > 0.0, "above 0"),
             ("batch_size", self.batch_size >= 1, "at least 1"),
             ("eval_interval", self.eval_interval >= 1, "at least 1"),

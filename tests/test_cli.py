@@ -2,14 +2,21 @@ import contextlib
 import csv
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import zrxner
 from zrxner.checkpoint import load_checkpoint, save_checkpoint
-from zrxner.cli import _load_table, _read_dataset, main
+from zrxner.cli import _load_table, _load_tables, _read_dataset, main
 from zrxner.corpus import IOB2, read_conll
 from zrxner.embeddings import EmbeddingTable, write_vec_text
+from zrxner.errors import ParseError
 from zrxner.persist import load_mapper, load_model
 
 from fixtures import BilingualFixture, precision_at_1
@@ -344,6 +351,9 @@ def test_pretrain_zero_epochs_logs_one_row_with_nan_source_loss(workdir,
     ("finetune", ["--seeds", "0,x"], None,
      "--seeds must be comma-separated integers, got '0,x'"),
     ("finetune", ["--seeds", ","], None, "at least one seed is required"),
+    ("pretrain", ["--lr0", "-5"], None, "train.lr0 must be above 0, got -5.0"),
+    ("finetune", [], "train.lr_floor=-1",
+     "train.lr_floor must be at least 0, got -1.0"),
 ])
 def test_bad_training_value_exit_2_before_reading_anything(
         command, flags, line, message, tmp_path, capsys, monkeypatch):
@@ -383,6 +393,18 @@ def test_finetune_repeated_seed_exit_2_before_training(
     assert list(tmp_path.iterdir()) == []
 
 
+def _tag_crafted(config, tensors, workdir, tmp_path, capsys):
+    """Exit code and stderr, less its prefix, of `tag` on a checkpoint
+    re-signed from config and tensors."""
+    path = tmp_path / "crafted.zrx"
+    save_checkpoint(path, config, tensors)
+    code = main(["tag", "--checkpoint", str(path), "--input",
+                 workdir["tgt_dev"], "--output", str(tmp_path / "out.conll")])
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and not (tmp_path / "out.conll").exists()
+    return code, err.removeprefix(f"artifact error: {path}: ")
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("train.epochs", "abc", "train.epochs='abc' is not a valid int"),
     ("train.decay", "-1", "train.decay must be at least 0, got -1.0"),
@@ -390,21 +412,47 @@ def test_finetune_repeated_seed_exit_2_before_training(
     ("train.variant", "bogus", "train.variant must be one of"),
     ("model.tied", "maybe", "model.tied='maybe' is not true or false"),
     ("word_dim", "x", "word_dim='x' is not a valid int"),
+    ("train.lr0", "-5", "train.lr0 must be above 0, got -5.0"),
+    ("train.lr_floor", "-1", "train.lr_floor must be at least 0, got -1.0"),
+    *[(key, None, f"checkpoint lacks config key {key!r}")  # None: deleted
+      for key in ("tags", "languages", "word_dim", "emb.tgt.words")],
 ])
 def test_checkpoint_config_value_refused_exit_3(pretrained_path, workdir,
                                                 tmp_path, capsys, key, value,
                                                 message):
     config, tensors = load_checkpoint(pretrained_path)
     assert key in config
-    config[key] = value
-    path = tmp_path / "crafted.zrx"
-    save_checkpoint(path, config, tensors)
-    code = main(["tag", "--checkpoint", str(path), "--input",
-                 workdir["tgt_dev"], "--output", str(tmp_path / "out.conll")])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"artifact error: {path}: {message}")
-    assert err.count("\n") == 1 and not (tmp_path / "out.conll").exists()
+    if value is None:
+        del config[key]
+    else:
+        config[key] = value
+    code, err = _tag_crafted(config, tensors, workdir, tmp_path, capsys)
+    assert code == 3 and err.startswith(message)
+
+
+@pytest.mark.parametrize("name, shape", [
+    ("head.tag_w", (3, 3)),  # another shape
+    ("head.dense_b", None),  # the model's (n,) as (1, n), which would broadcast
+    ("head.trans", None),  # the model's (n, n) as (1, n, n)
+])
+def test_checkpoint_tensor_of_another_shape_exit_3(pretrained_path, workdir,
+                                                   tmp_path, capsys, name,
+                                                   shape):
+    config, tensors = load_checkpoint(pretrained_path)
+    want = tensors[name].shape
+    tensors[name] = (np.zeros(shape) if shape is not None
+                     else tensors[name][None])
+    assert _tag_crafted(config, tensors, workdir, tmp_path, capsys) == (
+        3, f"tensor {name} has shape {tensors[name].shape}, the model's is "
+           f"{want}\n")
+
+
+def test_checkpoint_table_words_disagreeing_with_rows_exit_3(
+        pretrained_path, workdir, tmp_path, capsys):
+    config, tensors = load_checkpoint(pretrained_path)
+    config["emb.tgt.words"] += " extra"
+    assert _tag_crafted(config, tensors, workdir, tmp_path, capsys) == (
+        3, "tensor emb.tgt.vectors: words and vectors disagree\n")
 
 
 @pytest.mark.parametrize("key, value", [
@@ -754,6 +802,206 @@ def test_vec_crlf_file_loads_like_lf(tmp_path):
     got = _load_table(str(crlf), None, "src")
     assert got.words == want.words == ["w1", "w2"]
     np.testing.assert_array_equal(got.vectors, want.vectors)
+
+
+# Loading the two tables of align and pretrain at once must give what
+# _load_table gives called twice, source first, in every outcome.
+TABLE_TEXTS = {
+    "plain": b"3 2\na 1 0\nb 0 2\nc 3 4\n",
+    "duplicates": b"4 2\na 1 0\nb 0 2\na 5 5\nc 3 4\n",
+    "overstated header": b"9 2\na 1 0\nb 0 2\n",
+    "crlf": b"2 3\r\nw1 0.5 -1.25 2.0 \r\nw2 1.0 0.0 0.0 \r\nw\r3 0 0 1\r\n",
+    "no rows": b"0 4\n",
+    "zero row": b"2 2\nz 0 0\ny -3 4\n",
+}
+TABLE_ERRORS = {  # what is written to the path, and the message it gives
+    "parse": (b"3 2\na 1 0\nb 1 x\nc 0 1\n",
+              "error: line 3: non-numeric vector entry\n"),
+    "utf8": (b"2 2\na 1 0\n\xff 0 1\n",
+             "error: input is not valid UTF-8: invalid start byte (byte 0xff)\n"),
+    "missing": (None, "No such file or directory\n"),
+    "non-finite": (b"2 2\na 1 0\nb nan 1\n",
+                   "error: non-finite vector entries\n"),
+}
+
+
+def _write_table_file(path, data):
+    if data is not None:
+        path.write_bytes(data)
+    return str(path)
+
+
+def _large_table_text(seed, rows, dim):
+    # more rows than one parser chunk, and more bytes than a pipe buffer
+    rng = np.random.default_rng(seed)
+    table = EmbeddingTable([f"w{seed}.{i}" for i in range(rows)],
+                           rng.normal(size=(rows, dim)))
+    buf = io.StringIO()
+    write_vec_text(table, buf, fmt="%.17g")
+    return buf.getvalue().encode()
+
+
+def _assert_same_table(got, want):
+    assert got.words == want.words and got.language == want.language
+    assert got.vectors.dtype == want.vectors.dtype
+    assert got.vectors.shape == want.vectors.shape
+    assert got.vectors.tobytes() == want.vectors.tobytes()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("limit", [None, 2, 2000])
+@pytest.mark.parametrize("src_case, tgt_case", [
+    ("plain", "duplicates"), ("duplicates", "overstated header"),
+    ("overstated header", "crlf"), ("crlf", "no rows"),
+    ("no rows", "zero row"), ("zero row", "plain"), ("large", "large"),
+    ("plain", None), ("large", None),  # None: the same path for both
+])
+def test_two_table_load_matches_loading_each_in_turn(tmp_path, limit, src_case,
+                                                     tgt_case):
+    texts = {**TABLE_TEXTS, "large": _large_table_text(1, 3000, 7)}
+    src = _write_table_file(tmp_path / "s.vec", texts[src_case])
+    tgt = src if tgt_case is None else _write_table_file(
+        tmp_path / "t.vec", texts[tgt_case] if tgt_case != "large"
+        else _large_table_text(2, 2500, 7))
+    got = _load_tables(src, tgt, limit)
+    _assert_no_child_left()
+    want = _load_table(src, limit, "src"), _load_table(tgt, limit, "tgt")
+    for g, w in zip(got, want):
+        _assert_same_table(g, w)
+
+
+def _align_outcome(src, tgt, out, capsys):
+    code = main(["align", "--src-emb", src, "--tgt-emb", tgt, "--out", out,
+                 "--w-steps", "0", "--refine-iters", "0"])
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("src_case, tgt_case", [
+    *[(case, None) for case in TABLE_ERRORS],
+    *[(None, case) for case in TABLE_ERRORS],
+    ("parse", "utf8"), ("utf8", "missing"), ("missing", "non-finite"),
+    ("non-finite", "parse"),
+])
+def test_two_table_load_error_is_the_one_of_loading_each_in_turn(
+        tmp_path, capsys, monkeypatch, src_case, tgt_case):
+    good = TABLE_TEXTS["plain"]
+    src = _write_table_file(
+        tmp_path / "s.vec", good if src_case is None else TABLE_ERRORS[src_case][0])
+    tgt = _write_table_file(
+        tmp_path / "t.vec", good if tgt_case is None else TABLE_ERRORS[tgt_case][0])
+    out = str(tmp_path / "m.zrx")
+    code, captured = _align_outcome(src, tgt, out, capsys)
+    _assert_no_child_left()
+    monkeypatch.delattr(os, "fork")  # _load_table on the source, then the target
+    assert (code, captured) == _align_outcome(src, tgt, out, capsys)
+    assert code == 2 and captured.out == ""
+    assert captured.err.endswith(TABLE_ERRORS[src_case or tgt_case][1])
+    assert captured.err.count("\n") == 1 and not os.path.exists(out)
+
+
+@pytest.mark.parametrize("side", ["src", "tgt"])
+def test_two_table_load_warning_is_shown_here(tmp_path, side):
+    # a row whose squared norm overflows warns while it is normalized
+    texts = {"src": TABLE_TEXTS["plain"], "tgt": TABLE_TEXTS["plain"]}
+    texts[side] = b"2 2\nbig 1e200 1e200\nsmall 3 4\n"
+    src = _write_table_file(tmp_path / "s.vec", texts["src"])
+    tgt = _write_table_file(tmp_path / "t.vec", texts["tgt"])
+    with pytest.warns(RuntimeWarning, match="overflow") as record:
+        got = _load_tables(src, tgt, None)
+    _assert_no_child_left()
+    with pytest.warns(RuntimeWarning, match="overflow") as want_record:
+        want = _load_table(src, None, "src"), _load_table(tgt, None, "tgt")
+    assert ([str(w.message) for w in record]
+            == [str(w.message) for w in want_record])
+    for g, w in zip(got, want):
+        _assert_same_table(g, w)
+
+
+def test_two_table_load_reads_a_target_pipe_once(tmp_path, monkeypatch):
+    # a child that failed on a pipe would leave nothing to load again
+    src = _write_table_file(tmp_path / "s.vec", TABLE_TEXTS["plain"])
+    fifo = tmp_path / "t.fifo"
+    os.mkfifo(fifo)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for a pipe"))
+    writer = threading.Thread(
+        target=lambda: fifo.write_bytes(TABLE_ERRORS["parse"][0]), daemon=True)
+    writer.start()
+    try:
+        with pytest.raises(ParseError, match="line 3: non-numeric"):
+            _load_tables(src, str(fifo), None)
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+
+
+def _die(path, limit, language):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _fail_while_sending(path, limit, language):
+    table = _load_table(path, limit, language)
+    table.vectors = np.asfortranarray(table.vectors)  # no buffer to write
+    return table
+
+
+@pytest.mark.parametrize("child_load", [_die, _fail_while_sending])
+def test_two_table_load_child_failure_loads_the_target_here(
+        tmp_path, monkeypatch, child_load):
+    import zrxner.cli as cli_mod
+
+    src = _write_table_file(tmp_path / "s.vec", _large_table_text(3, 1500, 4))
+    tgt = _write_table_file(tmp_path / "t.vec", _large_table_text(4, 1200, 4))
+    parent = os.getpid()
+    calls = []
+
+    def load(path, limit, language):
+        if os.getpid() != parent:
+            return child_load(path, limit, language)
+        calls.append(language)
+        return _load_table(path, limit, language)
+
+    monkeypatch.setattr(cli_mod, "_load_table", load)
+    got = _load_tables(src, tgt, None)
+    _assert_no_child_left()
+    assert calls == ["src", "tgt"]
+    for g, w in zip(got, (_load_table(src, None, "src"),
+                          _load_table(tgt, None, "tgt"))):
+        _assert_same_table(g, w)
+
+
+@pytest.mark.parametrize("target", ["good", "missing"])
+def test_two_table_load_child_flushes_nothing_of_the_parent(tmp_path, target):
+    # With stdout a buffered pipe, text printed before the fork sits in a
+    # buffer that the child holds a copy of. A missing target fails the
+    # child while this process still parses the larger source table.
+    src = _write_table_file(tmp_path / "s.vec", _large_table_text(5, 4000, 20))
+    tgt = _write_table_file(tmp_path / "t.vec", _large_table_text(6, 10, 20)
+                            if target == "good" else None)
+    out = str(tmp_path / "m.zrx")
+    script = ("import sys\nfrom zrxner.cli import main\n"
+              "print('before loading')\nsys.exit(main(sys.argv[1:]))\n")
+    src_dir = os.path.dirname(os.path.dirname(zrxner.__file__))
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, *(f"-W{opt}" for opt in sys.warnoptions), "-c",
+         script, "align", "--src-emb", src, "--tgt-emb", tgt, "--out", out,
+         "--w-steps", "0", "--refine-iters", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        timeout=300)
+    assert res.stdout.count("before loading") == 1
+    if target == "good":
+        assert res.returncode == 0 and res.stderr == ""
+        assert res.stdout.count("mapper saved to") == 1
+    else:
+        assert res.returncode == 2
+        assert res.stderr == f"error: {tgt}: No such file or directory\n"
 
 
 def test_conll_crlf_file_reads_like_lf(tmp_path):

@@ -101,7 +101,8 @@ def test_config_non_numeric_value_is_usage_error(key, raw):
     ("dropout", -0.1), ("epochs", -1), ("decay", -1.0), ("rounds", -1),
     ("n_steps", -3), ("clip", 0.0), ("clip", -1.0), ("char_dim", 0),
     ("char_hidden", -2), ("word_hidden", 0), ("head_hidden", 0),
-    ("emb_limit", 0), ("emb_limit", -1),
+    ("emb_limit", 0), ("emb_limit", -1), ("lr0", 0.0), ("lr0", -5.0),
+    ("lr_floor", -1e-4),
 ])
 def test_config_out_of_range_value_is_usage_error(field, value):
     with pytest.raises(UsageError, match=field):
@@ -114,7 +115,7 @@ def test_config_accepts_each_bound_itself():
     cfg = small_config(decay=0.0, rounds=0, n_steps=0, clip=1e-12, char_dim=1,
                        char_hidden=1, word_hidden=1, head_hidden=1,
                        emb_limit=1, epochs=0, batch_size=1, eval_interval=1,
-                       dropout=0.0)
+                       dropout=0.0, lr0=1e-12, lr_floor=0.0)
     assert TrainingConfig.from_flat(cfg.to_flat()) == cfg
 
 
