@@ -139,9 +139,10 @@ class Discriminator:
     def _dz1(self, dz2, z1):
         return (dz2[:, None] * self.w2) * _leaky_grad(z1)
 
-    def backward(self, x, dz2, cache=None):
-        """Backprop dL/dz2 through the net; returns the parameter grads."""
-        z1, a1, _ = cache if cache is not None else self._forward_cache(x)
+    def backward(self, x, dz2, cache):
+        """Backprop dL/dz2 through the net, given the `_forward_cache` of x;
+        returns the parameter grads."""
+        z1, a1, _ = cache
         dz1 = self._dz1(dz2, z1)
         return {
             "w1": dz1.T @ x,
@@ -150,10 +151,10 @@ class Discriminator:
             "b2": float(dz2.sum()),
         }
 
-    def input_grad(self, x, dz2, cache=None):
-        """Backprop dL/dz2 through the net; returns dL/dx alone."""
-        z1 = (cache if cache is not None else self._forward_cache(x))[0]
-        return self._dz1(dz2, z1) @ self.w1
+    def input_grad(self, x, dz2, cache):
+        """Backprop dL/dz2 through the net, given the `_forward_cache` of x;
+        returns dL/dx alone."""
+        return self._dz1(dz2, cache[0]) @ self.w1
 
     def sgd(self, grads, lr):
         self.w1 -= lr * grads["w1"]

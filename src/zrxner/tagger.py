@@ -21,8 +21,10 @@ paths identical to the reference's.
 
 Parameters live in plain float64 arrays shared by reference: the source and
 target encoders of a cross-lingual model reference one character table and
-one head, and a direction-tied encoder references one cell for both
-directions. In-place SGD updates keep that aliasing intact.
+one head. Each BiLSTM stores its cells stacked, in the layout the engine
+reads: one cell when its directions are tied, else forward then backward.
+The per-direction tensors that training and checkpoints name are views of
+these arrays, so in-place SGD updates keep all of this aliasing intact.
 """
 
 import itertools
@@ -115,58 +117,40 @@ def viterbi(scores, trans, lengths):
 
 
 # ---------------------------------------------------------------------------
-# Gated recurrent cell (input / forget / output / candidate), manual BPTT
-
-
-class LstmCell:
-    """One direction's parameters: w (4H, I), u (4H, H), b (4H,)."""
-
-    def __init__(self, input_dim, hidden_dim, rng):
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
-        self.w = gaussian_init(rng, 4 * hidden_dim, input_dim,
-                               1.0 / np.sqrt(input_dim))
-        self.u = gaussian_init(rng, 4 * hidden_dim, hidden_dim,
-                               1.0 / np.sqrt(hidden_dim))
-        self.b = np.zeros(4 * hidden_dim)
-
-    def tensors(self):
-        return {"w": self.w, "u": self.u, "b": self.b}
+# Gated recurrent cells (input / forget / output / candidate), manual BPTT
 
 
 class BiLstm:
-    """Forward and backward cells; one shared cell object when tied.
-
-    The directions run side by side (axis 0 of every per-step array). The
-    input projection is computed once per cell, so tied directions share it.
-    """
+    """Both directions' cells stacked: w (cells, 4H, I), u (cells, 4H, H)
+    and b (cells, 4H), one cell when tied, else forward then backward. The
+    directions run side by side (axis 0 of every per-step array), and the
+    input projection is computed once per cell, so tied directions share
+    it."""
 
     def __init__(self, input_dim, hidden_dim, rng, tied=False):
-        self.fwd = LstmCell(input_dim, hidden_dim, rng)
-        self.bwd = self.fwd if tied else LstmCell(input_dim, hidden_dim, rng)
+        cells = 1 if tied else 2
+        self.w = np.empty((cells, 4 * hidden_dim, input_dim))
+        self.u = np.empty((cells, 4 * hidden_dim, hidden_dim))
+        self.b = np.zeros((cells, 4 * hidden_dim))
+        for d in range(cells):
+            self.w[d] = gaussian_init(rng, 4 * hidden_dim, input_dim,
+                                      1.0 / np.sqrt(input_dim))
+            self.u[d] = gaussian_init(rng, 4 * hidden_dim, hidden_dim,
+                                      1.0 / np.sqrt(hidden_dim))
 
     @property
     def tied(self):
-        return self.bwd is self.fwd
+        return len(self.w) == 1
 
     @property
     def hidden_dim(self):
-        return self.fwd.hidden_dim
-
-    def directions(self):
-        if self.tied:
-            return [("f", self.fwd)]
-        return [("f", self.fwd), ("b", self.bwd)]
-
-    def stacked(self, name):
-        return np.stack([cell.tensors()[name] for _, cell in self.directions()])
+        return self.u.shape[-1]
 
     def project(self, rows):
         """Input projections of rows (n, I): (n * cells, 4H), row
         cells * p + d holding element p for cell d."""
-        w, b = self.stacked("w"), self.stacked("b")
-        return (rows @ w.reshape(-1, w.shape[-1]).T + b.ravel()).reshape(
-            -1, 4 * self.hidden_dim)
+        return (rows @ self.w.reshape(-1, self.w.shape[-1]).T
+                + self.b.ravel()).reshape(-1, 4 * self.hidden_dim)
 
     def feed(self, index):
         """Rows of `project` that the directions read for the (2, n) element
@@ -174,15 +158,22 @@ class BiLstm:
         return index if self.tied else 2 * index + np.array([[0], [1]])
 
     def grads(self, rows, dproj, du):
-        """(d rows, {direction: {w, u, b}}) given the gradient dproj on
-        `project(rows)` and du (cells, 4H, H) on the recurrent weights."""
-        w = self.stacked("w")
+        """(d rows, (dw, du, db) stacked like w, u and b) given the gradient
+        dproj on `project(rows)` and du on the recurrent weights."""
+        w = self.w.reshape(-1, self.w.shape[-1])
         dproj = dproj.reshape(len(rows), -1)
-        dw = (dproj.T @ rows).reshape(w.shape)
-        db = dproj.sum(axis=0).reshape(len(w), -1)
-        cell_grads = {tag: {"w": dw[d], "u": du[d], "b": db[d]}
-                      for d, (tag, _) in enumerate(self.directions())}
-        return dproj @ w.reshape(-1, w.shape[-1]), cell_grads
+        dw = (dproj.T @ rows).reshape(self.w.shape)
+        db = dproj.sum(axis=0).reshape(self.b.shape)
+        return dproj @ w, (dw, du, db)
+
+
+def _per_direction(prefix, stacked):
+    """Stacked (w, u, b) tensors, parameters or their gradients, as views
+    named prefix.<f|b>.<w|u|b>: the forward cell's, then the backward
+    cell's when the directions are untied."""
+    return {f"{prefix}.{tag}.{name}": tensor[d]
+            for d, tag in enumerate("fb"[: len(stacked[0])])
+            for name, tensor in zip("wub", stacked)}
 
 
 def _schedule(lengths):
@@ -200,7 +191,7 @@ def _schedule(lengths):
     steps = []
     for t in range(int(lens[0])):
         n = int(np.count_nonzero(lens > t))
-        steps.append(np.stack([offs[:n] + t, offs[:n] + lens[:n] - 1 - t]))
+        steps.append(np.array([offs[:n] + t, offs[:n] + lens[:n] - 1 - t]))
     return order, steps
 
 
@@ -213,7 +204,7 @@ def _recur(bi, proj, feeds, keep):
     for `_recur_backward`, or None unless keep).
     """
     hdim = bi.hidden_dim
-    ut = bi.stacked("u").transpose(0, 2, 1)
+    ut = bi.u.transpose(0, 2, 1)
     h = c = np.zeros((2, feeds[0].shape[1], hdim))
     final = np.empty_like(h)
     hs, cache = [], []
@@ -242,7 +233,6 @@ def _recur_backward(bi, cache, dfinal, dsteps=None):
     (2, S, 4H); the gradient on the recurrent weights, (cells, 4H, H)).
     """
     hdim = bi.hidden_dim
-    u = bi.stacked("u")
     dh = np.array(dfinal, dtype=np.float64)
     dc = np.zeros_like(dh)
     dzs, h_prev = [None] * len(cache), [None] * len(cache)
@@ -262,7 +252,7 @@ def _recur_backward(bi, cache, dfinal, dsteps=None):
         dz[..., : 3 * hdim] *= ifo * (1.0 - ifo)
         dz[..., 3 * hdim :] = dc_t * gates[..., :hdim] * (1.0 - g * g)
         dc[:, :n] = dc_t * gates[..., hdim : 2 * hdim]
-        dh[:, :n] = dz @ u
+        dh[:, :n] = dz @ bi.u
         dzs[t] = dz
     dz = np.concatenate(dzs, axis=1)
     h_prev = np.concatenate(h_prev, axis=1)
@@ -293,7 +283,7 @@ def bilstm_final(bi, table, seqs, keep=False):
 
 
 def bilstm_final_backward(bi, cache, dfinal):
-    """(d table, {direction: {w, u, b}}) for the gradient dfinal (U, 2H) on
+    """(d table, (dw, du, db)) for the gradient dfinal (U, 2H) on
     the output of `bilstm_final`."""
     table, order, feeds, rec = cache
     hdim = bi.hidden_dim
@@ -301,7 +291,7 @@ def bilstm_final_backward(bi, cache, dfinal):
     dz, du = _recur_backward(bi, rec, dfinal)
     dproj = _scatter_add(np.concatenate(feeds, axis=1).ravel(),
                          dz.reshape(-1, 4 * hdim),
-                         len(table) * len(bi.directions()))
+                         len(table) * len(bi.w))
     return bi.grads(table, dproj, du)
 
 
@@ -319,7 +309,7 @@ def bilstm_states(bi, xs, lengths, keep=False):
 
 
 def bilstm_states_backward(bi, cache, dstates):
-    """(d xs, {direction: {w, u, b}}) for the gradient dstates (N, 2H) on
+    """(d xs, (dw, du, db)) for the gradient dstates (N, 2H) on
     the output of `bilstm_states`."""
     xs, at, feeds, rec = cache
     hdim = bi.hidden_dim
@@ -328,7 +318,7 @@ def bilstm_states_backward(bi, cache, dstates):
                              [dh[a] for a in at])
     # each direction reads every row once; tied directions read the same rows
     rows = np.concatenate(feeds, axis=1)
-    dproj = np.zeros((len(xs) * len(bi.directions()), 4 * hdim))
+    dproj = np.zeros((len(xs) * len(bi.w), 4 * hdim))
     dproj[rows[0]] = dz[0]
     dproj[rows[1]] += dz[1]
     return bi.grads(xs, dproj, du)
@@ -375,13 +365,9 @@ class Encoder:
     def copy_from(self, other):
         """Overwrite this encoder's tensors with deep copies of another's."""
         for mine, theirs in ((self.char, other.char), (self.word, other.word)):
-            if mine is None:
-                continue
-            for (_, cell), (_, src_cell) in zip(mine.directions(),
-                                                theirs.directions()):
-                cell.w = src_cell.w.copy()
-                cell.u = src_cell.u.copy()
-                cell.b = src_cell.b.copy()
+            if mine is not None:
+                mine.w, mine.u, mine.b = (
+                    theirs.w.copy(), theirs.u.copy(), theirs.b.copy())
 
 
 class Tagger:
@@ -439,9 +425,8 @@ class Tagger:
         if enc.char is not None:
             levels.append(("char", enc.char))
         for level_name, bi in levels:
-            for tag, cell in bi.directions():
-                for tname, tensor in cell.tensors().items():
-                    params[f"enc.{lang}.{level_name}.{tag}.{tname}"] = tensor
+            params.update(_per_direction(f"enc.{lang}.{level_name}",
+                                         (bi.w, bi.u, bi.b)))
         for name, tensor in self.head.items():
             params[f"head.{name}"] = tensor
         return params
@@ -591,12 +576,6 @@ def batch_forward(model, lang, batch, masks=None, keep=False):
     return scores, lengths, (cache if keep else None)
 
 
-def _named(prefix, cell_grads):
-    return {f"{prefix}.{tag}.{name}": value
-            for tag, tensors in cell_grads.items()
-            for name, value in tensors.items()}
-
-
 def batch_backward(model, lang, cache, dscores, dtrans):
     """Gradient of every trainable tensor of theta_lang, given those of the
     padded emission scores and of the transitions."""
@@ -613,14 +592,14 @@ def batch_backward(model, lang, cache, dscores, dtrans):
     }
     dx, cell_grads = bilstm_states_backward(enc.word, word_cache,
                                             dzh @ head["dense_w"])
-    grads.update(_named(f"enc.{lang}.word", cell_grads))
+    grads.update(_per_direction(f"enc.{lang}.word", cell_grads))
     if enc.char is not None:
         if mask is not None:
             dx = dx * mask
         cdim = 2 * model.cfg.char_hidden
         dreprs = _scatter_add(inverse, dx[:, :cdim], len(char_cache[1]))
         demb, cell_grads = bilstm_final_backward(enc.char, char_cache, dreprs)
-        grads.update(_named(f"enc.{lang}.char", cell_grads))
+        grads.update(_per_direction(f"enc.{lang}.char", cell_grads))
         grads["char_emb"] = demb
     return grads
 

@@ -121,11 +121,11 @@ def common_space_tables(src_table, tgt_table, mapper):
     target vectors into the source space. source_mono passes mapper=None and
     keeps both tables native.
     """
-    if mapper is None:
-        return src_table, tgt_table
     if src_table is not None and tgt_table is not None \
             and src_table.dim != tgt_table.dim:
         raise UsageError("embedding dimensions differ between languages")
+    if mapper is None:
+        return src_table, tgt_table
     if mapper.direction == "s_to_t":
         return apply_mapper(src_table, mapper.w), tgt_table
     mapped_tgt = apply_mapper(tgt_table, mapper.w) if tgt_table is not None else None

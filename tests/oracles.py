@@ -6,6 +6,7 @@ finite differences) and stays independent of the code paths it validates.
 
 import itertools
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -247,6 +248,21 @@ def reference_viterbi(scores, trans):
     return path[::-1]
 
 
+class Cell(namedtuple("Cell", "w u b")):
+    """One direction's w (4H, I), u (4H, H) and b (4H,)."""
+
+    @property
+    def hidden_dim(self):
+        return self.u.shape[1]
+
+
+def direction(bi, d):
+    """Direction d (0 forward, 1 backward) of a BiLstm as views of its
+    stacked arrays; tied directions read the same cell."""
+    cell = 0 if bi.tied else d
+    return Cell(bi.w[cell], bi.u[cell], bi.b[cell])
+
+
 def lstm_forward(cell, xs):
     """Run the cell over xs (m, I); returns (hs (m, H), cache)."""
     m = xs.shape[0]
@@ -299,22 +315,24 @@ def lstm_backward(cell, cache, dhs):
 
 
 def bilstm_states(bi, xs):
-    hs_f, cache_f = lstm_forward(bi.fwd, xs)
-    hs_b_rev, cache_b = lstm_forward(bi.bwd, xs[::-1])
+    hs_f, cache_f = lstm_forward(direction(bi, 0), xs)
+    hs_b_rev, cache_b = lstm_forward(direction(bi, 1), xs[::-1])
     return np.hstack([hs_f, hs_b_rev[::-1]]), (cache_f, cache_b)
 
 
 def bilstm_states_backward(bi, cache, dout):
     cache_f, cache_b = cache
     hdim = bi.hidden_dim
-    dxs_f, grads_f = lstm_backward(bi.fwd, cache_f, dout[:, :hdim])
-    dxs_b, grads_b = lstm_backward(bi.bwd, cache_b, dout[::-1, hdim:])
+    dxs_f, grads_f = lstm_backward(direction(bi, 0), cache_f,
+                                   dout[:, :hdim])
+    dxs_b, grads_b = lstm_backward(direction(bi, 1), cache_b,
+                                   dout[::-1, hdim:])
     return dxs_f + dxs_b[::-1], grads_f, grads_b
 
 
 def bilstm_final(bi, xs):
-    hs_f, cache_f = lstm_forward(bi.fwd, xs)
-    hs_b_rev, cache_b = lstm_forward(bi.bwd, xs[::-1])
+    hs_f, cache_f = lstm_forward(direction(bi, 0), xs)
+    hs_b_rev, cache_b = lstm_forward(direction(bi, 1), xs[::-1])
     return np.concatenate([hs_f[-1], hs_b_rev[-1]]), (cache_f, cache_b)
 
 
@@ -325,8 +343,8 @@ def bilstm_final_backward(bi, cache, dfinal, m):
     dh_f[-1] = dfinal[:hdim]
     dh_b = np.zeros((m, hdim))
     dh_b[-1] = dfinal[hdim:]
-    dxs_f, grads_f = lstm_backward(bi.fwd, cache_f, dh_f)
-    dxs_b, grads_b = lstm_backward(bi.bwd, cache_b, dh_b)
+    dxs_f, grads_f = lstm_backward(direction(bi, 0), cache_f, dh_f)
+    dxs_b, grads_b = lstm_backward(direction(bi, 1), cache_b, dh_b)
     return dxs_f + dxs_b[::-1], grads_f, grads_b
 
 

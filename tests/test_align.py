@@ -121,8 +121,8 @@ def test_discriminator_grads_match_finite_differences():
     in_t = tgt @ w.T
     dz_t = (sigmoid(disc.logits(in_t)) - s) / len(in_t)
     dz_s = (sigmoid(disc.logits(src)) - (1 - s)) / len(src)
-    g_t = disc.backward(in_t, dz_t)
-    g_s = disc.backward(src, dz_s)
+    g_t = disc.backward(in_t, dz_t, disc._forward_cache(in_t))
+    g_s = disc.backward(src, dz_s, disc._forward_cache(src))
     for name in params:
         analytic = g_t[name] + g_s[name]
         np.testing.assert_allclose(analytic, fd[name], atol=1e-7)
@@ -140,7 +140,7 @@ def test_adversary_w_grad_matches_finite_differences():
     )
     mapped = tgt @ w.T
     dz = (sigmoid(disc.logits(mapped)) - 1.0) / len(mapped)
-    d_input = disc.input_grad(mapped, dz)
+    d_input = disc.input_grad(mapped, dz, disc._forward_cache(mapped))
     np.testing.assert_allclose(d_input.T @ tgt, fd["w"], atol=1e-7)
 
 

@@ -479,6 +479,63 @@ def test_pretrain_missing_tag_column_exit_2(workdir):
     assert code == 2
 
 
+def _wider_table(workdir, tmp_path):
+    """A target .vec one column wider than the source table."""
+    path = tmp_path / "wide.vec"
+    width = workdir["fx"].src_emb.dim + 1
+    path.write_text(f"2 {width}\n" + "".join(
+        f"{word} " + " ".join(["0.5"] * width) + "\n" for word in ("x", "y")))
+    return str(path)
+
+
+def _refuse_training(monkeypatch):
+    import zrxner.cli as cli_mod
+
+    ran = []
+    for name in ("pretrain_source", "augmented_finetune"):
+        monkeypatch.setattr(cli_mod, name, lambda *a, **k: ran.append(a))
+    return ran
+
+
+def test_pretrain_embedding_dimension_mismatch_exit_2_without_mapper(
+        workdir, tmp_path, capsys, monkeypatch):
+    ran = _refuse_training(monkeypatch)
+    code = main([
+        "pretrain", "--train", workdir["src_train"], "--dev",
+        workdir["src_dev"], "--src-emb", workdir["src_emb"], "--tgt-emb",
+        _wider_table(workdir, tmp_path), "--variant", "source_mono",
+        "--input-scheme", "IOB2", "--out", str(tmp_path / "m.zrx"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: embedding dimensions differ between languages\n")
+    assert ran == [] and not (tmp_path / "m.zrx").exists()
+
+
+def test_finetune_embedding_dimension_mismatch_exit_2_without_mapper(
+        workdir, tmp_path, capsys, monkeypatch):
+    mono = str(tmp_path / "mono.zrx")
+    assert main([
+        "pretrain", "--train", workdir["src_train"], "--dev",
+        workdir["src_dev"], "--src-emb", workdir["src_emb"], "--variant",
+        "source_mono", "--input-scheme", "IOB2", "--epochs", "0",
+        "--char-dim", "4", "--char-hidden", "4", "--word-hidden", "4",
+        "--head-hidden", "4", "--out", mono,
+    ]) == 0
+    capsys.readouterr()
+    ran = _refuse_training(monkeypatch)
+    code = main([
+        "finetune", "--checkpoint", mono, "--src-train",
+        workdir["src_train"], "--tgt-train", workdir["tgt_train"],
+        "--tgt-emb", _wider_table(workdir, tmp_path), "--input-scheme",
+        "IOB2", "--seeds", "0", "--out", str(tmp_path / "ft"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: embedding dimensions differ between languages\n")
+    assert ran == [] and not list(tmp_path.glob("ft*"))
+
+
 def test_pretrain_nochar_checkpoint_lacks_char_tensors(workdir, mapper_path):
     out = str(workdir["root"] / "nochar.zrx")
     code = main([

@@ -3,11 +3,12 @@ import pytest
 
 from zrxner.corpus import IOB2, IOBES, scan_entities
 from zrxner.embeddings import EmbeddingTable
-from zrxner.numeric import Rng, dropout_mask
+from zrxner.numeric import Rng, clipped_sgd_step, dropout_mask
 from zrxner.tagger import (
     Tagger,
     TaggerConfig,
     backward_pass,
+    batch_forward,
     predict,
     transition_mask,
     viterbi,
@@ -15,6 +16,7 @@ from zrxner.tagger import (
 
 from oracles import (
     batch_nll,
+    direction,
     embed_sentence,
     emission_scores,
     encode_token_chars,
@@ -76,8 +78,8 @@ def test_char_encoding_matches_scalar_unroll():
     enc = model.encoders["src"].char
     token = "ab"
     xs = model.char_emb[model.char_ids(token)]
-    fwd = scalar_lstm_states(enc.fwd, xs)[-1]
-    bwd = scalar_lstm_states(enc.bwd, xs[::-1])[-1]
+    fwd = scalar_lstm_states(direction(enc, 0), xs)[-1]
+    bwd = scalar_lstm_states(direction(enc, 1), xs[::-1])[-1]
     got = encode_token_chars(model, "src", token)
     np.testing.assert_allclose(got, np.concatenate([fwd, bwd]), atol=1e-12)
 
@@ -146,8 +148,8 @@ def test_word_context_matches_scalar_unroll():
     enc = model.encoders["src"].word
     rng = np.random.default_rng(4)
     x = rng.normal(size=(2, model.cfg.input_dim))
-    fwd = scalar_lstm_states(enc.fwd, x)
-    bwd = scalar_lstm_states(enc.bwd, x[::-1])[::-1]
+    fwd = scalar_lstm_states(direction(enc, 0), x)
+    bwd = scalar_lstm_states(direction(enc, 1), x[::-1])[::-1]
     np.testing.assert_allclose(
         word_context(model, "src", x), np.hstack([fwd, bwd]), atol=1e-12
     )
@@ -229,7 +231,8 @@ def test_target_encoder_initialized_as_copy():
     np.testing.assert_array_equal(
         src["enc.src.word.f.w"], tgt["enc.tgt.word.f.w"]
     )
-    assert src["enc.src.word.f.w"] is not tgt["enc.tgt.word.f.w"]
+    assert not np.shares_memory(src["enc.src.word.f.w"],
+                                tgt["enc.tgt.word.f.w"])
     tgt["enc.tgt.word.f.w"][0, 0] += 1.0
     assert src["enc.src.word.f.w"][0, 0] != tgt["enc.tgt.word.f.w"][0, 0]
 
@@ -295,3 +298,120 @@ def test_full_model_gradients_match_finite_differences(tied, with_dropout):
         np.testing.assert_allclose(
             grads[name], fd[name], rtol=1e-4, atol=1e-7, err_msg=name
         )
+
+
+# The parameter contract: names, order and shapes of every tensor, as
+# checkpoints store them, and the key order of the gradients, in which
+# global_grad_norm sums (so the clip scale's bits depend on it). Keyed by
+# (tied, use_char, languages); the gradients are those of the last language.
+PARAMETERS = {
+    (False, True, 1): """char_emb:10x4
+        enc.src.word.f.w:24x13 enc.src.word.f.u:24x6 enc.src.word.f.b:24
+        enc.src.word.b.w:24x13 enc.src.word.b.u:24x6 enc.src.word.b.b:24
+        enc.src.char.f.w:16x4 enc.src.char.f.u:16x4 enc.src.char.f.b:16
+        enc.src.char.b.w:16x4 enc.src.char.b.u:16x4 enc.src.char.b.b:16
+        head.dense_w:4x12 head.dense_b:4 head.tag_w:3x4 head.trans:5x5""",
+    (False, True, 2): """char_emb:10x4
+        enc.src.word.f.w:24x13 enc.src.word.f.u:24x6 enc.src.word.f.b:24
+        enc.src.word.b.w:24x13 enc.src.word.b.u:24x6 enc.src.word.b.b:24
+        enc.src.char.f.w:16x4 enc.src.char.f.u:16x4 enc.src.char.f.b:16
+        enc.src.char.b.w:16x4 enc.src.char.b.u:16x4 enc.src.char.b.b:16
+        head.dense_w:4x12 head.dense_b:4 head.tag_w:3x4 head.trans:5x5
+        enc.tgt.word.f.w:24x13 enc.tgt.word.f.u:24x6 enc.tgt.word.f.b:24
+        enc.tgt.word.b.w:24x13 enc.tgt.word.b.u:24x6 enc.tgt.word.b.b:24
+        enc.tgt.char.f.w:16x4 enc.tgt.char.f.u:16x4 enc.tgt.char.f.b:16
+        enc.tgt.char.b.w:16x4 enc.tgt.char.b.u:16x4 enc.tgt.char.b.b:16""",
+    (False, False, 1): """
+        enc.src.word.f.w:24x5 enc.src.word.f.u:24x6 enc.src.word.f.b:24
+        enc.src.word.b.w:24x5 enc.src.word.b.u:24x6 enc.src.word.b.b:24
+        head.dense_w:4x12 head.dense_b:4 head.tag_w:3x4 head.trans:5x5""",
+    (False, False, 2): """
+        enc.src.word.f.w:24x5 enc.src.word.f.u:24x6 enc.src.word.f.b:24
+        enc.src.word.b.w:24x5 enc.src.word.b.u:24x6 enc.src.word.b.b:24
+        head.dense_w:4x12 head.dense_b:4 head.tag_w:3x4 head.trans:5x5
+        enc.tgt.word.f.w:24x5 enc.tgt.word.f.u:24x6 enc.tgt.word.f.b:24
+        enc.tgt.word.b.w:24x5 enc.tgt.word.b.u:24x6 enc.tgt.word.b.b:24""",
+    (True, True, 1): """char_emb:10x4
+        enc.src.word.f.w:24x13 enc.src.word.f.u:24x6 enc.src.word.f.b:24
+        enc.src.char.f.w:16x4 enc.src.char.f.u:16x4 enc.src.char.f.b:16
+        head.dense_w:4x12 head.dense_b:4 head.tag_w:3x4 head.trans:5x5""",
+    (True, True, 2): """char_emb:10x4
+        enc.src.word.f.w:24x13 enc.src.word.f.u:24x6 enc.src.word.f.b:24
+        enc.src.char.f.w:16x4 enc.src.char.f.u:16x4 enc.src.char.f.b:16
+        head.dense_w:4x12 head.dense_b:4 head.tag_w:3x4 head.trans:5x5
+        enc.tgt.word.f.w:24x13 enc.tgt.word.f.u:24x6 enc.tgt.word.f.b:24
+        enc.tgt.char.f.w:16x4 enc.tgt.char.f.u:16x4 enc.tgt.char.f.b:16""",
+    (True, False, 1): """
+        enc.src.word.f.w:24x5 enc.src.word.f.u:24x6 enc.src.word.f.b:24
+        head.dense_w:4x12 head.dense_b:4 head.tag_w:3x4 head.trans:5x5""",
+    (True, False, 2): """
+        enc.src.word.f.w:24x5 enc.src.word.f.u:24x6 enc.src.word.f.b:24
+        head.dense_w:4x12 head.dense_b:4 head.tag_w:3x4 head.trans:5x5
+        enc.tgt.word.f.w:24x5 enc.tgt.word.f.u:24x6 enc.tgt.word.f.b:24""",
+}
+GRADIENTS = {
+    (False, True, 1): """head.trans head.tag_w head.dense_w head.dense_b
+        enc.src.word.f.w enc.src.word.f.u enc.src.word.f.b
+        enc.src.word.b.w enc.src.word.b.u enc.src.word.b.b
+        enc.src.char.f.w enc.src.char.f.u enc.src.char.f.b
+        enc.src.char.b.w enc.src.char.b.u enc.src.char.b.b char_emb""",
+    (False, True, 2): """head.trans head.tag_w head.dense_w head.dense_b
+        enc.tgt.word.f.w enc.tgt.word.f.u enc.tgt.word.f.b
+        enc.tgt.word.b.w enc.tgt.word.b.u enc.tgt.word.b.b
+        enc.tgt.char.f.w enc.tgt.char.f.u enc.tgt.char.f.b
+        enc.tgt.char.b.w enc.tgt.char.b.u enc.tgt.char.b.b char_emb""",
+    (False, False, 1): """head.trans head.tag_w head.dense_w head.dense_b
+        enc.src.word.f.w enc.src.word.f.u enc.src.word.f.b
+        enc.src.word.b.w enc.src.word.b.u enc.src.word.b.b""",
+    (False, False, 2): """head.trans head.tag_w head.dense_w head.dense_b
+        enc.tgt.word.f.w enc.tgt.word.f.u enc.tgt.word.f.b
+        enc.tgt.word.b.w enc.tgt.word.b.u enc.tgt.word.b.b""",
+    (True, True, 1): """head.trans head.tag_w head.dense_w head.dense_b
+        enc.src.word.f.w enc.src.word.f.u enc.src.word.f.b
+        enc.src.char.f.w enc.src.char.f.u enc.src.char.f.b char_emb""",
+    (True, True, 2): """head.trans head.tag_w head.dense_w head.dense_b
+        enc.tgt.word.f.w enc.tgt.word.f.u enc.tgt.word.f.b
+        enc.tgt.char.f.w enc.tgt.char.f.u enc.tgt.char.f.b char_emb""",
+    (True, False, 1): """head.trans head.tag_w head.dense_w head.dense_b
+        enc.src.word.f.w enc.src.word.f.u enc.src.word.f.b""",
+    (True, False, 2): """head.trans head.tag_w head.dense_w head.dense_b
+        enc.tgt.word.f.w enc.tgt.word.f.u enc.tgt.word.f.b""",
+}
+
+
+def _contract_id(key):
+    tied, use_char, languages = key
+    return (f"{'tied' if tied else 'untied'}-"
+            f"{'char' if use_char else 'nochar'}-{languages}lang")
+
+
+@pytest.mark.parametrize("key", list(PARAMETERS), ids=_contract_id)
+def test_parameter_names_order_and_shapes_are_the_contract(key):
+    tied, use_char, languages = key
+    model = tiny_model(tied=tied, use_char=use_char)
+    if languages == 2:
+        model.add_target_encoder(Rng(9))
+    lang = list(model.encoders)[-1]
+    entries = [e.split(":") for e in PARAMETERS[key].split()]
+    expected = [(name, tuple(int(d) for d in shape.split("x")))
+                for name, shape in entries]
+    params = model.all_parameters()
+    assert [(name, arr.shape) for name, arr in params.items()] == expected
+    table = tiny_table()
+    batch = [model.prepare(table, *item) for item in GRAD_BATCH]
+    _, grads = backward_pass(model, lang, batch)
+    assert list(grads) == GRADIENTS[key].split()
+    for name, g in grads.items():
+        assert g.shape == params[name].shape, name
+    # every per-direction tensor is a view of its cell of the stacked arrays
+    for code, enc in model.encoders.items():
+        for level, bi in (("word", enc.word), ("char", enc.char)):
+            for d, tag in enumerate("fb"[: len(bi.w) if bi else 0]):
+                for tensor in "wub":
+                    view = params[f"enc.{code}.{level}.{tag}.{tensor}"]
+                    assert np.shares_memory(view, getattr(bi, tensor)[d])
+    # so an SGD step on the encoder tensors alone moves the engine's output
+    before = batch_forward(model, lang, batch)[0]
+    encoder_grads = {n: g for n, g in grads.items() if n.startswith("enc.")}
+    clipped_sgd_step(model.named_parameters(lang), encoder_grads, 0.5, 1e9)
+    assert not np.array_equal(batch_forward(model, lang, batch)[0], before)

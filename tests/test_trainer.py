@@ -346,10 +346,16 @@ def test_finetune_source_term_ablation_changes_updates(fx, monkeypatch):
 def test_finetune_tied_cells_stay_one_storage(fx):
     config = small_config(variant="cross_shared", epochs=1)
     model, _ = finetuned(fx, config, rounds=1)
+    params = model.all_parameters()
     for lang in ("src", "tgt"):
         enc = model.encoders[lang]
-        assert enc.word.fwd is enc.word.bwd
-        assert enc.char.fwd is enc.char.bwd
+        for level, bi in (("word", enc.word), ("char", enc.char)):
+            # one cell serves both directions
+            assert len(bi.w) == len(bi.u) == len(bi.b) == 1
+            for name in "wub":
+                assert f"enc.{lang}.{level}.b.{name}" not in params
+                assert np.shares_memory(params[f"enc.{lang}.{level}.f.{name}"],
+                                        getattr(bi, name))
 
 
 def test_augmented_parameter_count_exceeds_base(fx):
@@ -417,6 +423,8 @@ def test_training_leaves_model_at_selected_state(fx, monkeypatch, stage,
     if stage == "finetune":
         model.add_target_encoder(Rng(2))
     storage = model.all_parameters()
+    stacked = [(bi, bi.w, bi.u, bi.b) for enc in model.encoders.values()
+               for bi in (enc.char, enc.word) if bi is not None]
     states = []
     spy_evaluations(monkeypatch, states, scores)
     if stage == "pretrain":
@@ -435,7 +443,14 @@ def test_training_leaves_model_at_selected_state(fx, monkeypatch, stage,
     assert after.keys() == selected.keys()
     for name, arr in after.items():
         np.testing.assert_array_equal(arr, selected[name], err_msg=name)
-        assert arr is storage[name]  # restored in place: aliasing holds
+        # restored in place: aliasing holds; a BiLSTM's per-direction
+        # tensors are views, new objects on each call
+        assert np.shares_memory(arr, storage[name]), name
+        assert arr.shape == storage[name].shape
+        if not name.startswith("enc."):
+            assert arr is storage[name]
+    for bi, w, u, b in stacked:
+        assert bi.w is w and bi.u is u and bi.b is b
     assert model.named_parameters("src")["head.tag_w"] is model.head["tag_w"]
     if scores is not None:
         assert any(not np.array_equal(after[n], states[-1][n]) for n in after)
