@@ -9,8 +9,11 @@ Layout (all integers little-endian):
 Round trips are bit-exact per tensor; the checksum is verified on load.
 Saving and loading stream: each tensor goes between its array and the file
 CHUNK_BYTES at a time through the running checksum, so neither holds the
-file as one bytes object. The config block is also the flat form of the
-run settings (FlatConfig).
+file as one bytes object (a file that cannot seek, such as a pipe, is read
+whole before it is loaded). A tensor saved in a narrower dtype than its
+array is converted a chunk at a time, and a loader may leave a tensor
+unread into memory: it is hashed and checked a chunk at a time. The config
+block is also the flat form of the run settings (FlatConfig).
 """
 
 import hashlib
@@ -18,6 +21,7 @@ import io
 import math
 import os
 import struct
+from collections import namedtuple
 from dataclasses import fields
 
 import numpy as np
@@ -35,6 +39,10 @@ MAX_RANK = 64
 
 _DTYPE_TAGS = {np.dtype("<f4"): 0, np.dtype("<f8"): 1}
 _TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+
+# What load_checkpoint returns for a tensor its caller does not keep: the
+# tensor's shape and dtype, and whether every value it holds is finite.
+SkippedTensor = namedtuple("SkippedTensor", "shape dtype finite")
 
 
 def config_to_text(config):
@@ -120,33 +128,50 @@ def _byte_chunks(arr):
         yield view[lo : lo + CHUNK_BYTES]
 
 
-def _file_array(value):
-    """value as the C-contiguous little-endian f32 or f64 array the file
-    stores (any other dtype becomes f64); a view where value already is."""
-    arr = np.asarray(value)
-    if arr.dtype not in _DTYPE_TAGS:
-        arr = arr.astype(np.float64)
-    return np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
+def _put_tensor(put, arr, dtype):
+    """Pass put the bytes the file stores for the C-contiguous array arr in
+    dtype, in consecutive pieces of at most CHUNK_BYTES: views of arr's
+    memory where it is in dtype, else each piece converted into one buffer,
+    which is freed on return."""
+    if arr.dtype == dtype:
+        for chunk in _byte_chunks(arr):
+            put(chunk)
+        return
+    flat = arr.reshape(-1)
+    step = CHUNK_BYTES // dtype.itemsize
+    buf = np.empty(min(flat.size, step), dtype)
+    for lo in range(0, flat.size, step):
+        part = buf[: min(step, flat.size - lo)]
+        np.copyto(part, flat[lo : lo + len(part)], casting="unsafe")
+        put(memoryview(part.view(np.uint8)))
 
 
-def save_checkpoint(path, config, tensors):
+def save_checkpoint(path, config, tensors, float32=()):
     """Write config (dict of str->str-able) and named float arrays.
 
+    A tensor named in float32 is stored as little-endian f32; any other
+    tensor as f32 or f64 where its array is one of them, else as f64.
     Every entry is encoded and checked before the file is created, so a
-    refused input leaves no file. Then the header and each tensor's buffer
-    go to the file and the checksum CHUNK_BYTES at a time: beside its
-    inputs, saving holds only tensors that are not already C-contiguous
-    little-endian f32 or f64.
+    refused input leaves no file. Then the header and each tensor go to the
+    file and the checksum CHUNK_BYTES at a time, from the array's own buffer
+    or converted one chunk at a time: beside its inputs, saving holds one
+    chunk and copies only tensors that are not C-contiguous.
     """
     config_bytes = config_to_text(config).encode("utf-8")
     entries = []
     for name in sorted(tensors):
-        arr = _file_array(tensors[name])
+        arr = np.ascontiguousarray(tensors[name])  # stores rank 0 as rank 1
+        if name in float32:
+            dtype = np.dtype("<f4")
+        elif arr.dtype in _DTYPE_TAGS:
+            dtype = arr.dtype.newbyteorder("<")
+        else:
+            dtype = np.dtype("<f8")
         name_bytes = name.encode("utf-8")
         header = struct.pack(f"<I{len(name_bytes)}sI{arr.ndim}IB", len(name_bytes),
                              name_bytes, arr.ndim, *arr.shape,
-                             _DTYPE_TAGS[arr.dtype])
-        entries.append((header, arr))
+                             _DTYPE_TAGS[dtype])
+        entries.append((header, arr, dtype))
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
 
@@ -157,10 +182,9 @@ def save_checkpoint(path, config, tensors):
         put(MAGIC + struct.pack("<HI", FORMAT_VERSION, len(config_bytes)))
         put(config_bytes)
         put(struct.pack("<I", len(entries)))
-        for header, arr in entries:
+        for header, arr, dtype in entries:
             put(header)
-            for chunk in _byte_chunks(arr):
-                put(chunk)
+            _put_tensor(put, arr, dtype)
         fh.write(digest.digest()[:CHECKSUM_BYTES])
 
 
@@ -196,21 +220,32 @@ class _PayloadReader:
         except UnicodeDecodeError:
             raise _Malformed(f"{what} is not valid UTF-8") from None
 
-    def tensor(self, shape, dtype):
-        """A new array of shape and dtype filled from the payload."""
+    def tensor(self, shape, dtype, keep=True):
+        """A new array of shape and dtype filled from the payload; without
+        keep, a SkippedTensor for it, the values hashed and checked a chunk
+        at a time and never held."""
         n_bytes = math.prod(shape) * dtype.itemsize
         self._check_fits(n_bytes, "tensor data")
-        try:
-            arr = np.empty(shape, dtype)
+        try:  # a skipped tensor gets the same rank check, on an empty array
+            arr = np.empty(shape if keep else (0,) * len(shape), dtype)
         except ValueError:  # NumPy before 2.0 allows 32 dimensions
             raise _Malformed(f"tensor rank {len(shape)} is not supported") from None
         self.left -= n_bytes
-        for part in _byte_chunks(arr):
+        if keep:
+            parts = _byte_chunks(arr)
+        else:
+            buf = memoryview(bytearray(min(n_bytes, CHUNK_BYTES)))
+            parts = (buf[: min(CHUNK_BYTES, n_bytes - lo)]
+                     for lo in range(0, n_bytes, CHUNK_BYTES))
+        finite = True
+        for part in parts:
             got = self.fh.readinto(part)
             self.digest.update(part[:got])
             if got != len(part):
                 raise _Malformed("truncated tensor data")
-        return arr
+            if not keep and finite:
+                finite = bool(np.isfinite(np.frombuffer(part, dtype)).all())
+        return arr if keep else SkippedTensor(shape, dtype, finite)
 
     def checksum(self):
         """The checksum of the whole payload, reading (CHUNK_BYTES at a
@@ -224,7 +259,7 @@ class _PayloadReader:
         return self.digest.digest()[:CHECKSUM_BYTES]
 
 
-def _read_payload(reader):
+def _read_payload(reader, keep):
     if reader.read(len(MAGIC), "header") != MAGIC:
         raise _Malformed("bad magic bytes")
     (version,) = reader.unpack("<H", "header")
@@ -235,6 +270,7 @@ def _read_payload(reader):
     (config_len,) = reader.unpack("<I", "header")
     config = text_to_config(reader.text(config_len, "config block"),
                             error=_Malformed)
+    keeps = (lambda name: True) if keep is None else keep(config)
     (count,) = reader.unpack("<I", "header")
     tensors = {}
     for _ in range(count):
@@ -247,13 +283,13 @@ def _read_payload(reader):
         (tag,) = reader.unpack("<B", "tensor header")
         if tag not in _TAG_DTYPES:
             raise _Malformed(f"unknown dtype tag {tag}")
-        tensors[name] = reader.tensor(shape, _TAG_DTYPES[tag])
+        tensors[name] = reader.tensor(shape, _TAG_DTYPES[tag], keeps(name))
     if reader.left:
         raise _Malformed("trailing bytes after tensor section")
     return config, tensors
 
 
-def load_checkpoint(path):
+def load_checkpoint(path, keep=None):
     """Read a checkpoint; returns (config dict, dict of name -> array).
 
     Streams the file once, reading each tensor straight into its array and
@@ -261,7 +297,14 @@ def load_checkpoint(path):
     tensor is allocated only after its bytes are known to fit in what is
     left of the file. The checksum decides first: a file that fails it
     raises "checksum mismatch" whatever else is wrong with it, and only a
-    file that passes it gets a structural error.
+    file that passes it gets a structural error. A file that cannot seek
+    (a pipe) is read whole into memory first, as its size is known only
+    then.
+
+    keep, if given, is called with the config once it is read and returns
+    a predicate over tensor names: a tensor it refuses is read through the
+    checksum a chunk at a time, checked as any other, and returned as a
+    SkippedTensor instead of an array.
     """
     with open(path, "rb") as fh:
         if not fh.seekable():  # a pipe: its size is known once it is read
@@ -273,7 +316,7 @@ def load_checkpoint(path):
         reader = _PayloadReader(fh, size - CHECKSUM_BYTES)
         fault = None
         try:
-            result = _read_payload(reader)
+            result = _read_payload(reader, keep)
         except _Malformed as exc:
             fault = str(exc)
         if reader.checksum() != fh.read(CHECKSUM_BYTES):

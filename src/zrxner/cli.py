@@ -227,10 +227,15 @@ def _log_file(path):
 # align
 
 
+def _at_least(flag, value, least):
+    if value < least:
+        raise UsageError(f"{flag} must be at least {least}, got {value}")
+
+
 def cmd_align(args):
+    _at_least("--limit", args.limit, 1)
     config = _config(al.AlignConfig, _read_config_file(args.config), args)
-    if args.refine_iters < 0:
-        raise UsageError(f"--refine-iters must be at least 0, got {args.refine_iters}")
+    _at_least("--refine-iters", args.refine_iters, 0)
     src, tgt = _load_tables(args.src_emb, args.tgt_emb, args.limit)
     if args.direction == "s2t":
         space, moving, direction = tgt, src, al.S_TO_T
@@ -311,16 +316,16 @@ def cmd_pretrain(args):
     if any(s.tags is None for s in train):
         raise UsageError("training data must carry a tag column")
     if args.tgt_emb:
-        src_raw, tgt_raw = _load_tables(args.src_emb, args.tgt_emb,
-                                        config.emb_limit)
+        raw = _load_tables(args.src_emb, args.tgt_emb, config.emb_limit)
     else:
-        src_raw, tgt_raw = _load_table(args.src_emb, config.emb_limit, "src"), None
+        raw = _load_table(args.src_emb, config.emb_limit, "src"), None
     mapper = None
     if args.mapper:
         mapper = load_mapper(args.mapper)[0]
     elif config.variant != "source_mono":
         raise UsageError(f"variant {config.variant} requires --mapper")
-    src_table, tgt_table = common_space_tables(src_raw, tgt_raw, mapper)
+    src_table, tgt_table = common_space_tables(*raw, mapper)
+    del raw  # the table the mapper replaced is freed here
     eval_sets = _build_eval_sets(args, args.dev, config.scheme, src_table,
                                  tgt_table)
     char_vocab = build_char_vocab([train] + [ev.dataset for ev in eval_sets])
@@ -392,6 +397,7 @@ def cmd_finetune(args):
         tgt_raw = _load_table(args.tgt_emb, config.emb_limit, "tgt")
         mapper = load_mapper(args.mapper)[0] if args.mapper else None
         _, tgt_table = common_space_tables(src_table, tgt_raw, mapper)
+        del tgt_raw  # freed here where the mapper replaced it
     eval_sets = _build_eval_sets(args, args.src_dev, config.scheme, src_table,
                                  tgt_table)
     base_state = snapshot_state(model)
@@ -444,13 +450,13 @@ def cmd_finetune(args):
 
 
 def cmd_tag(args):
-    model, config, tables, _ = load_model(args.checkpoint)
+    # the table of the language to tag, else the source table
+    model, config, tables, _ = load_model(args.checkpoint,
+                                          (args.language, "src"))
     lang = args.language
     if lang not in model.encoders:
         lang = "src"
-    table = tables.get(args.language)
-    if table is None:
-        table = tables.get("src")
+    table = tables.get(args.language, tables.get("src"))
     if table is None:
         raise CheckpointError("checkpoint carries no embedding table")
     dataset = _read_dataset(args.input, args.language, "test", config.scheme,
@@ -517,12 +523,13 @@ def _pca_2d(vectors):
 
 
 def cmd_project(args):
+    _at_least("--limit", args.limit, 1)
     if args.emb:
         table = _load_table(args.emb, args.limit, "")
         words, vectors = table.words, table.vectors
     elif args.checkpoint:
-        model, _, tables, _ = load_model(args.checkpoint)
         lang = args.language
+        _, _, tables, _ = load_model(args.checkpoint, (lang,))
         if lang not in tables:
             raise UsageError(f"checkpoint has no table for {lang!r}")
         words = tables[lang].words[: args.limit]

@@ -23,6 +23,17 @@ GROW_BYTES = 64 << 20
 _C_PARSER_DIFFERS = "\r\x1c\x1d\x1e\x1f"
 
 
+def check_table(words, shape, finite):
+    """Raise UsageError where words and rows of shape cannot form a table;
+    finite() tells whether every row is finite, and is asked last."""
+    if len(shape) != 2 or len(words) != shape[0]:
+        raise UsageError("words and vectors disagree")
+    if len(set(words)) != len(words):
+        raise UsageError("duplicate words in embedding table")
+    if not finite():
+        raise UsageError("non-finite vector entries")
+
+
 class EmbeddingTable:
     """Frequency-ordered vocabulary with one row per word. Rows are stored
     as float32 when given as float32 (a table loaded from a checkpoint) and
@@ -33,13 +44,9 @@ class EmbeddingTable:
         vectors = np.asarray(vectors)
         if vectors.dtype != np.float32:
             vectors = np.asarray(vectors, dtype=np.float64)
-        if vectors.ndim != 2 or len(words) != vectors.shape[0]:
-            raise UsageError("words and vectors disagree")
-        if len(set(words)) != len(words):
-            raise UsageError("duplicate words in embedding table")
-        if not all(np.isfinite(vectors[lo:lo + BLOCK_ROWS]).all()
-                   for lo in range(0, len(vectors), BLOCK_ROWS)):
-            raise UsageError("non-finite vector entries")
+        check_table(words, vectors.shape, lambda: all(
+            np.isfinite(vectors[lo:lo + BLOCK_ROWS]).all()
+            for lo in range(0, len(vectors), BLOCK_ROWS)))
         self.words = list(words)
         self.vectors = vectors
         self.language = language

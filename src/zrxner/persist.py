@@ -3,10 +3,11 @@ checkpoint container.
 
 Trainable tensors are stored in float64 (bit-exact round trips); frozen
 embedding tables are stored in float32 and load as float32 tables, which
-the readers of their rows widen to float64 exactly. A table that is already
-float32 is saved without a copy. Vocabulary lists ride in the flat config
-block: words are whitespace-free by construction, characters are stored as
-one string in index order.
+the readers of their rows widen to float64 exactly. No table is copied:
+a float64 table is rounded to float32 a chunk at a time as it is saved,
+and a loader that names the table it needs holds that one alone. Vocabulary
+lists ride in the flat config block: words are whitespace-free by
+construction, characters are stored as one string in index order.
 """
 
 from dataclasses import replace
@@ -14,9 +15,14 @@ from dataclasses import replace
 import numpy as np
 
 from .align import LinearMapper
-from .checkpoint import flat_to_fields, load_checkpoint, save_checkpoint
+from .checkpoint import (
+    SkippedTensor,
+    flat_to_fields,
+    load_checkpoint,
+    save_checkpoint,
+)
 from .corpus import PAD_CHAR, UNK_CHAR
-from .embeddings import EmbeddingTable
+from .embeddings import EmbeddingTable, check_table
 from .errors import CheckpointError, UsageError
 from .numeric import RNG_ALGORITHM, Rng
 from .tagger import Tagger, TaggerConfig
@@ -86,16 +92,35 @@ def save_model(path, model, train_config, tables, extra_config=None):
             continue
         config[f"emb.{lang}.words"] = " ".join(table.words)
         config[f"emb.{lang}.language"] = table.language
-        tensors[f"emb.{lang}.vectors"] = np.asarray(table.vectors, np.float32)
-    save_checkpoint(path, config, tensors)
+        tensors[f"emb.{lang}.vectors"] = table.vectors
+    save_checkpoint(path, config, tensors, float32={
+        name for name in tensors if _table_language(name) is not None})
 
 
-def load_model(path):
+def _table_language(name):
+    """The language of a table tensor's name, else None."""
+    if name.startswith("emb.") and name.endswith(".vectors"):
+        return name[len("emb.") : -len(".vectors")]
+    return None
+
+
+def load_model(path, languages=None):
     """Rebuild (model, train_config, tables, raw config) from a checkpoint.
     A missing key, a config value that does not parse or that the range
     checks refuse, and a tensor whose shape is not the model's are artifact
-    errors naming the key or the tensor."""
-    config, tensors = load_checkpoint(path)
+    errors naming the key or the tensor.
+
+    languages, if given, lists table languages in order of preference: of
+    them only the first whose words the config holds is loaded, and every
+    other table is checked as it is read but never held, so tables holds
+    at most that one."""
+
+    def keep(config):
+        wanted = next((lang for lang in languages
+                       if f"emb.{lang}.words" in config), None)
+        return lambda name: _table_language(name) in (None, wanted)
+
+    config, tensors = load_checkpoint(path, None if languages is None else keep)
     if config.get("kind") != "tagger":
         raise CheckpointError(f"{path} is not a tagger checkpoint")
 
@@ -132,16 +157,17 @@ def load_model(path):
                 f"the model's is {arr.shape}")
         np.copyto(arr, tensors[name])
     tables = {}
-    for key in tensors:
-        if not (key.startswith("emb.") and key.endswith(".vectors")):
+    for key, arr in tensors.items():
+        lang = _table_language(key)
+        if lang is None:
             continue
-        lang = key[len("emb.") : -len(".vectors")]
+        words = required(f"emb.{lang}.words").split(" ")
         try:
-            tables[lang] = EmbeddingTable(
-                required(f"emb.{lang}.words").split(" "),
-                tensors[key],
-                config.get(f"emb.{lang}.language", lang),
-            )
+            if isinstance(arr, SkippedTensor):
+                check_table(words, arr.shape, lambda: arr.finite)
+            else:
+                tables[lang] = EmbeddingTable(
+                    words, arr, config.get(f"emb.{lang}.language", lang))
         except UsageError as exc:
             raise CheckpointError(f"{path}: tensor {key}: {exc}") from None
     return model, train_config, tables, config

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from zrxner.checkpoint import (
+    CHUNK_BYTES,
     FORMAT_VERSION,
     MAGIC,
+    SkippedTensor,
     load_checkpoint,
     save_checkpoint,
 )
@@ -247,10 +249,11 @@ def _small_checkpoint(path):
     return path.read_bytes()
 
 
-def test_reader_matches_whole_file_reader_on_damaged_files(tmp_path):
-    blob = _small_checkpoint(tmp_path / "ok.zrx")
+def _damaged_variants(blob):
+    """Damaged copies of the checkpoint bytes blob: truncated, extended,
+    with a byte flipped, a header field rewritten or a name that is not
+    UTF-8, each raw and with its checksum recomputed."""
     payload = blob[:-8]
-    path = tmp_path / "m.zrx"
     variants = []
     for cut in range(len(blob)):  # every truncation, raw and re-signed
         variants.append(blob[:cut])
@@ -276,6 +279,13 @@ def test_reader_matches_whole_file_reader_on_damaged_files(tmp_path):
     for where, bad in [(10, b"\xff"), (10, b"a\xc3"), (10, b"\xed\xa0\x80"),
                        (name, b"\xff"), (name, b"\x80")]:  # not UTF-8
         variants.append(_signed(payload[:where] + bad + payload[where + len(bad):]))
+    return variants
+
+
+def test_reader_matches_whole_file_reader_on_damaged_files(tmp_path):
+    blob = _small_checkpoint(tmp_path / "ok.zrx")
+    path = tmp_path / "m.zrx"
+    variants = _damaged_variants(blob)
     messages = {}
     for data in variants:
         path.write_bytes(data)
@@ -293,6 +303,66 @@ def test_reader_matches_whole_file_reader_on_damaged_files(tmp_path):
     assert any(m and m.startswith("unsupported checkpoint version") for m in messages)
     assert any(m and m.startswith("malformed config line") for m in messages)
     assert None in messages  # some rewrites still load, and load alike
+
+
+def _skip_all(config):
+    return lambda name: False
+
+
+def _assert_skipped_like(skipped, tensors):
+    assert list(skipped) == list(tensors)
+    for name, arr in tensors.items():
+        assert skipped[name] == SkippedTensor(arr.shape, arr.dtype,
+                                              bool(np.isfinite(arr).all()))
+
+
+def test_skipped_tensors_keep_every_refusal_on_damaged_files(tmp_path):
+    # a tensor the caller does not keep is hashed and checked, never held,
+    # and refused exactly as a kept one
+    blob = _small_checkpoint(tmp_path / "ok.zrx")
+    path = tmp_path / "m.zrx"
+    keep_w = lambda config: lambda name: name == "w"
+    for data in _damaged_variants(blob):
+        path.write_bytes(data)
+        full, full_exc = _outcome(load_checkpoint, path)
+        for keep in (_skip_all, keep_w):
+            got, exc = _outcome(load_checkpoint, path, keep)
+            if full_exc is not None:
+                assert type(exc) is type(full_exc) and str(exc) == str(full_exc)
+                continue
+            assert exc is None, exc
+            config, tensors = got
+            assert config == full[0]
+            kept = {k: v for k, v in tensors.items() if isinstance(v, np.ndarray)}
+            assert set(kept) == ({"w"} & set(tensors) if keep is keep_w else set())
+            _assert_same_load((config, kept),
+                              (full[0], {k: full[1][k] for k in kept}))
+            _assert_skipped_like({k: v for k, v in tensors.items() if k not in kept},
+                                 {k: v for k, v in full[1].items() if k not in kept})
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_skipped_tensor_checks_every_chunk_without_holding_it(tmp_path, dtype):
+    step = CHUNK_BYTES // np.dtype(dtype).itemsize
+    path = tmp_path / "m.zrx"
+    for size, bad in [(0, None), (5, None), (step, step - 1), (2 * step + 3, None),
+                      (2 * step + 3, step), (2 * step + 3, 2 * step + 2),
+                      (3 * step, 0)]:
+        arr = np.random.default_rng(size).normal(size=size).astype(dtype)
+        if bad is not None:
+            arr[bad] = (np.inf, np.nan)[size % 2]
+        tensors = {"big": arr, "small": np.ones(3)}
+        save_checkpoint(path, {"k": "v"}, tensors)
+        tracemalloc.start()
+        try:
+            config, got = load_checkpoint(path, _skip_all)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert config == {"k": "v"}
+        _assert_skipped_like(got, tensors)
+        assert got["big"].finite is (bad is None)
+        assert peak < 2 * CHUNK_BYTES  # one chunk and its finiteness mask
 
 
 def _rewritten(path, field, value):
@@ -370,6 +440,32 @@ def test_save_memory_is_bounded_by_the_largest_tensor(tmp_path):
         tracemalloc.stop()
     assert peak <= largest + (1 << 20)
     assert (tmp_path / "m.zrx").read_bytes() == _oracle_bytes(tmp_path, tensors)
+
+
+def test_float32_tensors_are_converted_a_chunk_at_a_time(tmp_path):
+    rng = np.random.default_rng(1)
+    f64 = rng.normal(size=(3000, 300))  # 7 MB: several chunks
+    f64[5, 7] = 1e-40  # a float32 subnormal
+    f64[9, 1] = np.nan
+    tensors = {"emb.src.vectors": f64,
+               "emb.tgt.vectors": f64[:1000].astype(">f8"),
+               "emb.xx.vectors": f64[:, ::2],  # not C-contiguous
+               "emb.f32.vectors": f64[:20].astype(np.float32),
+               "w": rng.normal(size=(40, 40)), "s": np.float64(2.5)}
+    float32 = {name for name in tensors if name.startswith("emb.")}
+    tracemalloc.start()  # the inputs exist already and are not counted
+    try:
+        save_checkpoint(tmp_path / "m.zrx", {"k": "v"}, tensors, float32=float32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one chunk of rounded rows, beside the one copy a non-contiguous input needs
+    assert peak <= tensors["emb.xx.vectors"].nbytes + CHUNK_BYTES + (256 << 10)
+    converted = {name: np.asarray(arr, np.float32) if name in float32 else arr
+                 for name, arr in tensors.items()}
+    assert (tmp_path / "m.zrx").read_bytes() == _oracle_bytes(tmp_path, converted)
+    _, got = load_checkpoint(tmp_path / "m.zrx")
+    assert {got[name].dtype for name in float32} == {np.dtype(np.float32)}
 
 
 def _oracle_bytes(tmp_path, tensors):

@@ -393,11 +393,14 @@ def test_finetune_repeated_seed_exit_2_before_training(
     assert list(tmp_path.iterdir()) == []
 
 
-def _tag_crafted(config, tensors, workdir, tmp_path, capsys):
+def _tag_crafted(config, tensors, workdir, tmp_path, capsys, damage=None):
     """Exit code and stderr, less its prefix, of `tag` on a checkpoint
-    re-signed from config and tensors."""
+    re-signed from config and tensors, its bytes then passed through
+    damage, if given."""
     path = tmp_path / "crafted.zrx"
     save_checkpoint(path, config, tensors)
+    if damage is not None:
+        path.write_bytes(damage(path.read_bytes()))
     code = main(["tag", "--checkpoint", str(path), "--input",
                  workdir["tgt_dev"], "--output", str(tmp_path / "out.conll")])
     err = capsys.readouterr().err
@@ -453,6 +456,133 @@ def test_checkpoint_table_words_disagreeing_with_rows_exit_3(
     config["emb.tgt.words"] += " extra"
     assert _tag_crafted(config, tensors, workdir, tmp_path, capsys) == (
         3, "tensor emb.tgt.vectors: words and vectors disagree\n")
+
+
+def _src_table_data(blob):
+    """Offset of the source table's first value in checkpoint bytes."""
+    name = b"emb.src.vectors"
+    return blob.index(name) + len(name) + 4 + 2 * 4 + 1  # rank, dims, dtype
+
+
+def _flip_in_src_table(blob):
+    at = _src_table_data(blob) + 100
+    return blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1:]
+
+
+def _overstate_src_rows(blob):
+    import hashlib
+
+    at = _src_table_data(blob) - 1 - 2 * 4  # the row count
+    payload = blob[:at] + (2**31).to_bytes(4, "little") + blob[at + 4:-8]
+    return payload + hashlib.sha256(payload).digest()[:8]
+
+
+def _repeat_a_src_word(config, tensors):
+    words = config["emb.src.words"].split(" ")
+    config["emb.src.words"] = " ".join([words[1]] + words[1:])
+
+
+@pytest.mark.parametrize("fault, damage, message", [
+    (None, _flip_in_src_table,
+     "artifact error: checksum mismatch: file is corrupt\n"),
+    (None, _overstate_src_rows, "artifact error: truncated tensor data\n"),
+    (lambda config, tensors: config.update(
+        {"emb.src.words": config["emb.src.words"] + " extra"}), None,
+     "tensor emb.src.vectors: words and vectors disagree\n"),
+    (_repeat_a_src_word, None,
+     "tensor emb.src.vectors: duplicate words in embedding table\n"),
+    (lambda config, tensors: tensors["emb.src.vectors"].__setitem__(
+        (7, 3), np.inf), None,
+     "tensor emb.src.vectors: non-finite vector entries\n"),
+])
+def test_fault_in_the_table_tag_does_not_read_exit_3(
+        pretrained_path, workdir, tmp_path, capsys, fault, damage, message):
+    # tag --language tgt holds the target table alone; the source table is
+    # still checked as it is read, and refused as before
+    config, tensors = load_checkpoint(pretrained_path)
+    assert {"emb.src.vectors", "emb.tgt.vectors"} <= set(tensors)
+    if fault is not None:
+        fault(config, tensors)
+    assert _tag_crafted(config, tensors, workdir, tmp_path, capsys,
+                        damage) == (3, message)
+
+
+def _tables_loaded(monkeypatch, full):
+    """A list that collects the table languages of each load_model call
+    of the CLI; with full, every call loads every table."""
+    import zrxner.cli as cli_mod
+
+    seen = []
+
+    def spy(path, languages=None):
+        result = load_model(path, None if full else languages)
+        seen.append(sorted(result[2]))
+        return result
+
+    monkeypatch.setattr(cli_mod, "load_model", spy)
+    return seen
+
+
+def _source_only(pretrained_path, tmp_path):
+    config, tensors = load_checkpoint(pretrained_path)
+    for key in ("emb.tgt.words", "emb.tgt.language"):
+        del config[key]
+    del tensors["emb.tgt.vectors"]
+    path = tmp_path / "src_only.zrx"
+    save_checkpoint(path, config, tensors)
+    return str(path)
+
+
+@pytest.mark.parametrize("checkpoint, argv, table", [
+    ("both", ["tag", "--language", "tgt", "--to-iob2"], "tgt"),
+    ("both", ["tag", "--language", "src"], "src"),
+    ("src_only", ["tag", "--language", "tgt"], "src"),
+    ("both", ["project", "--language", "tgt", "--limit", "100000"], "tgt"),
+    ("both", ["project", "--language", "src", "--limit", "40"], "src"),
+])
+def test_tag_and_project_read_one_table_as_a_full_load_would(
+        pretrained_path, workdir, tmp_path, monkeypatch, checkpoint, argv,
+        table):
+    path = (pretrained_path if checkpoint == "both"
+            else _source_only(pretrained_path, tmp_path))
+    io_flags = {"tag": ["--input", workdir["tgt_dev"], "--output"],
+                "project": ["--manifest", str(tmp_path / "m.json"), "--out"]}
+    outputs = []
+    for full in (False, True):
+        seen = _tables_loaded(monkeypatch, full)
+        out = tmp_path / f"out{full}"
+        assert main([argv[0], "--checkpoint", path, *argv[1:],
+                     *io_flags[argv[0]], str(out)]) == 0
+        assert seen == [[table] if not full or checkpoint == "src_only"
+                        else ["src", "tgt"]]
+        extra = (tmp_path / "m.json").read_bytes() if argv[0] == "project" else b""
+        outputs.append((out.read_bytes(), extra))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["project", "--checkpoint", "CKPT", "--limit", "0"], 0),
+    (["project", "--checkpoint", "CKPT", "--limit", "-5"], -5),
+    (["project", "--emb", "SRC", "--limit", "-3"], -3),
+    (["align", "--src-emb", "SRC", "--tgt-emb", "TGT", "--limit", "0"], 0),
+])
+def test_limit_below_one_exit_2_before_reading_anything(
+        pretrained_path, workdir, tmp_path, capsys, monkeypatch, argv, value):
+    import zrxner.cli as cli_mod
+
+    read = []
+    for name in ("_load_table", "_load_tables", "load_model",
+                 "_read_config_file"):
+        monkeypatch.setattr(cli_mod, name,
+                            lambda *args, name=name: read.append(name))
+    paths = {"CKPT": pretrained_path, "SRC": workdir["src_emb"],
+             "TGT": workdir["tgt_emb"]}
+    out = tmp_path / "out"
+    code = main([paths.get(arg, arg) for arg in argv] + ["--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f"error: --limit must be at least 1, got {value}\n"
+    assert read == [] and not out.exists()
 
 
 @pytest.mark.parametrize("key, value", [
@@ -681,7 +811,8 @@ def test_tag_round_trip_and_eval_consistency(workdir, pretrain_run,
         "--to-iob2",
     ])
     assert code == 0
-    again = read_conll(open(tagged), scheme=IOB2)
+    with open(tagged) as fh:
+        again = read_conll(fh, scheme=IOB2)
     assert again.size == 60
     assert all(s.tags is not None for s in again)
 
@@ -708,7 +839,8 @@ def test_tag_empty_input(workdir, pretrained_path, tmp_path):
         "--output", str(out),
     ])
     assert code == 0
-    assert read_conll(open(out)).size == 0
+    with open(out) as fh:
+        assert read_conll(fh).size == 0
 
 
 def test_eval_perfect_and_half(workdir, tmp_path, capsys):
@@ -783,7 +915,8 @@ def test_project_from_vec(workdir, tmp_path):
         "--out", str(out), "--manifest", str(manifest),
     ])
     assert code == 0
-    rows = list(csv.reader(open(out)))
+    with open(out) as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["word", "x", "y", "tag"]
     assert len(rows) == 51
     coords = np.array([[float(r[1]), float(r[2])] for r in rows[1:]])
@@ -827,7 +960,8 @@ def test_project_2d_input_is_identity_up_to_rotation(tmp_path):
     out = tmp_path / "proj.csv"
     code = main(["project", "--emb", str(vec), "--out", str(out)])
     assert code == 0
-    rows = list(csv.reader(open(out)))[1:]
+    with open(out) as fh:
+        rows = list(csv.reader(fh))[1:]
     coords = np.array([[float(r[1]), float(r[2])] for r in rows])
     # distances to the centroid are preserved by a rigid 2-D projection
     pts_unit = pts / np.linalg.norm(pts, axis=1, keepdims=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zrxner.align import LinearMapper
-from zrxner.checkpoint import load_checkpoint, save_checkpoint
+from zrxner.checkpoint import CHUNK_BYTES, load_checkpoint, save_checkpoint
 from zrxner.corpus import IOB2
 from zrxner.embeddings import EmbeddingTable, apply_mapper
 from zrxner.errors import CheckpointError
@@ -140,7 +140,8 @@ def test_vocabulary_with_line_break_character_round_trips(tmp_path, ch):
     assert loaded.char_vocab == chars
 
 
-def _two_table_checkpoint(path, rows=20000, dim=300):
+def _two_table_model(rows, dim):
+    """(model, config, float64 tables) of a two-language tagger."""
     config = TrainingConfig(
         scheme=IOB2, char_dim=4, char_hidden=4, word_hidden=6, head_hidden=4
     )
@@ -150,6 +151,11 @@ def _two_table_checkpoint(path, rows=20000, dim=300):
     tables = {lang: EmbeddingTable([f"{lang}{i}" for i in range(rows)],
                                    rng.normal(size=(rows, dim)), lang)
               for lang in ("src", "tgt")}
+    return model, config, tables
+
+
+def _two_table_checkpoint(path, rows=20000, dim=300):
+    model, config, tables = _two_table_model(rows, dim)
     save_model(path, model, config, tables)
     return tables
 
@@ -181,6 +187,58 @@ def test_load_model_memory_is_the_stored_tensors_plus_the_vocabulary(tmp_path):
     _, save_peak = _traced_peak(save_model, tmp_path / "again.zrx", model,
                                 TrainingConfig(scheme=IOB2), loaded)
     assert save_peak < loaded["src"].vectors.nbytes // 2
+
+
+def test_one_table_load_holds_that_table_alone(tmp_path):
+    path = tmp_path / "m.zrx"
+    tables = _two_table_checkpoint(path)
+    model, _, full, _ = load_model(path)
+    params_bytes = sum(arr.nbytes for arr in model.all_parameters().values())
+    table_bytes = full["tgt"].vectors.nbytes
+    vocab, vocab_bytes = _traced_peak(lambda: EmbeddingTable(
+        tables["tgt"].words, np.zeros((len(tables["tgt"]), 0), np.float32)))
+    del vocab, tables
+    (one, _, loaded, config), peak = _traced_peak(load_model, path, ("tgt",))
+    # the unread table costs a chunk and the set of its words
+    assert peak <= params_bytes + table_bytes + vocab_bytes + (4 << 20)
+    assert peak < params_bytes + 2 * table_bytes
+    assert list(loaded) == ["tgt"]
+    got, want = loaded["tgt"], full["tgt"]
+    assert (got.words, got.language) == (want.words, want.language)
+    assert got.vectors.dtype == want.vectors.dtype
+    assert got.vectors.tobytes() == want.vectors.tobytes()
+    for name, arr in model.all_parameters().items():
+        assert one.all_parameters()[name].tobytes() == arr.tobytes()
+    assert config == load_model(path)[3]
+    assert list(load_model(path, ("tgt", "src"))[2]) == ["tgt"]
+    assert list(load_model(path, ("src", "tgt"))[2]) == ["src"]
+    assert load_model(path, ("xx",))[2] == {}
+
+
+def test_one_table_load_falls_back_in_order_of_preference(tmp_path):
+    model, config, tables = _two_table_model(30, 5)
+    path = tmp_path / "src_only.zrx"
+    save_model(path, model, config, {"src": tables["src"]})
+    assert list(load_model(path, ("tgt", "src"))[2]) == ["src"]
+    assert load_model(path, ("tgt",))[2] == {}
+    assert list(load_model(path)[2]) == ["src"]
+
+
+def test_save_model_rounds_float64_tables_a_chunk_at_a_time(tmp_path):
+    model, config, tables = _two_table_model(20000, 300)
+    assert {t.vectors.dtype for t in tables.values()} == {np.dtype(np.float64)}
+    _, peak = _traced_peak(save_model, tmp_path / "m.zrx", model, config,
+                           tables)
+    # one chunk of rounded rows and the config block, which holds the words
+    words_bytes = sum(len(" ".join(t.words)) for t in tables.values())
+    assert peak <= CHUNK_BYTES + 4 * words_bytes + (1 << 20)
+    assert peak < tables["src"].vectors.nbytes // 8
+    rounded = {lang: EmbeddingTable(t.words, t.vectors.astype(np.float32),
+                                    t.language)
+               for lang, t in tables.items()}
+    save_model(tmp_path / "rounded.zrx", model, config, rounded)
+    assert (tmp_path / "m.zrx").read_bytes() == \
+        (tmp_path / "rounded.zrx").read_bytes()
 
 
 def test_loaded_float32_rows_widen_exactly(tmp_path):
