@@ -451,12 +451,12 @@ def cmd_finetune(args):
 
 def cmd_tag(args):
     # the table of the language to tag, else the source table
-    model, config, tables, _ = load_model(args.checkpoint,
-                                          (args.language, "src"))
+    preference = (args.language, "src")
+    model, config, tables, _ = load_model(args.checkpoint, preference)
     lang = args.language
     if lang not in model.encoders:
         lang = "src"
-    table = tables.get(args.language, tables.get("src"))
+    table = next((tables[name] for name in preference if name in tables), None)
     if table is None:
         raise CheckpointError("checkpoint carries no embedding table")
     dataset = _read_dataset(args.input, args.language, "test", config.scheme,
@@ -510,7 +510,8 @@ def cmd_eval(args):
 
 
 def _pca_2d(vectors):
-    centered = vectors - vectors.mean(axis=0, keepdims=True)
+    # centring widens float32 rows exactly, into the one float64 copy
+    centered = vectors - vectors.mean(axis=0, keepdims=True, dtype=np.float64)
     cov = centered.T @ centered / max(len(centered), 1)
     u, s, _ = svd_square(cov)
     components = u[:, :2]
@@ -544,7 +545,7 @@ def cmd_project(args):
                 parts = _columns(line)
                 if len(parts) >= 2:
                     tag_of[parts[0]] = parts[1]
-    coords, spectrum = _pca_2d(np.asarray(vectors, dtype=np.float64))
+    coords, spectrum = _pca_2d(vectors)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["word", "x", "y", "tag"])

@@ -5,7 +5,9 @@ Tag schemes follow the usual chunking conventions: IOB1 (I- opens a chunk,
 B- only splits adjacent same-type chunks), IOB2 (every chunk opens with B-),
 IOBES (adds E- for ends and S- for singletons). Invalid continuations are
 repaired as new span starts, conlleval-style, and the repair count is
-surfaced because pseudo-labeled data routinely contains them.
+surfaced because pseudo-labeled data routinely contains them. One step rule,
+`step_repairs`, states the schemes: the entity scanner and the tagger's
+constrained-decoding mask both read it.
 """
 
 import io
@@ -19,7 +21,7 @@ IOB2 = "IOB2"
 IOBES = "IOBES"
 SCHEMES = (IOB1, IOB2, IOBES)
 
-_SCHEME_PREFIXES = {IOB1: "BI", IOB2: "BI", IOBES: "BIES"}
+_SCHEME_PREFIXES = {IOB1: tuple("BI"), IOB2: tuple("BI"), IOBES: tuple("BIES")}
 
 DOCSTART = "-DOCSTART-"
 PAD_CHAR = "<pad>"
@@ -85,66 +87,43 @@ def split_label(tag, scheme):
     return prefix, typ
 
 
-def _chunk_start(prev_prefix, prev_type, prefix, typ):
-    if prefix == "O":
-        return False
-    if prev_prefix == "O":
-        return True
-    if prev_type != typ:
-        return True
-    return prefix in "BS" or prev_prefix in "ES"
-
-
-def _chunk_end(prev_prefix, prev_type, prefix, typ):
-    if prev_prefix == "O":
-        return False
-    if prefix == "O":
-        return True
-    if prev_type != typ:
-        return True
-    return prefix in "BS" or prev_prefix in "ES"
+def step_repairs(prev, cur, scheme):
+    """(boundary, repairs) of the step between two consecutive split labels:
+    whether a chunk ends before cur or starts at it, and how many scheme
+    rules the step breaks (an I/E opening a chunk under IOB2/IOBES, a B
+    under IOB1 that does not split a same-type chunk, an IOBES chunk closed
+    without E or S). Sentence start and end read as ("O", None)."""
+    (p1, t1), (p2, t2) = prev, cur
+    if p1 == p2 == "O" or (t1 == t2 and p1 in "BI" and p2 in "IE"):
+        return False, 0  # outside, or the open chunk continues
+    if scheme == IOBES:
+        return True, (p1 in "BI") + (p2 in "IE")
+    if scheme == IOB2:
+        return True, int(p2 == "I")
+    return True, int(p2 == "B" and (p1 == "O" or t1 != t2))
 
 
 def scan_entities(tags, scheme):
     """Extract typed spans, repairing invalid continuations as new span starts.
 
-    Returns (spans, repairs) where repairs counts positions whose strict
-    scheme reading was violated (I/E opening a chunk under IOB2/IOBES, a B
-    under IOB1 that does not split a same-type chunk, an IOBES chunk closed
-    without E or S).
+    Returns (spans, repairs): a span closes and the next opens at each step
+    `step_repairs` marks as a boundary, and repairs sums its counts over
+    every step, the sentence's two ends included.
     """
     _check_scheme(scheme)
     spans = []
     repairs = 0
-    open_start = None
-    open_type = None
-    prev_prefix, prev_type = "O", None
-    prev_open_prefix = None  # prefix of the last token of the open chunk
-    for i, tag in enumerate(tags):
-        prefix, typ = split_label(tag, scheme)
-        if open_start is not None and _chunk_end(prev_prefix, prev_type, prefix, typ):
-            spans.append(EntitySpan(open_start, i - 1, open_type))
-            if scheme == IOBES and prev_open_prefix not in ("E", "S"):
-                repairs += 1
-            open_start = None
-        if _chunk_start(prev_prefix, prev_type, prefix, typ):
-            if scheme == IOBES and prefix in "IE":
-                repairs += 1
-            elif scheme == IOB2 and prefix == "I":
-                repairs += 1
-            elif scheme == IOB1 and prefix == "B" and not (
-                prev_prefix in "BI" and prev_type == typ
-            ):
-                repairs += 1
-            open_start = i
-            open_type = typ
-        if prefix != "O":
-            prev_open_prefix = prefix
-        prev_prefix, prev_type = prefix, typ
-    if open_start is not None:
-        spans.append(EntitySpan(open_start, len(tags) - 1, open_type))
-        if scheme == IOBES and prev_open_prefix not in ("E", "S"):
-            repairs += 1
+    start = 0
+    prev = ("O", None)
+    for i, tag in enumerate([*tags, "O"]):
+        cur = split_label(tag, scheme)
+        boundary, broken = step_repairs(prev, cur, scheme)
+        repairs += broken
+        if boundary:
+            if prev[0] != "O":
+                spans.append(EntitySpan(start, i - 1, prev[1]))
+            start = i
+        prev = cur
     return spans, repairs
 
 

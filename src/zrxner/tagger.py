@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import IOB1, IOBES, UNK_CHAR, split_label
+from .corpus import IOBES, UNK_CHAR, split_label, step_repairs
 from .errors import NumericalError, UsageError
 from .numeric import gaussian_init, log_sum_exp, sigmoid
 
@@ -504,41 +504,15 @@ class PreparedSentence:
 
 
 def transition_mask(tags, scheme):
-    """Additive mask (0 or MASK_VALUE) forbidding scheme-invalid transitions."""
+    """Additive mask: MASK_VALUE on exactly the transitions that
+    `scan_entities` would repair, with BOS and EOS read as O; else 0."""
     k = len(tags)
     bos, eos = k, k + 1
     mask = np.zeros((k + 2, k + 2))
-    parsed = [split_label(t, scheme) for t in tags]
-
-    def start_ok(prefix, typ):
-        if prefix in ("O", "B", "S"):
-            return True
-        return scheme == IOB1 and prefix == "I"
-
-    def follows_ok(p1, t1, p2, t2):
-        if scheme == IOB1:
-            if p2 == "B":
-                return p1 in "BI" and t1 == t2
-            return True
-        if p2 == "I":
-            return p1 in "BI" and t1 == t2
-        if p2 == "E":
-            return p1 in "BI" and t1 == t2
-        if scheme == IOBES and p1 in "BI":
-            return p2 in "IE" and t1 == t2
-        return True
-
-    def end_ok(prefix):
-        return not (scheme == IOBES and prefix in "BI")
-
-    for j, (p2, t2) in enumerate(parsed):
-        if not start_ok(p2, t2):
-            mask[bos, j] = MASK_VALUE
-    for i, (p1, t1) in enumerate(parsed):
-        if not end_ok(p1):
-            mask[i, eos] = MASK_VALUE
-        for j, (p2, t2) in enumerate(parsed):
-            if not follows_ok(p1, t1, p2, t2):
+    labels = [split_label(t, scheme) for t in tags] + [("O", None)] * 2
+    for i in [*range(k), bos]:
+        for j in [*range(k), eos]:
+            if step_repairs(labels[i], labels[j], scheme)[1]:
                 mask[i, j] = MASK_VALUE
     return mask
 

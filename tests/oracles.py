@@ -66,6 +66,61 @@ def iobes_spans_naive(tags):
     return spans
 
 
+def _chunk_starts(prev_prefix, prev_type, prefix, typ):
+    if prefix == "O":
+        return False
+    if prev_prefix == "O" or prev_type != typ:
+        return True
+    return prefix in "BS" or prev_prefix in "ES"
+
+
+def _chunk_ends(prev_prefix, prev_type, prefix, typ):
+    if prev_prefix == "O":
+        return False
+    if prefix == "O" or prev_type != typ:
+        return True
+    return prefix in "BS" or prev_prefix in "ES"
+
+
+def scan_entities_reference(tags, scheme):
+    """(spans as (start, end, type), repairs) of any label sequence, by the
+    per-side chunk start and end tests and an explicitly tracked open chunk:
+    the scanner the step rule replaced. Labels are "O" or "<prefix>-<type>"
+    with a prefix of the scheme."""
+    spans = []
+    repairs = 0
+    open_start = open_type = None
+    prev_prefix, prev_type = "O", None
+    prev_open_prefix = None  # prefix of the last token of the open chunk
+    for i, tag in enumerate(tags):
+        prefix, typ = ("O", None) if tag == "O" else tag.split("-", 1)
+        if open_start is not None and _chunk_ends(prev_prefix, prev_type,
+                                                  prefix, typ):
+            spans.append((open_start, i - 1, open_type))
+            if scheme == "IOBES" and prev_open_prefix not in ("E", "S"):
+                repairs += 1
+            open_start = None
+        if _chunk_starts(prev_prefix, prev_type, prefix, typ):
+            if scheme == "IOBES" and prefix in "IE":
+                repairs += 1
+            elif scheme == "IOB2" and prefix == "I":
+                repairs += 1
+            elif scheme == "IOB1" and prefix == "B" and not (
+                prev_prefix in "BI" and prev_type == typ
+            ):
+                repairs += 1
+            open_start = i
+            open_type = typ
+        if prefix != "O":
+            prev_open_prefix = prefix
+        prev_prefix, prev_type = prefix, typ
+    if open_start is not None:
+        spans.append((open_start, len(tags) - 1, open_type))
+        if scheme == "IOBES" and prev_open_prefix not in ("E", "S"):
+            repairs += 1
+    return spans, repairs
+
+
 # ---------------------------------------------------------------------------
 # Linear-chain CRF by exhaustive enumeration
 

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,10 @@ from zrxner.cli import _load_table, _load_tables, _read_dataset, main
 from zrxner.corpus import IOB2, read_conll
 from zrxner.embeddings import EmbeddingTable, write_vec_text
 from zrxner.errors import ParseError
-from zrxner.persist import load_mapper, load_model
+from zrxner.numeric import Rng
+from zrxner.persist import load_mapper, load_model, save_model
+from zrxner.tagger import Tagger
+from zrxner.trainer import TrainingConfig
 
 from fixtures import BilingualFixture, precision_at_1
 
@@ -724,7 +728,8 @@ def finetuned(workdir, pretrained_path):
 
 def test_finetune_manifest(finetuned):
     _, manifest_path = finetuned
-    manifest = json.loads(open(manifest_path).read())
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
     assert manifest["seeds"] == [0, 1]
     assert set(manifest["metrics"]) == {"0", "1"}
     assert "aggregate" in manifest
@@ -746,7 +751,8 @@ def test_finetune_checkpoint_reloads_with_structure(finetuned):
 def test_finetune_version_mismatch_exit_3(workdir, pretrained_path, tmp_path):
     import hashlib
 
-    blob = bytearray(open(pretrained_path, "rb").read())
+    with open(pretrained_path, "rb") as fh:
+        blob = bytearray(fh.read())
     blob[4] ^= 0xFF  # bump the version field
     payload = bytes(blob[:-8])
     blob[-8:] = hashlib.sha256(payload).digest()[:8]
@@ -931,6 +937,45 @@ def test_project_from_vec(workdir, tmp_path):
     eigs = np.linalg.eigvalsh(cov)[::-1]
     residual = meta["total_variance"] - sum(meta["explained_variance"])
     assert residual == pytest.approx(eigs[2:].sum(), abs=1e-8)
+
+
+@pytest.mark.parametrize("rows", [7, 16000])
+def test_project_checkpoint_centres_float32_rows_in_one_float64_copy(
+        tmp_path, monkeypatch, rows):
+    import zrxner.cli as cli_mod
+
+    dim = 128
+    rng = np.random.default_rng(rows)
+    vectors = rng.normal(size=(rows, dim)) * rng.random(dim) + rng.normal(size=dim)
+    cfg = TrainingConfig()
+    model = Tagger(cfg.tagger_config(dim, ["O", "S-X"]),
+                   {"<pad>": 0, "<unk>": 1}, Rng(0))
+    path = str(tmp_path / "m.zrx")
+    save_model(path, model, cfg, {
+        "src": EmbeddingTable([f"w{i}" for i in range(rows)], vectors)})
+
+    def run(name):
+        out, manifest = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        assert main(["project", "--checkpoint", path, "--language", "src",
+                     "--limit", str(rows), "--out", str(out),
+                     "--manifest", str(manifest)]) == 0
+        return out.read_bytes(), manifest.read_bytes()
+
+    tracemalloc.start()
+    try:
+        direct = run("direct")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the bytes of centring a float64 copy of the float32 rows
+    pca = cli_mod._pca_2d
+    monkeypatch.setattr(cli_mod, "_pca_2d",
+                        lambda v: pca(np.asarray(v, dtype=np.float64)))
+    assert direct == run("widened")
+    if rows > 1000:
+        # the float32 table and one float64 copy (4 + 8 bytes a cell), with
+        # room for 4 more; a second float64 copy would need 8
+        assert peak < (4 + 8 + 4) * rows * dim
 
 
 def test_project_tags_follow_the_conll_line_and_column_rule(tmp_path):

@@ -1,4 +1,5 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -16,11 +17,17 @@ from zrxner.corpus import (
     entity_f1,
     read_conll,
     scan_entities,
+    split_label,
     write_conll,
 )
 from zrxner.errors import ParseError, UsageError
 
-from oracles import emit_iobes, iobes_spans_naive, random_valid_spans
+from oracles import (
+    emit_iobes,
+    iobes_spans_naive,
+    random_valid_spans,
+    scan_entities_reference,
+)
 
 TWO_SENTENCES = """\
 -DOCSTART- -X- -X- O
@@ -232,6 +239,32 @@ def test_invalid_continuation_repaired_and_counted():
     got, repairs = scan_entities(["E-LOC", "O", "B-PER"], IOBES)
     assert got == spans([(0, 0, "LOC"), (2, 2, "PER")])
     assert repairs == 2  # E- start, unterminated B-
+
+
+@pytest.mark.parametrize("scheme", [IOB1, IOB2, IOBES])
+def test_scanner_matches_the_reference_on_valid_and_invalid_input(scheme):
+    # every label sequence up to length 4, then seeded longer ones
+    prefixes = "BIES" if scheme == IOBES else "BI"
+    labels = ["O"] + [f"{p}-{t}" for t in ("X", "Y") for p in prefixes]
+    rng = np.random.default_rng(41)
+    longer = [
+        [labels[i] for i in rng.integers(0, len(labels), int(rng.integers(5, 31)))]
+        for _ in range(2000)
+    ]
+    short = itertools.chain.from_iterable(
+        itertools.product(labels, repeat=n) for n in range(5))
+    for tags in itertools.chain(short, longer):
+        got, repairs = scan_entities(list(tags), scheme)
+        assert ([(s.start, s.end, s.type) for s in got], repairs) == \
+            scan_entities_reference(list(tags), scheme), tags
+
+
+@pytest.mark.parametrize("tag,scheme", [
+    ("-PER", IOB2), ("BI-PER", IOB2), ("IE-PER", IOBES), ("BIES-PER", IOBES),
+])
+def test_split_label_takes_one_scheme_prefix_letter(tag, scheme):
+    with pytest.raises(UsageError):
+        split_label(tag, scheme)
 
 
 def test_entity_f1_half_type_mismatch():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from zrxner.corpus import IOB2, IOBES, scan_entities
+from zrxner.corpus import IOB1, IOB2, IOBES, scan_entities
 from zrxner.embeddings import EmbeddingTable
 from zrxner.numeric import Rng, clipped_sgd_step, dropout_mask
 from zrxner.tagger import (
+    MASK_VALUE,
     Tagger,
     TaggerConfig,
     backward_pass,
@@ -237,17 +238,47 @@ def test_target_encoder_initialized_as_copy():
     assert src["enc.src.word.f.w"][0, 0] != tgt["enc.tgt.word.f.w"][0, 0]
 
 
-def test_constrained_decoding_produces_valid_sequences():
-    tags = ["O", "B-PER", "I-PER", "E-PER", "S-PER", "B-LOC", "I-LOC",
-            "E-LOC", "S-LOC"]
-    mask = transition_mask(tags, IOBES)
+SCHEME_TAGS = {
+    IOB1: ["O", "B-PER", "I-PER", "B-LOC", "I-LOC"],
+    IOB2: ["O", "B-PER", "I-PER", "B-LOC", "I-LOC"],
+    IOBES: ["O", "B-PER", "I-PER", "E-PER", "S-PER", "B-LOC", "I-LOC",
+            "E-LOC", "S-LOC"],
+}
+
+
+@pytest.mark.parametrize("scheme", [IOB1, IOB2, IOBES])
+def test_constrained_decoding_produces_valid_sequences(scheme):
+    tags = SCHEME_TAGS[scheme]
+    mask = transition_mask(tags, scheme)
     rng = np.random.default_rng(11)
     for _ in range(50):
         scores = rng.normal(size=(int(rng.integers(1, 8)), len(tags))) * 3
         path = viterbi(scores[None], mask, [len(scores)])[0]
         decoded = [tags[i] for i in path]
-        _, repairs = scan_entities(decoded, IOBES)
+        _, repairs = scan_entities(decoded, scheme)
         assert repairs == 0, decoded
+
+
+@pytest.mark.parametrize("scheme", [IOB1, IOB2, IOBES])
+def test_mask_forbids_exactly_the_transitions_the_scanner_repairs(scheme):
+    # A transition is forbidden iff every sentence through it, with up to
+    # one label of context on each side, is repaired; BOS and EOS are the
+    # sentence's ends.
+    tags = SCHEME_TAGS[scheme]
+    k = len(tags)
+    bos, eos = k, k + 1
+    mask = transition_mask(tags, scheme)
+    contexts = [[]] + [[t] for t in tags]
+    for i in [*range(k), bos]:
+        for j in [*range(k), eos]:
+            middle = tags[i:i + 1] + tags[j:j + 1]
+            repairs = min(
+                scan_entities(before + middle + after, scheme)[1]
+                for before in (contexts if i < k else [[]])
+                for after in (contexts if j < k else [[]])
+            )
+            assert mask[i, j] == (MASK_VALUE if repairs else 0.0), (i, j)
+    assert not mask[eos].any() and not mask[:, bos].any()
 
 
 def test_symmetric_stationary_point_has_zero_gradient():
