@@ -18,15 +18,13 @@ import csv
 import json
 import math
 import os
-import signal
-import struct
 import sys
-import warnings
 from dataclasses import fields, replace
 
 import numpy as np
 
 from . import align as al
+from . import workers
 from .checkpoint import text_to_config
 from .corpus import (
     IOB2,
@@ -69,9 +67,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_ARTIFACT = 3
 EXIT_NUMERIC = 4
-# rows, dimension and byte length of the words of a table sent by a
-# _load_tables child; the words ("\n"-joined UTF-8) and the rows follow
-_TABLE_HEAD = struct.Struct("<3q")
 
 
 def _read_config_file(path):
@@ -106,85 +101,36 @@ def _load_table(path, limit, language):
     return table
 
 
-def _read_into(pipe, buf):
-    """Fill buf, a bytes-like object, from pipe; False where the pipe ends
-    first."""
-    view = memoryview(buf)
-    while view:
-        got = pipe.readinto(view)
-        if not got:
-            return False
-        view = view[got:]
-    return True
-
-
-def _receive_table(pipe, language):
-    """The table a _load_tables child sends through pipe, or None where the
-    child failed or died before sending all of it."""
-    head = bytearray(_TABLE_HEAD.size)
-    if not _read_into(pipe, head):
-        return None
-    rows, dim, text_len = _TABLE_HEAD.unpack(head)
-    text = bytearray(text_len)
-    vectors = np.empty((rows, dim))
-    if not (_read_into(pipe, text)
-            and _read_into(pipe, vectors.reshape(-1).view(np.uint8))):
-        return None
-    words = text.decode("utf-8").split("\n") if rows else []
-    return EmbeddingTable(words, vectors, language)
+def _table_arrays(path, limit, language):
+    """_load_table(path, limit, language) as arrays for a workers.Child to
+    send: its words, "\n"-joined UTF-8, and its rows."""
+    table = _load_table(path, limit, language)
+    text = "\n".join(table.words).encode("utf-8")
+    return [np.frombuffer(text, dtype=np.uint8), table.vectors]
 
 
 def _load_tables(src_path, tgt_path, limit):
     """_load_table of the source ("src") and the target ("tgt") table, the
-    two parsed at once: a forked child parses the target table while this
-    process parses the source one, then writes its words and normalized rows
-    to a pipe that this process reads straight into the final array. Where
-    the child fails or dies, this process loads the target table itself, so
-    an error is the one loading the two in turn raises, the source's first.
-    A target that is not a regular file (a pipe, say) can be read only once,
-    so it is loaded here, after the source, as it is where fork is missing.
+    two parsed at once: a forked child (`workers.Child`) parses the target
+    table while this process parses the source one, then sends its words
+    and normalized rows through a pipe that this process reads straight into
+    the final array. Where the child fails, dies or cannot be started, this
+    process loads the target table itself, so an error is the one loading
+    the two in turn raises, the source's first. A target that is not a
+    regular file (a pipe, say) can be read only once, so it is loaded here,
+    after the source.
     """
-    if not (hasattr(os, "fork") and os.path.isfile(tgt_path)):
+    if not os.path.isfile(tgt_path):
         return (_load_table(src_path, limit, "src"),
                 _load_table(tgt_path, limit, "tgt"))
-    read_fd, write_fd = os.pipe()
-    with warnings.catch_warnings():
-        # Python 3.12+ warns that forking a process with threads may
-        # deadlock the child. The only other threads here are OpenBLAS
-        # workers, and OpenBLAS shuts its pool down around a fork; the child
-        # calls no BLAS routine and takes no lock, parses and normalizes
-        # with NumPy's elementwise code, and leaves through os._exit.
-        warnings.filterwarnings("ignore", r".*fork\(\) may lead to deadlocks",
-                                DeprecationWarning)
-        pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            # a warning fails the child, so that this process loads the
-            # table again and shows the warning itself
-            warnings.simplefilter("error")
-            table = _load_table(tgt_path, limit, "tgt")
-            text = "\n".join(table.words).encode("utf-8")
-            with open(write_fd, "wb") as pipe:
-                pipe.write(_TABLE_HEAD.pack(*table.vectors.shape, len(text)))
-                pipe.write(text)
-                pipe.write(table.vectors)
-            code = 0
-        finally:
-            # no exit handlers, and no flush of buffers copied from the parent
-            os._exit(code)
-    os.close(write_fd)
-    try:
-        with open(read_fd, "rb", buffering=0) as pipe:
-            src = _load_table(src_path, limit, "src")
-            tgt = _receive_table(pipe, "tgt")
-    finally:
-        os.kill(pid, signal.SIGKILL)  # a no-op where it has exited
-        os.waitpid(pid, 0)
-    if tgt is None:
-        tgt = _load_table(tgt_path, limit, "tgt")
-    return src, tgt
+    with workers.Child(_table_arrays, tgt_path, limit, "tgt") as child:
+        src = _load_table(src_path, limit, "src")
+        sent = child.result()
+    if sent is None:
+        return src, _load_table(tgt_path, limit, "tgt")
+    text, vectors = sent
+    words = text.tobytes().decode("utf-8").split("\n") if len(vectors) else []
+    return src, EmbeddingTable(words, vectors, "tgt")
 
 
 def _read_dataset(path, language, role, scheme, tag_col=-1, token_col=0):
@@ -434,6 +380,7 @@ def cmd_finetune(args):
         "checkpoints": {str(s): paths[s] for s in seeds},
         "selected_checkpoint": paths[best_seed],
         "selection": config.selection,
+        "numeric_environment": workers.numeric_environment(),
     }
     if len(seeds) >= 2:
         manifest["aggregate"] = multi_seed_report(list(per_seed.values()))
@@ -462,7 +409,11 @@ def cmd_tag(args):
     dataset = _read_dataset(args.input, args.language, "test", config.scheme,
                             tag_col=None, token_col=args.token_col)
     out_scheme = IOB2 if args.to_iob2 else config.scheme
-    preds = predict(model, lang, table, [s.tokens for s in dataset])
+    # one BLAS thread in every process, so that the tags do not depend on
+    # the number of processes or of cores
+    with workers.blas_threads(1) as pinned:
+        preds = predict(model, lang, table, [s.tokens for s in dataset],
+                        jobs=workers.usable_cpus() if pinned else 1)
     for sent, tags in zip(dataset, preds):
         if out_scheme != config.scheme:
             tags = convert_scheme(tags, config.scheme, out_scheme)

@@ -116,6 +116,8 @@ def scan_entities(tags, scheme):
     start = 0
     prev = ("O", None)
     for i, tag in enumerate([*tags, "O"]):
+        if tag == "O" and prev[0] == "O":
+            continue  # outside: no boundary and no repair, prev unchanged
         cur = split_label(tag, scheme)
         boundary, broken = step_repairs(prev, cur, scheme)
         repairs += broken

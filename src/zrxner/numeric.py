@@ -4,7 +4,11 @@ clipped SGD steps, and seeded random draws.
 All training math is float64. The random generator is PCG64, and its name
 is recorded in checkpoints. A run is deterministic given the seed, the
 NumPy and BLAS build, and the BLAS thread count: some matrix products give
-other bits with another OpenBLAS thread count.
+other bits with another OpenBLAS thread count. Training runs at the
+default thread count. `tag` pins one thread in each of its processes
+(`workers.blas_threads`), so its output does not depend on the job count or
+the core count; `finetune --manifest` records the thread count with the
+NumPy and BLAS versions (`workers.numeric_environment`).
 """
 
 import numpy as np

@@ -27,11 +27,13 @@ The per-direction tensors that training and checkpoints name are views of
 these arrays, so in-place SGD updates keep all of this aliasing intact.
 """
 
+import contextlib
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .corpus import IOBES, UNK_CHAR, split_label, step_repairs
 from .errors import NumericalError, UsageError
 from .numeric import gaussian_init, log_sum_exp, sigmoid
@@ -604,22 +606,57 @@ def backward_pass(model, lang, batch, masks=None):
     return loss, grads
 
 
-def predict(model, lang, table, sentences):
+def _share_tag_ids(model, lang, table, sentences, share):
+    """The Viterbi tag ids of the sentences of share, a list of chunks of
+    sentence indices, back to back in chunk order: the one array that a
+    `workers.Child` sends."""
+    trans = model.effective_trans()
+    ids = []
+    for chunk in share:
+        preps = [model.prepare(table, sentences[i]) for i in chunk]
+        scores, lengths, _ = batch_forward(model, lang, preps)
+        for path in viterbi(scores, trans, lengths):
+            ids += path
+    return [np.array(ids, dtype=np.int64)]
+
+
+def predict(model, lang, table, sentences, jobs=1):
     """Viterbi tags of each token list, evaluation mode (no dropout).
 
     Sentences of similar length go through the engine together, in chunks
-    of about EVAL_TOKENS tokens, and no backward cache is kept.
+    of about EVAL_TOKENS tokens, and no backward cache is kept. With jobs
+    above 1 the chunks are dealt round-robin, so that each share holds a
+    like mix of lengths, to this process and up to jobs - 1 forked children
+    (`workers.Child`), which send their tag ids back; the chunks of a child
+    that fails or dies are tagged here. A chunk's tags depend on the BLAS
+    thread count of the process that tags it, so the parallel path expects
+    one BLAS thread per process (`workers.blas_threads(1)`), as `tag` runs
+    it: then the tags are the same for every job count.
     """
     if any(isinstance(s, str) for s in sentences):
         raise UsageError("predict takes a list of token lists")
-    trans = model.effective_trans()
-    tags = [None] * len(sentences)
     order = sorted(range(len(sentences)), key=lambda i: len(sentences[i]))
     budget = np.cumsum([len(sentences[i]) for i in order]) // EVAL_TOKENS
-    for _, group in itertools.groupby(zip(budget, order), lambda p: p[0]):
-        chunk = [i for _, i in group]
-        preps = [model.prepare(table, sentences[i]) for i in chunk]
-        scores, lengths, _ = batch_forward(model, lang, preps)
-        for i, path in zip(chunk, viterbi(scores, trans, lengths)):
-            tags[i] = [model.cfg.tags[j] for j in path]
+    chunks = [[i for _, i in group] for _, group in
+              itertools.groupby(zip(budget, order), lambda p: p[0])]
+    jobs = max(1, min(jobs, len(chunks)))
+    shares = [chunks[j::jobs] for j in range(jobs)]
+    with contextlib.ExitStack() as stack:
+        children = [
+            stack.enter_context(workers.Child(
+                _share_tag_ids, model, lang, table, sentences, share))
+            for share in shares[1:]
+        ]
+        sent = [_share_tag_ids(model, lang, table, sentences, shares[0])]
+        sent += [child.result() for child in children]
+    tags = [None] * len(sentences)
+    for share, ids in zip(shares, sent):
+        if ids is None:
+            ids = _share_tag_ids(model, lang, table, sentences, share)
+        ids = ids[0].tolist()
+        at = 0
+        for i in itertools.chain.from_iterable(share):
+            end = at + len(sentences[i])
+            tags[i] = [model.cfg.tags[j] for j in ids[at:end]]
+            at = end
     return tags

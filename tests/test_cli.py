@@ -736,6 +736,11 @@ def test_finetune_manifest(finetuned):
     agg = manifest["aggregate"]["tgt_dev"]
     assert set(agg) == {"mean", "std", "max"}
     assert manifest["selected_checkpoint"].endswith(".zrx")
+    env = manifest["numeric_environment"]
+    assert set(env) == {"numpy", "blas_name", "blas_version", "blas_threads"}
+    assert env["numpy"] == np.__version__
+    assert all(isinstance(env[k], str) for k in ("blas_name", "blas_version"))
+    assert env["blas_threads"] is None or env["blas_threads"] >= 1
 
 
 def test_finetune_checkpoint_reloads_with_structure(finetuned):
@@ -847,6 +852,29 @@ def test_tag_empty_input(workdir, pretrained_path, tmp_path):
     assert code == 0
     with open(out) as fh:
         assert read_conll(fh).size == 0
+
+
+def test_tag_bytes_do_not_depend_on_the_process_count_or_fork(
+        workdir, pretrained_path, tmp_path, monkeypatch):
+    import zrxner.tagger as tagger
+    from zrxner import workers
+
+    monkeypatch.setattr(tagger, "EVAL_TOKENS", 64)  # several chunks
+
+    def tag(cpus):
+        monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+        out = tmp_path / f"tagged{cpus}.conll"
+        assert main(["tag", "--checkpoint", pretrained_path, "--input",
+                     workdir["tgt_dev"], "--output", str(out), "--language",
+                     "tgt", "--to-iob2"]) == 0
+        _assert_no_child_left()
+        return out.read_bytes()
+
+    outputs = [tag(cpus) for cpus in (1, 2, 3)]
+    monkeypatch.delattr(os, "fork")
+    outputs.append(tag(3))
+    assert outputs[0].count(b"\n\n") == 60
+    assert all(out == outputs[0] for out in outputs)
 
 
 def test_eval_perfect_and_half(workdir, tmp_path, capsys):
