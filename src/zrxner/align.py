@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import FlatConfig
-from .embeddings import normalize
+from .embeddings import BLOCK_ROWS, mapped_rows, normalize
 from .errors import AlignmentError, NumericalError, UsageError
 from .numeric import dropout_mask, gaussian_init, sigmoid, svd_square
 
@@ -180,6 +180,7 @@ def _play_game(x_rows, y_rows, rng, config, criterion, log):
     b = config.batch_size
     targets = np.concatenate([np.full(b, s), np.full(b, 1 - s)])
     batch = np.empty((2 * b, dim))
+    by = np.empty((b, dim))  # moving rows of one batch, widened to float64
     best_w, best_score = None, -np.inf
     score = None
     z_disc = None  # logits of the last discriminator batch
@@ -187,7 +188,8 @@ def _play_game(x_rows, y_rows, rng, config, criterion, log):
         for _ in range(config.disc_steps):
             idx_y = rng.integers(len(y_rows), b)
             idx_x = rng.integers(len(x_rows), b)
-            np.matmul(y_rows[idx_y], w.T, out=batch[:b])
+            by[...] = y_rows[idx_y]
+            np.matmul(by, w.T, out=batch[:b])
             batch[b:] = x_rows[idx_x]
             mask = dropout_mask(rng, batch.shape, rate)
             if mask is not None:
@@ -196,7 +198,7 @@ def _play_game(x_rows, y_rows, rng, config, criterion, log):
             z_disc = cache[2]
             dz = (sigmoid(z_disc) - targets) / b
             disc.sgd(disc.backward(batch, dz, cache), config.lr_disc)
-        by = y_rows[rng.integers(len(y_rows), b)]
+        by[...] = y_rows[rng.integers(len(y_rows), b)]
         mapped = by @ w.T
         mask_t = dropout_mask(rng, mapped.shape, rate)
         in_t = mapped * mask_t if mask_t is not None else mapped
@@ -417,27 +419,66 @@ def _candidate_top1(vals, ids, r_q, r_k, n_keys, slack):
     return np.take_along_axis(ids, pos, axis=1)[:, 0], best, settled
 
 
+def _shared_blocks(blocks, rows):
+    """The query rows to rescore, laid out in blocks of the sweep's shapes:
+    each row keeps its place in a block of its own block's size, and rows
+    of several blocks of one size share a block where their places differ.
+    rows holds the rows picked from each block. Returns the blocks as
+    index arrays, -1 marking a place that no row takes."""
+    layouts = {}  # block size -> [index array per layer of rows]
+    depth = {}  # block size -> rows placed so far at each place
+    for (lo, hi), picked in zip(blocks, rows):
+        size = hi - lo
+        layers = layouts.setdefault(size, [])
+        placed = depth.setdefault(size, np.zeros(size, dtype=np.intp))
+        places = picked - lo
+        layer = placed[places]
+        placed[places] += 1
+        for j in range(layer.max(initial=-1) + 1):
+            if j == len(layers):
+                layers.append(np.full(size, -1, dtype=np.intp))
+            at = layer == j
+            layers[j][places[at]] = picked[at]
+    return [ids for layers in layouts.values() for ids in layers]
+
+
 def _top1(qn, keys, row_vals, row_ids, r_k, query_blocks, key_tiles):
-    """CSLS top-1 per query from its k largest cosines; only the query
-    blocks that hold a query the candidates cannot settle (zero rows, ties)
-    are rescored."""
+    """CSLS top-1 per query from its k largest cosines; only the queries
+    that the candidates cannot settle (zero rows, ties) are rescored.
+
+    A row of a BLAS product can round otherwise in a product of another
+    shape, so the rescored rows are not packed together: each keeps its
+    place in a block of the shape that the sweep gave it (_shared_blocks),
+    with zero rows in the places no rescored row takes, and the cosines
+    are those of the sweep, bit for bit."""
     nq = row_vals.shape[0]
     best_idx = np.empty(nq, dtype=np.int64)
     best_score = np.empty(nq)
     r_q = np.empty(nq)
-    rerun = []
+    unsettled = []
     for lo, hi in query_blocks:
         vals = row_vals[lo:hi]
         r_q[lo:hi] = np.sort(vals, axis=1).mean(axis=1)
         best_idx[lo:hi], best_score[lo:hi], settled = _candidate_top1(
             vals, row_ids[lo:hi], r_q[lo:hi], r_k, keys.shape[0], 0.0)
-        if not settled.all():
-            rerun.append((lo, hi))
-    _rescore(qn, keys, r_q, r_k, key_tiles, rerun, best_idx, best_score)
+        unsettled.append(lo + np.flatnonzero(~settled))
+    shared = _shared_blocks(query_blocks, unsettled)
+    if not shared:
+        return best_idx, best_score
+    ids = np.concatenate(shared)
+    taken = ids >= 0
+    rows = qn[ids]  # a place no row takes (-1) is a zero row
+    rows[~taken] = 0.0
+    sub_idx, sub_score = np.empty(len(ids), dtype=np.int64), np.empty(len(ids))
+    ends = np.cumsum([len(block) for block in shared]).tolist()
+    _rescore(rows, keys, np.where(taken, r_q[ids], 0.0), r_k, key_tiles,
+             list(zip([0] + ends[:-1], ends)), sub_idx, sub_score)
+    best_idx[ids[taken]] = sub_idx[taken]
+    best_score[ids[taken]] = sub_score[taken]
     return best_idx, best_score
 
 
-def csls_top1(queries, keys, k):
+def csls_top1(queries, keys, k, unit=False):
     """Row-wise argmax of the CSLS scores 2 cos(q, key) - r_keys(q) -
     r_queries(key) and its score, in tiles; r is the mean cosine of a
     point's k nearest neighbors in the other set (k clamped to the set size).
@@ -446,21 +487,31 @@ def csls_top1(queries, keys, k):
     cosines, keeps every query's k largest cosines with their key ids and
     every key's k largest cosines. The argmax is then found among each
     query's k candidates, and it is the argmax over all keys whenever it
-    beats the bound no other key can reach; the query blocks where it does
-    not are rescored tile by tile. Either way ties go to the lowest key
-    index, and ids and scores are those of scoring every cosine. Keys are
-    normalized tile by tile: the working memory is the queries, a few
-    floats and ids per row, and a few tiles.
+    beats the bound no other key can reach; the queries where it does not
+    are rescored tile by tile. Either way ties go to the lowest key index,
+    and ids and scores are those of scoring every cosine. Keys of any
+    float dtype are widened and normalized tile by tile: the working memory
+    is a float64 copy of the queries, a few floats and ids per row, and a
+    few tiles. With unit=True the queries are float64 unit rows, as
+    normalize gives them, and are searched as they are, not copied.
     """
     if k < 1:
         raise UsageError("k must be >= 1")
-    qn = normalize(np.atleast_2d(np.asarray(queries, dtype=np.float64)))
-    keys = np.atleast_2d(np.asarray(keys, dtype=np.float64))
+    queries = np.atleast_2d(np.asarray(queries))
+    qn = queries if unit else normalize(queries)
+    keys = np.atleast_2d(np.asarray(keys))
     if keys.shape[0] == 0:
         raise UsageError("no keys to match")
     query_blocks, key_tiles = _tiling(qn.shape[0], keys.shape[0])
     row_vals, row_ids, r_k = _sweep(qn, keys, k, query_blocks, key_tiles)
     return _top1(qn, keys, row_vals, row_ids, r_k, query_blocks, key_tiles)
+
+
+def _unit_queries(rows, w):
+    """normalize(rows @ w.T) in float64, in one array: mapped_rows, then
+    normalized in place."""
+    queries = mapped_rows(rows, w)
+    return normalize(queries, out=queries)
 
 
 def _rounding_slack(dim, k):
@@ -485,15 +536,14 @@ def induce_dictionary(source_table, target_table, mapper, k=10, top_n=10000):
     the same cosines in the source -> target tiles could change it, since
     BLAS need not give a tile and its transpose the same bits. Should a
     source word that some target matches stay unsettled, the source ->
-    target search runs in full.
+    target search runs in full; it maps the targets again.
     """
     n_t = min(top_n, len(target_table))
     n_s = min(top_n, len(source_table))
     if n_t == 0 or n_s == 0:
         raise AlignmentError("empty vocabulary")
-    mapped_t = target_table.vectors[:n_t] @ mapper.w.T
     src = source_table.vectors[:n_s]
-    nt = normalize(mapped_t)
+    nt = _unit_queries(target_table.vectors[:n_t], mapper.w)
     query_blocks, key_tiles = _tiling(n_t, n_s)
     k_col = min(k, n_t)
     src_vals = np.empty((n_s, k_col))
@@ -502,7 +552,7 @@ def induce_dictionary(source_table, target_table, mapper, k=10, top_n=10000):
                                       (src_vals, src_ids))
     fwd, _ = _top1(nt, src, tgt_vals, tgt_ids, r_src, query_blocks, key_tiles)
     del nt
-    slack = _rounding_slack(mapped_t.shape[1], k)
+    slack = _rounding_slack(mapper.dim, k)
     r_tgt = tgt_vals.mean(axis=1)
     bwd = np.empty(n_s, dtype=np.int64)
     settled = np.empty(n_s, dtype=bool)
@@ -511,7 +561,8 @@ def induce_dictionary(source_table, target_table, mapper, k=10, top_n=10000):
         bwd[lo:hi], _, settled[lo:hi] = _candidate_top1(
             vals, src_ids[lo:hi], vals.mean(axis=1), r_tgt, n_t, slack)
     if not settled[fwd].all():
-        bwd, _ = csls_top1(src, mapped_t, k)
+        bwd, _ = csls_top1(src, mapped_rows(target_table.vectors[:n_t],
+                                            mapper.w), k)
     pairs = [(t, int(s)) for t, s in enumerate(fwd) if bwd[s] == t]
     if not pairs:
         raise AlignmentError("induced dictionary is empty")
@@ -521,7 +572,9 @@ def induce_dictionary(source_table, target_table, mapper, k=10, top_n=10000):
 def procrustes(x_dict, y_dict, direction=T_TO_S):
     """Closed-form orthogonal map W minimizing sum ||W y_i - x_i||^2.
 
-    x_dict and y_dict hold dictionary-aligned rows (source and target side).
+    x_dict and y_dict hold dictionary-aligned rows (source and target side);
+    rows that are not float64 are widened whole, so a caller with float32
+    tables gathers them widened (refine does).
     """
     x_dict = np.atleast_2d(np.asarray(x_dict, dtype=np.float64))
     y_dict = np.atleast_2d(np.asarray(y_dict, dtype=np.float64))
@@ -541,8 +594,8 @@ def unsupervised_criterion(source_table, target_table, mapper, sample_n=2500, k=
     """Mean CSLS score of the top-1 source match for the sample_n most
     frequent target words; higher is better. Deterministic."""
     n = min(sample_n, len(target_table))
-    mapped = target_table.vectors[:n] @ mapper.w.T
-    _, scores = csls_top1(mapped, source_table.vectors, k)
+    queries = _unit_queries(target_table.vectors[:n], mapper.w)
+    _, scores = csls_top1(queries, source_table.vectors, k, unit=True)
     return float(scores.mean())
 
 
@@ -556,10 +609,19 @@ def identical_string_p1(space_table, moving_table, mapper, k, cap=5000):
     if not shared:
         return float("nan")
     m_idx = [m for m, _ in shared]
-    mapped = moving_table.vectors[m_idx] @ mapper.w.T
-    best, _ = csls_top1(mapped, space_table.vectors, k)
+    queries = _unit_queries(moving_table.vectors[m_idx], mapper.w)
+    best, _ = csls_top1(queries, space_table.vectors, k, unit=True)
     hits = sum(1 for rank, (_, s) in enumerate(shared) if best[rank] == s)
     return hits / len(shared)
+
+
+def _widened_rows(vectors, idx):
+    """vectors[idx] in float64, gathered BLOCK_ROWS rows at a time, so no
+    copy in the table's own dtype is held beside it."""
+    out = np.empty((len(idx), vectors.shape[1]))
+    for lo in range(0, len(idx), BLOCK_ROWS):
+        out[lo:lo + BLOCK_ROWS] = vectors[idx[lo:lo + BLOCK_ROWS]]
+    return out
 
 
 def refine(source_table, target_table, w0, iterations, k=10, top_n=10000,
@@ -588,9 +650,9 @@ def refine(source_table, target_table, w0, iterations, k=10, top_n=10000,
             break
         t_idx = [t for t, _ in dico.pairs]
         s_idx = [s for _, s in dico.pairs]
-        current = procrustes(
-            source_table.vectors[s_idx], target_table.vectors[t_idx], direction
-        )
+        current = procrustes(_widened_rows(source_table.vectors, s_idx),
+                             _widened_rows(target_table.vectors, t_idx),
+                             direction)
         score = unsupervised_criterion(
             source_table, target_table, current, criterion_sample_n, k
         )

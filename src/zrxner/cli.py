@@ -37,12 +37,7 @@ from .corpus import (
     read_conll,
     write_conll,
 )
-from .embeddings import (
-    DEFAULT_LOAD_LIMIT,
-    EmbeddingTable,
-    load_vec_text,
-    normalize,
-)
+from .embeddings import DEFAULT_LOAD_LIMIT, EmbeddingTable, load_vec_text
 from .errors import (
     AlignmentError,
     CheckpointError,
@@ -94,11 +89,11 @@ def _config(cls, file_cfg, args):
 
 
 def _load_table(path, limit, language):
+    """The table at path with unit rows, in float32 (load_vec_text's
+    unit=True)."""
     # split lines at "\n" only, so a "\r" inside a word stays in the word
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        table = load_vec_text(fh, limit=limit, language=language)
-    normalize(table.vectors, out=table.vectors)
-    return table
+        return load_vec_text(fh, limit=limit, language=language, unit=True)
 
 
 def _table_arrays(path, limit, language):
@@ -155,6 +150,13 @@ def _progress_row(record):
     return (f"{record.step}\t{loss_s:.6f}\t{loss_ts:.6f}\t{loss_tt:.6f}"
             f"\t{record.lr:.6f}\t"
             + "\t".join(f"{k}={v:.4f}" for k, v in sorted(record.scores.items())))
+
+
+def _environment_entries():
+    """workers.numeric_environment() as the `numeric.` config entries that
+    every checkpoint and mapper records; no loader reads them."""
+    return {f"numeric.{key}": value
+            for key, value in workers.numeric_environment().items()}
 
 
 @contextlib.contextmanager
@@ -220,6 +222,7 @@ def cmd_align(args):
         "identical_string_p1": "nan" if math.isnan(p1) else f"{p1:.4f}",
     }
     extra.update(config.to_flat())
+    extra.update(_environment_entries())
     save_mapper(args.out, mapper, extra)
     print(f"mapper saved to {args.out}")
     print(f"orthogonality_error\t{mapper.orthogonality_error():.2e}")
@@ -293,6 +296,7 @@ def cmd_pretrain(args):
         "stage": "pretrain",
         "selected_step": chosen.step,
         "selected_f1": f"{chosen.scores[config.selection]:.6f}",
+        **_environment_entries(),
     })
     print(f"model saved to {args.out}")
     for name, score in sorted(chosen.scores.items()):
@@ -363,6 +367,7 @@ def cmd_finetune(args):
                    {"src": src_table, "tgt": tgt_table}, {
                        "stage": "finetune",
                        "selected_step": chosen.step,
+                       **_environment_entries(),
                    })
         per_seed[seed] = {k: 100 * v for k, v in chosen.scores.items()}
         paths[seed] = out_path
@@ -461,7 +466,7 @@ def cmd_eval(args):
 
 
 def _pca_2d(vectors):
-    # centring widens float32 rows exactly, into the one float64 copy
+    # centring widens the float32 rows exactly, into the one float64 copy
     centered = vectors - vectors.mean(axis=0, keepdims=True, dtype=np.float64)
     cov = centered.T @ centered / max(len(centered), 1)
     u, s, _ = svd_square(cov)

@@ -36,9 +36,12 @@ def check_table(words, shape, finite):
 
 class EmbeddingTable:
     """Frequency-ordered vocabulary with one row per word. Rows are stored
-    as float32 when given as float32 (a table loaded from a checkpoint) and
-    as float64 otherwise; the tagger and apply_mapper widen float32 rows to
-    float64, which is exact."""
+    as float32 when given as float32 and as float64 otherwise. Every table
+    a command holds is float32: a .vec file loads with unit=True, a
+    checkpoint stores float32, and apply_mapper keeps its input's dtype.
+    Tables built from float64 arrays in the library stay float64. Every
+    reader widens the float32 rows it works on to float64, which is exact,
+    and never the whole table."""
 
     def __init__(self, words, vectors, language=""):
         vectors = np.asarray(vectors)
@@ -119,19 +122,20 @@ def _rows_by_numpy(values, dim):
 
 
 class _GrowingRows:
-    """One float64 array of rows, allocated in steps of at most
-    GROW_BYTES and never beyond `cap` rows; resized in place."""
+    """One array of rows of dtype, allocated in steps of at most GROW_BYTES
+    and never beyond `cap` rows; resized in place."""
 
-    def __init__(self, cap, dim):
-        self.cap, self.dim = cap, dim
-        self.step = max(1, GROW_BYTES // (8 * max(dim, 1)))
+    def __init__(self, cap, dim, dtype):
+        self.cap, self.dim, self.dtype = cap, dim, np.dtype(dtype)
+        self.step = max(1, GROW_BYTES // (self.dtype.itemsize * max(dim, 1)))
         self.array = None
         self.count = 0
 
     def append(self, rows):
         end = self.count + len(rows)
         if self.array is None:
-            self.array = np.empty((min(self.cap, max(end, self.step)), self.dim))
+            self.array = np.empty((min(self.cap, max(end, self.step)), self.dim),
+                                  self.dtype)
         elif end > len(self.array):
             size = min(self.cap, max(end, len(self.array) + self.step))
             self.array.resize((size, self.dim), refcheck=False)
@@ -140,13 +144,13 @@ class _GrowingRows:
 
     def finish(self):
         if self.array is None:
-            return np.zeros((0, self.dim))
+            return np.zeros((0, self.dim), self.dtype)
         if self.count < len(self.array):
             self.array.resize((self.count, self.dim), refcheck=False)
         return self.array
 
 
-def load_vec_text(stream, limit=DEFAULT_LOAD_LIMIT, language=""):
+def load_vec_text(stream, limit=DEFAULT_LOAD_LIMIT, language="", unit=False):
     """Read 'n d' header then 'word v1 .. vd' rows, most frequent first.
 
     Loads the first min(n, limit) entries in file order; duplicate words keep
@@ -159,6 +163,11 @@ def load_vec_text(stream, limit=DEFAULT_LOAD_LIMIT, language=""):
     most min(n, limit) rows; a chunk that parser might read differently, or
     that holds an error, is read again one line and one float() at a time.
     Loading holds the table plus about one chunk.
+
+    With unit=True each chunk is normalized in float64 and rounded once into
+    a float32 table, the form in which every command holds a table; a chunk
+    that holds a non-finite value is stored as read, for the table's check
+    to refuse.
     """
     lines = iter_lines(stream)
     try:
@@ -175,14 +184,18 @@ def load_vec_text(stream, limit=DEFAULT_LOAD_LIMIT, language=""):
     cap = n if limit is None else min(n, limit)
     words = []
     seen = set()
-    rows = _GrowingRows(cap, dim)
+    rows = _GrowingRows(cap, dim, np.float32 if unit else np.float64)
     chunk, values = [], []  # kept lines not parsed yet, and their value text
 
     def flush():
         # parses the pending chunk; its first error precedes anything later
         if chunk:
             parsed = _rows_by_numpy(values, dim)
-            rows.append(_rows_by_float(chunk, dim) if parsed is None else parsed)
+            if parsed is None:
+                parsed = _rows_by_float(chunk, dim)
+            if unit and np.isfinite(parsed).all():
+                normalize(parsed, out=parsed)
+            rows.append(parsed)
             chunk.clear()
             values.clear()
 
@@ -225,27 +238,45 @@ def write_vec_text(table, stream, fmt="%.6f"):
 
 
 def normalize(rows, out=None):
-    """rows with every nonzero row scaled to unit length; zero rows stay
-    zero. Works BLOCK_ROWS rows at a time, so out=rows normalizes in place
-    with scratch for one block; a row's norm does not depend on the blocks.
-    """
-    rows = np.asarray(rows, dtype=np.float64)
+    """rows with every nonzero row scaled to unit length in float64; zero
+    rows stay zero. Works BLOCK_ROWS rows at a time, each block widened to
+    float64, so out=rows normalizes in place, and float32 rows give a new
+    float64 array, with scratch for one block; a row's norm does not depend
+    on the blocks."""
+    rows = np.asarray(rows)
     if out is None:
-        out = np.empty_like(rows)
+        out = np.empty(rows.shape)
     for lo in range(0, len(rows), BLOCK_ROWS):
-        block = rows[lo:lo + BLOCK_ROWS]
+        block = np.asarray(rows[lo:lo + BLOCK_ROWS], dtype=np.float64)
         norms = np.linalg.norm(block, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         np.divide(block, norms, out=out[lo:lo + BLOCK_ROWS])
     return out
 
 
+def mapped_rows(rows, w, dtype=np.float64):
+    """W y for every row y of rows, computed in float64 and stored in
+    dtype. Float64 rows are mapped by one product; other rows are widened
+    and mapped BLOCK_ROWS at a time, with scratch for one block. (A product
+    taken in blocks can round a row otherwise than one product does, at
+    some shapes, so rows that need no widening keep the one product.)"""
+    if rows.dtype == np.float64:
+        return (rows @ w.T).astype(dtype, copy=False)
+    out = np.empty((len(rows), w.shape[0]), dtype)
+    for lo in range(0, len(rows), BLOCK_ROWS):
+        block = np.asarray(rows[lo:lo + BLOCK_ROWS], dtype=np.float64)
+        np.matmul(block, w.T, out=out[lo:lo + BLOCK_ROWS])
+    return out
+
+
 def apply_mapper(table, w):
-    """Map every row y to W y; vocabulary order is preserved."""
+    """Map every row y to W y; vocabulary order and the storage dtype of
+    the rows are preserved."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2 or w.shape != (table.dim, table.dim):
         raise UsageError(
             f"mapper shape {w.shape} does not match dimension {table.dim}"
         )
-    vectors = np.asarray(table.vectors, dtype=np.float64)
-    return EmbeddingTable(table.words, vectors @ w.T, table.language)
+    return EmbeddingTable(table.words,
+                          mapped_rows(table.vectors, w, table.vectors.dtype),
+                          table.language)

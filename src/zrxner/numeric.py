@@ -7,8 +7,9 @@ NumPy and BLAS build, and the BLAS thread count: some matrix products give
 other bits with another OpenBLAS thread count. Training runs at the
 default thread count. `tag` pins one thread in each of its processes
 (`workers.blas_threads`), so its output does not depend on the job count or
-the core count; `finetune --manifest` records the thread count with the
-NumPy and BLAS versions (`workers.numeric_environment`).
+the core count. Every mapper and checkpoint that a command writes, and
+`finetune --manifest`, record the thread count with the NumPy and BLAS
+versions (`workers.numeric_environment`).
 """
 
 import numpy as np

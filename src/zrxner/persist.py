@@ -3,11 +3,15 @@ checkpoint container.
 
 Trainable tensors are stored in float64 (bit-exact round trips); frozen
 embedding tables are stored in float32 and load as float32 tables, which
-the readers of their rows widen to float64 exactly. No table is copied:
-a float64 table is rounded to float32 a chunk at a time as it is saved,
-and a loader that names the table it needs holds that one alone. Vocabulary
-lists ride in the flat config block: words are whitespace-free by
-construction, characters are stored as one string in index order.
+the readers of their rows widen to float64 exactly. The commands hold every
+table in float32 already, so what they train and select on is what a
+checkpoint stores, and saving writes the table's own bytes. A float64
+table, which only the library builds, is rounded to float32 a chunk at a
+time as it is saved. No table is copied, and a loader that names the table
+it needs holds that one alone. Vocabulary lists ride in the flat config
+block: words are whitespace-free by construction, characters are stored as
+one string in index order. The `numeric.` entries that the commands add
+(NumPy, BLAS build and thread count) describe the run; no loader reads them.
 """
 
 from dataclasses import replace

@@ -510,6 +510,200 @@ def test_induce_dictionary_memory_is_the_targets_twice_and_k_per_word(
     assert base <= n * (2 * d * 8 + 2 * state + 2 * 96) + 4 * budget
 
 
+@pytest.fixture
+def forced(monkeypatch):
+    """Queries of csls_top1 to leave unsettled beside those the candidates
+    cannot settle (a set of query ids to fill), and a record of the
+    unsettled count of each search."""
+    force, counts = set(), []
+    top1, shared_blocks = align_mod._candidate_top1, align_mod._shared_blocks
+    offset = [0]
+
+    def forcing_top1(vals, *args):
+        best, score, settled = top1(vals, *args)
+        lo = offset[0]
+        offset[0] += len(vals)
+        for i in force:
+            if lo <= i < lo + len(vals):
+                settled[i - lo] = False
+        return best, score, settled
+
+    def counting_blocks(blocks, rows):
+        offset[0] = 0
+        counts.append(sum(len(r) for r in rows))
+        return shared_blocks(blocks, rows)
+
+    monkeypatch.setattr(align_mod, "_candidate_top1", forcing_top1)
+    monkeypatch.setattr(align_mod, "_shared_blocks", counting_blocks)
+    return force, counts
+
+
+@pytest.mark.parametrize("tile_bytes", [1 << 16, 4 << 20])
+@pytest.mark.parametrize("n_forced", [0, 1, 2, 100])
+def test_rescoring_the_unsettled_queries_keeps_the_bits_of_the_two_pass_search(
+        monkeypatch, forced, tile_bytes, n_forced):
+    monkeypatch.setattr(align_mod, "CSLS_TILE_BYTES", tile_bytes)
+    force, counts = forced
+    rng = np.random.default_rng(61)
+    nq, nk, d, k = 1500, 2000, 300, 10
+    keys = rng.normal(size=(nk, d))
+    near = keys[rng.integers(0, nk, nq)]
+    for kind, queries in (("random", rng.normal(size=(nq, d))),
+                          ("rotated", near @ random_orthogonal(rng, d)),
+                          ("aligned", near + 0.01 * rng.normal(size=(nq, d)))):
+        force.clear()
+        csls_top1(queries, keys, k)
+        natural = counts[-1]
+        if kind == "aligned":
+            assert natural == 0  # so the counts below are exactly n_forced
+        force.update(rng.choice(nq, n_forced, replace=False).tolist())
+        idx, score = csls_top1(queries, keys, k)
+        assert natural + n_forced >= counts[-1] >= max(natural, n_forced)
+        want_idx, want_score = csls_top1_two_pass(queries, keys, k, tile_bytes)
+        assert (idx == want_idx).all(), kind
+        assert score.tobytes() == want_score.tobytes(), kind
+
+
+@pytest.mark.parametrize("nq", [705, 1409])
+def test_a_lone_query_of_a_one_row_block_is_rescored_as_the_sweep_scored_it(
+        forced, nq):
+    # blocks of 704 queries at the default tiles: the last block holds one
+    # query, a matrix-vector product, and the rescoring must keep its bits
+    force, counts = forced
+    rng = np.random.default_rng(67)
+    keys = rng.normal(size=(800, 300))
+    queries = rng.normal(size=(nq, 300))
+    # the last: place 3 of two 704-row blocks where there are two of them
+    for picked in ([nq - 1], [0, nq - 1], [3, min(704 + 3, nq - 2), nq - 1]):
+        force.clear()
+        force.update(picked)
+        idx, score = csls_top1(queries, keys, 10)
+        assert counts[-1] >= len(picked)
+        want_idx, want_score = csls_top1_two_pass(queries, keys, 10,
+                                                  align_mod.CSLS_TILE_BYTES)
+        assert (idx == want_idx).all()
+        assert score.tobytes() == want_score.tobytes()
+
+
+def _float32_table(rng, n, d, prefix):
+    rows = rng.normal(size=(n, d))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    return EmbeddingTable([f"{prefix}{i}" for i in range(n)],
+                          rows.astype(np.float32))
+
+
+def _widened(table):
+    return EmbeddingTable(table.words, table.vectors.astype(np.float64),
+                          table.language)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()  # what exists already is not counted
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Float32 tables of 6000 x 64: a float64 copy of one is 3 MB, twice the
+# table, and the cosine tiles are kept small beside it.
+F32_ROWS, F32_DIM, F32_TILE_BYTES = 6000, 64, 1 << 17
+
+
+def _search_memory(n_queries, k):
+    """The most a CSLS search of n_queries unit float64 queries against a
+    float32 table may hold: the queries, k cosines and k ids and a few
+    floats a query, a float a key, and a few tiles. The queries and a
+    float64 copy of the table would pass it."""
+    queries = n_queries * F32_DIM * 8
+    bound = (queries + n_queries * (16 * k + 96) + F32_ROWS * 8
+             + 6 * F32_TILE_BYTES)
+    assert bound < queries + F32_ROWS * F32_DIM * 8
+    return bound
+
+
+@pytest.fixture
+def f32_tables(monkeypatch):
+    monkeypatch.setattr(align_mod, "CSLS_TILE_BYTES", F32_TILE_BYTES)
+    rng = np.random.default_rng(71)
+    omega = random_orthogonal(rng, F32_DIM)
+    src = _float32_table(rng, F32_ROWS, F32_DIM, "s")
+    tgt = EmbeddingTable([f"t{i}" for i in range(F32_ROWS)],
+                         (src.vectors @ omega.astype(np.float32))
+                         .astype(np.float32))
+    return src, tgt, LinearMapper(omega)
+
+
+def test_csls_top1_widens_float32_keys_a_tile_at_a_time(f32_tables):
+    src, tgt, mapper = f32_tables
+    queries = tgt.vectors[:500] @ mapper.w.T
+    (idx, score), peak = _traced_peak(lambda: csls_top1(queries, src.vectors, 10))
+    assert peak <= _search_memory(len(queries), 10)
+    want_idx, want_score = csls_top1(queries, _widened(src).vectors, 10)
+    assert (idx == want_idx).all() and score.tobytes() == want_score.tobytes()
+
+
+@pytest.mark.parametrize("n", [1000, 5000])
+def test_criterion_maps_float32_rows_a_block_at_a_time(f32_tables, n):
+    src, tgt, mapper = f32_tables
+    got, peak = _traced_peak(
+        lambda: unsupervised_criterion(src, tgt, mapper, n, 10))
+    # the unit queries are mapped and normalized in place, in one array: a
+    # second copy of 5000 of them would pass the bound
+    assert peak <= _search_memory(n, 10)
+    if n <= 1024:  # one block: the bits of the float64 table's one product
+        assert got == unsupervised_criterion(_widened(src), _widened(tgt),
+                                             mapper, n, 10)
+
+
+def test_induce_dictionary_holds_one_float64_copy_of_its_targets(f32_tables):
+    src, tgt, mapper = f32_tables
+    top_n, k = 1000, 5
+    got, peak = _traced_peak(
+        lambda: induce_dictionary(src, tgt, mapper, k, top_n))
+    # beside the search of the unit mapped targets, k cosines and ids and
+    # a few floats a source word
+    assert peak <= _search_memory(top_n, k) + top_n * (16 * k + 96)
+    assert got.pairs == induce_dictionary(_widened(src), _widened(tgt), mapper,
+                                          k, top_n).pairs
+
+
+def test_refine_widens_the_dictionary_rows_without_float32_copies(
+        monkeypatch, f32_tables):
+    src, tgt, mapper = f32_tables
+    seen = {}
+    induce, solve = align_mod.induce_dictionary, align_mod.procrustes
+
+    def marking_induce(*args):
+        dico = induce(*args)
+        tracemalloc.reset_peak()  # from here: the rows and procrustes
+        seen["pairs"], seen["before"] = dico.size, tracemalloc.get_traced_memory()[0]
+        return dico
+
+    def measuring_procrustes(x_dict, y_dict, direction):
+        seen["dtypes"] = x_dict.dtype, y_dict.dtype
+        result = solve(x_dict, y_dict, direction)
+        seen["peak"] = tracemalloc.get_traced_memory()[1]
+        return result
+
+    monkeypatch.setattr(align_mod, "induce_dictionary", marking_induce)
+    monkeypatch.setattr(align_mod, "procrustes", measuring_procrustes)
+    tracemalloc.start()
+    try:
+        refine(src, tgt, mapper, 1, k=5, top_n=3000, criterion_sample_n=500)
+    finally:
+        tracemalloc.stop()
+    p, d = seen["pairs"], F32_DIM
+    assert p > 2000 and seen["dtypes"] == (np.float64, np.float64)
+    # both sides in float64, their index lists, one block of rows as it is
+    # gathered, and the d x d products of procrustes; float32 copies of the
+    # two sides beside them would add p * d * 8 bytes more
+    allowance = 2 * p * 40 + align_mod.BLOCK_ROWS * d * 4 + 16 * d * d * 8
+    assert allowance < p * d * 8
+    assert seen["peak"] - seen["before"] <= 2 * p * d * 8 + allowance
+
+
 def test_induce_identity_on_exact_rotation():
     src, tgt, omega = synthetic_pair(1, n=40, d=8)
     mapper = LinearMapper(omega)  # exact recovery: W y = x

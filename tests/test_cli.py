@@ -753,6 +753,83 @@ def test_finetune_checkpoint_reloads_with_structure(finetuned):
         model.named_parameters("tgt")["head.tag_w"]
 
 
+def test_artifacts_record_the_numeric_environment(mapper_path, pretrained_path,
+                                                 finetuned, tmp_path):
+    from zrxner import workers
+
+    want = {f"numeric.{key}": str(value)
+            for key, value in workers.numeric_environment().items()}
+    paths = [mapper_path, pretrained_path, finetuned[0] + ".seed0.zrx"]
+    for path in paths:
+        config, tensors = load_checkpoint(path)
+        assert {key: config[key] for key in want} == want, path
+        # the loaders read none of them: other values load the same artifact
+        moved = {**config, **{key: "other" for key in want}}
+        again = str(tmp_path / os.path.basename(path))
+        save_checkpoint(again, moved, tensors, float32={
+            name for name in tensors if name.startswith("emb.")})
+        if config["kind"] == "mapper":
+            (got, got_config), (base, _) = load_mapper(again), load_mapper(path)
+            assert got.w.tobytes() == base.w.tobytes()
+            assert got.direction == base.direction
+            continue
+        got, base = load_model(again), load_model(path)
+        assert got[1] == base[1]  # the training config
+        for name, arr in base[0].all_parameters().items():
+            assert got[0].all_parameters()[name].tobytes() == arr.tobytes()
+        for lang, table in base[2].items():
+            assert got[2][lang].words == table.words
+            assert got[2][lang].vectors.tobytes() == table.vectors.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["cross_word", "cross_shared"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_finetune_initialization_scores_what_pretrain_selected(
+        workdir, mapper_path, tmp_path, monkeypatch, variant, seed):
+    # pretrain trains and selects on the float32 tables that its checkpoint
+    # stores, so the reloaded model scores the selected F1 again, exactly
+    import zrxner.cli as cli_mod
+
+    chosen, records = [], []
+    pretrain, finetune = cli_mod.pretrain_source, cli_mod.augmented_finetune
+
+    def keeping_pretrain(*args):
+        result = pretrain(*args)
+        chosen.append(result[1])
+        return result
+
+    def recording_finetune(*args):
+        *head, log = args
+        return finetune(*head, lambda record: records.append(record) or
+                        (log and log(record)))
+
+    monkeypatch.setattr(cli_mod, "pretrain_source", keeping_pretrain)
+    monkeypatch.setattr(cli_mod, "augmented_finetune", recording_finetune)
+    out = str(tmp_path / "pretrained.zrx")
+    splits = ["--src-dev", workdir["src_dev"], "--tgt-dev", workdir["tgt_dev"],
+              "--tgt-test", workdir["tgt_test"], "--input-scheme", "IOB2",
+              "--select", "tgt_dev"]
+    assert main([
+        "pretrain", "--train", workdir["src_train"], "--dev",
+        workdir["src_dev"], *splits[2:], "--src-emb", workdir["src_emb"],
+        "--tgt-emb", workdir["tgt_emb"], "--mapper", mapper_path,
+        "--variant", variant, "--scheme", "IOBES", "--seed", str(seed),
+        "--epochs", "8", "--eval-interval", "15", "--char-dim", "8",
+        "--char-hidden", "8", "--word-hidden", "16", "--head-hidden", "16",
+        "--out", out,
+    ]) == 0
+    assert main([
+        "finetune", "--checkpoint", out, "--src-train", workdir["src_train"],
+        "--tgt-train", workdir["tgt_train"], *splits, "--seeds", "0",
+        "--rounds", "0", "--out", str(tmp_path / "tuned"),
+    ]) == 0
+    (selected,), first = chosen, records[0]
+    assert selected.scores["tgt_dev"] > 0.3  # a model that finds entities
+    assert first.step == 0 and first.scores == selected.scores
+    assert (f"{first.scores['tgt_dev']:.6f}"
+            == load_model(out)[3]["selected_f1"])
+
+
 def test_finetune_version_mismatch_exit_3(workdir, pretrained_path, tmp_path):
     import hashlib
 

@@ -279,7 +279,10 @@ def test_cli_table_is_the_normalized_per_line_table(seed, tmp_path):
         expected = oracles.normalize_table(
             oracles.load_vec_text(fh, limit=None, language="src"))
     assert table.words == expected.words
-    assert table.vectors.tobytes() == expected.vectors.tobytes()
+    # normalized in float64, then rounded once
+    assert table.vectors.dtype == np.float32
+    assert (table.vectors.tobytes()
+            == expected.vectors.astype(np.float32).tobytes())
 
 
 def _write_generated_vec(path, n, dim, header_n=None):
@@ -299,15 +302,23 @@ LOAD_ALLOWANCE = 16 << 20
 
 def test_loading_holds_the_table_plus_one_chunk(tmp_path):
     path = tmp_path / "big.vec"
-    _write_generated_vec(path, 20000, 300)
+    n, dim = 20000, 300
+    _write_generated_vec(path, n, dim)
     tracemalloc.start()
     try:
         table = _load_table(str(path), None, "")
-        _, peak = tracemalloc.get_traced_memory()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert table.vectors.shape == (20000, 300)
+    assert table.vectors.shape == (n, dim)
+    assert table.vectors.dtype == np.float32
     assert peak <= table.vectors.nbytes + LOAD_ALLOWANCE
+    # beyond what loading leaves held (the float32 table, its words and
+    # their lookup dictionaries), one chunk of scratch: its text three
+    # times (the lines, their value texts and the parser's input) and its
+    # rows in float64, so no float64 copy of the table is ever made
+    chunk_text = path.stat().st_size * embeddings_mod.BLOCK_ROWS / n
+    assert peak - held <= 3 * chunk_text + embeddings_mod.BLOCK_ROWS * dim * 8
 
 
 @pytest.mark.parametrize("limit", [None, 200000])
