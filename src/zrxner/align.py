@@ -61,10 +61,6 @@ class SeedDictionary:
         if len(set(targets)) != len(targets):
             raise UsageError("duplicate target entries in seed dictionary")
 
-    @property
-    def size(self):
-        return len(self.pairs)
-
     def __len__(self):
         return len(self.pairs)
 
@@ -307,8 +303,9 @@ def _whole_64(n):
 def _tiling(nq, nk):
     """(query blocks, key tiles) of nq queries against nk >= 1 keys, each
     tile CSLS_TILE_BYTES of cosines."""
-    # tiles start at multiples of 64 rows, where the kernel blocks of one
-    # whole-matrix BLAS product start, so the cosines match that product's
+    # a BLAS product taken in blocks can round otherwise than one product of
+    # the whole matrix; CSLS stays exact because the sweep, _rescore and the
+    # two-pass oracle take every product in these same tiles
     cells = max(1, CSLS_TILE_BYTES // 8)
     key_step = min(nk, _whole_64(math.isqrt(cells)))
     query_step = _whole_64(cells // key_step)
@@ -419,62 +416,25 @@ def _candidate_top1(vals, ids, r_q, r_k, n_keys, slack):
     return np.take_along_axis(ids, pos, axis=1)[:, 0], best, settled
 
 
-def _shared_blocks(blocks, rows):
-    """The query rows to rescore, laid out in blocks of the sweep's shapes:
-    each row keeps its place in a block of its own block's size, and rows
-    of several blocks of one size share a block where their places differ.
-    rows holds the rows picked from each block. Returns the blocks as
-    index arrays, -1 marking a place that no row takes."""
-    layouts = {}  # block size -> [index array per layer of rows]
-    depth = {}  # block size -> rows placed so far at each place
-    for (lo, hi), picked in zip(blocks, rows):
-        size = hi - lo
-        layers = layouts.setdefault(size, [])
-        placed = depth.setdefault(size, np.zeros(size, dtype=np.intp))
-        places = picked - lo
-        layer = placed[places]
-        placed[places] += 1
-        for j in range(layer.max(initial=-1) + 1):
-            if j == len(layers):
-                layers.append(np.full(size, -1, dtype=np.intp))
-            at = layer == j
-            layers[j][places[at]] = picked[at]
-    return [ids for layers in layouts.values() for ids in layers]
-
-
 def _top1(qn, keys, row_vals, row_ids, r_k, query_blocks, key_tiles):
-    """CSLS top-1 per query from its k largest cosines; only the queries
-    that the candidates cannot settle (zero rows, ties) are rescored.
-
-    A row of a BLAS product can round otherwise in a product of another
-    shape, so the rescored rows are not packed together: each keeps its
-    place in a block of the shape that the sweep gave it (_shared_blocks),
-    with zero rows in the places no rescored row takes, and the cosines
-    are those of the sweep, bit for bit."""
+    """CSLS top-1 per query from its k largest cosines; only the query
+    blocks that hold a query the candidates cannot settle (zero rows, ties)
+    are rescored, each whole, in the shape that the sweep gave it, so its
+    cosines are those of the sweep, bit for bit."""
     nq = row_vals.shape[0]
     best_idx = np.empty(nq, dtype=np.int64)
     best_score = np.empty(nq)
     r_q = np.empty(nq)
-    unsettled = []
+    rerun = []
     for lo, hi in query_blocks:
         vals = row_vals[lo:hi]
         r_q[lo:hi] = np.sort(vals, axis=1).mean(axis=1)
         best_idx[lo:hi], best_score[lo:hi], settled = _candidate_top1(
             vals, row_ids[lo:hi], r_q[lo:hi], r_k, keys.shape[0], 0.0)
-        unsettled.append(lo + np.flatnonzero(~settled))
-    shared = _shared_blocks(query_blocks, unsettled)
-    if not shared:
-        return best_idx, best_score
-    ids = np.concatenate(shared)
-    taken = ids >= 0
-    rows = qn[ids]  # a place no row takes (-1) is a zero row
-    rows[~taken] = 0.0
-    sub_idx, sub_score = np.empty(len(ids), dtype=np.int64), np.empty(len(ids))
-    ends = np.cumsum([len(block) for block in shared]).tolist()
-    _rescore(rows, keys, np.where(taken, r_q[ids], 0.0), r_k, key_tiles,
-             list(zip([0] + ends[:-1], ends)), sub_idx, sub_score)
-    best_idx[ids[taken]] = sub_idx[taken]
-    best_score[ids[taken]] = sub_score[taken]
+        if not settled.all():
+            rerun.append((lo, hi))
+    if rerun:  # _rescore normalizes every key tile, even for no blocks
+        _rescore(qn, keys, r_q, r_k, key_tiles, rerun, best_idx, best_score)
     return best_idx, best_score
 
 
@@ -487,13 +447,14 @@ def csls_top1(queries, keys, k, unit=False):
     cosines, keeps every query's k largest cosines with their key ids and
     every key's k largest cosines. The argmax is then found among each
     query's k candidates, and it is the argmax over all keys whenever it
-    beats the bound no other key can reach; the queries where it does not
-    are rescored tile by tile. Either way ties go to the lowest key index,
-    and ids and scores are those of scoring every cosine. Keys of any
-    float dtype are widened and normalized tile by tile: the working memory
-    is a float64 copy of the queries, a few floats and ids per row, and a
-    few tiles. With unit=True the queries are float64 unit rows, as
-    normalize gives them, and are searched as they are, not copied.
+    beats the bound no other key can reach; a query block that holds a
+    query where it does not is rescored whole, tile by tile. Either way
+    ties go to the lowest key index, and ids and scores are those of
+    scoring every cosine. Keys of any float dtype are widened and
+    normalized tile by tile: the working memory is a float64 copy of the
+    queries, a few floats and ids per row, and a few tiles. With unit=True
+    the queries are float64 unit rows, as normalize gives them, and are
+    searched as they are, not copied.
     """
     if k < 1:
         raise UsageError("k must be >= 1")
@@ -646,7 +607,7 @@ def refine(source_table, target_table, w0, iterations, k=10, top_n=10000,
             dico = induce_dictionary(source_table, target_table, current, k, top_n)
         except AlignmentError:
             break
-        if dico.size < dim:
+        if len(dico) < dim:
             break
         t_idx = [t for t, _ in dico.pairs]
         s_idx = [s for _, s in dico.pairs]
@@ -657,7 +618,7 @@ def refine(source_table, target_table, w0, iterations, k=10, top_n=10000,
             source_table, target_table, current, criterion_sample_n, k
         )
         if log is not None:
-            log((it, score, dico.size))
+            log((it, score, len(dico)))
         if score > best_score:
             best, best_score = LinearMapper(current.w.copy(), direction), score
     return best if best is not None else mapper

@@ -513,29 +513,48 @@ def test_induce_dictionary_memory_is_the_targets_twice_and_k_per_word(
 @pytest.fixture
 def forced(monkeypatch):
     """Queries of csls_top1 to leave unsettled beside those the candidates
-    cannot settle (a set of query ids to fill), and a record of the
-    unsettled count of each search."""
-    force, counts = set(), []
-    top1, shared_blocks = align_mod._candidate_top1, align_mod._shared_blocks
+    cannot settle (a set of query ids to fill), a record of the unsettled
+    count of each search, and of each search its unsettled query ids and
+    the blocks of each _rescore call."""
+    force, counts, searches = set(), [], []
+    top1, candidates = align_mod._top1, align_mod._candidate_top1
+    rescore = align_mod._rescore
     offset = [0]
 
-    def forcing_top1(vals, *args):
-        best, score, settled = top1(vals, *args)
+    def counting_top1(*args):
+        offset[0] = 0
+        counts.append(0)
+        searches.append({"unsettled": [], "rescored": []})
+        return top1(*args)
+
+    def forcing_candidates(vals, *args):
+        best, score, settled = candidates(vals, *args)
         lo = offset[0]
         offset[0] += len(vals)
         for i in force:
             if lo <= i < lo + len(vals):
                 settled[i - lo] = False
+        counts[-1] += int((~settled).sum())
+        searches[-1]["unsettled"].extend((lo + np.flatnonzero(~settled)).tolist())
         return best, score, settled
 
-    def counting_blocks(blocks, rows):
-        offset[0] = 0
-        counts.append(sum(len(r) for r in rows))
-        return shared_blocks(blocks, rows)
+    def recording_rescore(qn, keys, r_q, r_k, key_tiles, blocks, *rest):
+        searches[-1]["rescored"].append(list(blocks))
+        return rescore(qn, keys, r_q, r_k, key_tiles, blocks, *rest)
 
-    monkeypatch.setattr(align_mod, "_candidate_top1", forcing_top1)
-    monkeypatch.setattr(align_mod, "_shared_blocks", counting_blocks)
-    return force, counts
+    monkeypatch.setattr(align_mod, "_top1", counting_top1)
+    monkeypatch.setattr(align_mod, "_candidate_top1", forcing_candidates)
+    monkeypatch.setattr(align_mod, "_rescore", recording_rescore)
+    return force, counts, searches
+
+
+def _assert_whole_blocks_rescored(search, nq, nk):
+    """The search rescored, in one call, exactly the sweep's query blocks
+    that hold an unsettled query, each whole; with none, no call."""
+    query_blocks, _ = align_mod._tiling(nq, nk)
+    want = [(lo, hi) for lo, hi in query_blocks
+            if any(lo <= i < hi for i in search["unsettled"])]
+    assert search["rescored"] == ([want] if want else [])
 
 
 @pytest.mark.parametrize("tile_bytes", [1 << 16, 4 << 20])
@@ -543,7 +562,7 @@ def forced(monkeypatch):
 def test_rescoring_the_unsettled_queries_keeps_the_bits_of_the_two_pass_search(
         monkeypatch, forced, tile_bytes, n_forced):
     monkeypatch.setattr(align_mod, "CSLS_TILE_BYTES", tile_bytes)
-    force, counts = forced
+    force, counts, searches = forced
     rng = np.random.default_rng(61)
     nq, nk, d, k = 1500, 2000, 300, 10
     keys = rng.normal(size=(nk, d))
@@ -556,9 +575,11 @@ def test_rescoring_the_unsettled_queries_keeps_the_bits_of_the_two_pass_search(
         natural = counts[-1]
         if kind == "aligned":
             assert natural == 0  # so the counts below are exactly n_forced
+            assert searches[-1]["rescored"] == []
         force.update(rng.choice(nq, n_forced, replace=False).tolist())
         idx, score = csls_top1(queries, keys, k)
         assert natural + n_forced >= counts[-1] >= max(natural, n_forced)
+        _assert_whole_blocks_rescored(searches[-1], nq, nk)
         want_idx, want_score = csls_top1_two_pass(queries, keys, k, tile_bytes)
         assert (idx == want_idx).all(), kind
         assert score.tobytes() == want_score.tobytes(), kind
@@ -569,7 +590,7 @@ def test_a_lone_query_of_a_one_row_block_is_rescored_as_the_sweep_scored_it(
         forced, nq):
     # blocks of 704 queries at the default tiles: the last block holds one
     # query, a matrix-vector product, and the rescoring must keep its bits
-    force, counts = forced
+    force, counts, searches = forced
     rng = np.random.default_rng(67)
     keys = rng.normal(size=(800, 300))
     queries = rng.normal(size=(nq, 300))
@@ -579,10 +600,34 @@ def test_a_lone_query_of_a_one_row_block_is_rescored_as_the_sweep_scored_it(
         force.update(picked)
         idx, score = csls_top1(queries, keys, 10)
         assert counts[-1] >= len(picked)
+        _assert_whole_blocks_rescored(searches[-1], nq, len(keys))
         want_idx, want_score = csls_top1_two_pass(queries, keys, 10,
                                                   align_mod.CSLS_TILE_BYTES)
         assert (idx == want_idx).all()
         assert score.tobytes() == want_score.tobytes()
+
+
+def test_two_blocks_of_one_size_are_rescored_whole_each(forced):
+    # three 704-row blocks at the default tiles, all settled by their
+    # candidates; a query forced unsettled in the first and in the last, at
+    # other places in each: those two blocks are rescored, 1408 rows
+    force, counts, searches = forced
+    rng = np.random.default_rng(73)
+    nq, nk, d, k = 3 * 704, 800, 300, 10
+    keys = rng.normal(size=(nk, d))
+    queries = keys[rng.integers(0, nk, nq)] + 0.01 * rng.normal(size=(nq, d))
+    query_blocks, _ = align_mod._tiling(nq, nk)
+    assert query_blocks == [(0, 704), (704, 1408), (1408, 2112)]
+    want_idx, want_score = csls_top1_two_pass(queries, keys, k,
+                                              align_mod.CSLS_TILE_BYTES)
+    idx, score = csls_top1(queries, keys, k)
+    assert counts[-1] == 0 and searches[-1]["rescored"] == []
+    assert (idx == want_idx).all() and score.tobytes() == want_score.tobytes()
+    force.update([3, 1408 + 500])
+    idx, score = csls_top1(queries, keys, k)
+    assert counts[-1] == 2
+    assert searches[-1]["rescored"] == [[(0, 704), (1408, 2112)]]
+    assert (idx == want_idx).all() and score.tobytes() == want_score.tobytes()
 
 
 def _float32_table(rng, n, d, prefix):
@@ -678,7 +723,7 @@ def test_refine_widens_the_dictionary_rows_without_float32_copies(
     def marking_induce(*args):
         dico = induce(*args)
         tracemalloc.reset_peak()  # from here: the rows and procrustes
-        seen["pairs"], seen["before"] = dico.size, tracemalloc.get_traced_memory()[0]
+        seen["pairs"], seen["before"] = len(dico), tracemalloc.get_traced_memory()[0]
         return dico
 
     def measuring_procrustes(x_dict, y_dict, direction):
@@ -718,7 +763,7 @@ def test_induce_mutual_filter_excludes_one_directional():
     dico = induce_dictionary(src, tgt, LinearMapper(np.eye(2)), k=1, top_n=2)
     fwd, _ = csls_top1(tgt.vectors, src.vectors, 1)
     assert (fwd == 0).all()  # both targets match s0
-    assert dico.size == 1  # but only the mutual pair survives
+    assert len(dico) == 1  # but only the mutual pair survives
     assert dico.pairs[0][1] == 0
 
 
