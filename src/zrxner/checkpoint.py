@@ -11,9 +11,10 @@ Saving and loading stream: each tensor goes between its array and the file
 CHUNK_BYTES at a time through the running checksum, so neither holds the
 file as one bytes object (a file that cannot seek, such as a pipe, is read
 whole before it is loaded). A tensor saved in a narrower dtype than its
-array is converted a chunk at a time, and a loader may leave a tensor
-unread into memory: it is hashed and checked a chunk at a time. The config
-block is also the flat form of the run settings (FlatConfig).
+array is converted a chunk at a time, and a loader may hold only some rows
+of a tensor, or none: the whole tensor is still hashed and checked, a chunk
+of whole rows at a time. The config block is also the flat form of the run
+settings (FlatConfig).
 """
 
 import hashlib
@@ -40,9 +41,10 @@ MAX_RANK = 64
 _DTYPE_TAGS = {np.dtype("<f4"): 0, np.dtype("<f8"): 1}
 _TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
-# What load_checkpoint returns for a tensor its caller does not keep: the
-# tensor's shape and dtype, and whether every value it holds is finite.
-SkippedTensor = namedtuple("SkippedTensor", "shape dtype finite")
+# What load_checkpoint returns for a tensor its caller reads by rows: the
+# tensor's shape, whether every value it holds is finite, the sorted indices
+# of the rows kept (along its first axis) and an array of those rows alone.
+SelectedRows = namedtuple("SelectedRows", "shape finite rows values")
 
 
 def config_to_text(config):
@@ -220,32 +222,47 @@ class _PayloadReader:
         except UnicodeDecodeError:
             raise _Malformed(f"{what} is not valid UTF-8") from None
 
-    def tensor(self, shape, dtype, keep=True):
-        """A new array of shape and dtype filled from the payload; without
-        keep, a SkippedTensor for it, the values hashed and checked a chunk
-        at a time and never held."""
+    def _read_into(self, part):
+        """Fill the byte view part from the payload, through the checksum."""
+        got = self.fh.readinto(part)
+        self.digest.update(part[:got])
+        if got != len(part):
+            raise _Malformed("truncated tensor data")
+
+    def tensor(self, shape, dtype, rows=None):
+        """The next tensor of the payload, of shape and dtype: a new array
+        of it, or, given rows (sorted indices along its first axis), a
+        SelectedRows whose array holds those rows alone. A tensor read by
+        rows passes through the checksum and the finiteness check a chunk
+        of whole rows at a time (at most CHUNK_BYTES, or one row where a row
+        is larger), and indices beyond its rows are dropped."""
         n_bytes = math.prod(shape) * dtype.itemsize
         self._check_fits(n_bytes, "tensor data")
-        try:  # a skipped tensor gets the same rank check, on an empty array
-            arr = np.empty(shape if keep else (0,) * len(shape), dtype)
+        n_rows, row_shape = (shape[0], shape[1:]) if shape else (1, ())
+        if rows is not None:
+            rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+            rows = rows[rows < n_rows]
+        try:  # a selection gets the same rank check, on its own array
+            arr = np.empty(shape if rows is None else (len(rows), *row_shape),
+                           dtype)
         except ValueError:  # NumPy before 2.0 allows 32 dimensions
             raise _Malformed(f"tensor rank {len(shape)} is not supported") from None
         self.left -= n_bytes
-        if keep:
-            parts = _byte_chunks(arr)
-        else:
-            buf = memoryview(bytearray(min(n_bytes, CHUNK_BYTES)))
-            parts = (buf[: min(CHUNK_BYTES, n_bytes - lo)]
-                     for lo in range(0, n_bytes, CHUNK_BYTES))
+        if rows is None:
+            for part in _byte_chunks(arr):
+                self._read_into(part)
+            return arr
+        row_bytes = n_bytes // n_rows if n_rows else 0
+        step = max(1, CHUNK_BYTES // max(row_bytes, 1))
+        buf = np.empty((min(step, n_rows), *row_shape), dtype)
         finite = True
-        for part in parts:
-            got = self.fh.readinto(part)
-            self.digest.update(part[:got])
-            if got != len(part):
-                raise _Malformed("truncated tensor data")
-            if not keep and finite:
-                finite = bool(np.isfinite(np.frombuffer(part, dtype)).all())
-        return arr if keep else SkippedTensor(shape, dtype, finite)
+        for lo in range(0, n_rows, step):
+            part = buf[: min(step, n_rows - lo)]
+            self._read_into(memoryview(part.reshape(-1).view(np.uint8)))
+            finite = finite and bool(np.isfinite(part).all())
+            first, end = np.searchsorted(rows, (lo, lo + len(part)))
+            arr[first:end] = part[rows[first:end] - lo]
+        return SelectedRows(shape, finite, rows, arr)
 
     def checksum(self):
         """The checksum of the whole payload, reading (CHUNK_BYTES at a
@@ -259,7 +276,7 @@ class _PayloadReader:
         return self.digest.digest()[:CHECKSUM_BYTES]
 
 
-def _read_payload(reader, keep):
+def _read_payload(reader, select):
     if reader.read(len(MAGIC), "header") != MAGIC:
         raise _Malformed("bad magic bytes")
     (version,) = reader.unpack("<H", "header")
@@ -270,7 +287,7 @@ def _read_payload(reader, keep):
     (config_len,) = reader.unpack("<I", "header")
     config = text_to_config(reader.text(config_len, "config block"),
                             error=_Malformed)
-    keeps = (lambda name: True) if keep is None else keep(config)
+    rows_of = (lambda name: None) if select is None else select(config)
     (count,) = reader.unpack("<I", "header")
     tensors = {}
     for _ in range(count):
@@ -283,13 +300,13 @@ def _read_payload(reader, keep):
         (tag,) = reader.unpack("<B", "tensor header")
         if tag not in _TAG_DTYPES:
             raise _Malformed(f"unknown dtype tag {tag}")
-        tensors[name] = reader.tensor(shape, _TAG_DTYPES[tag], keeps(name))
+        tensors[name] = reader.tensor(shape, _TAG_DTYPES[tag], rows_of(name))
     if reader.left:
         raise _Malformed("trailing bytes after tensor section")
     return config, tensors
 
 
-def load_checkpoint(path, keep=None):
+def load_checkpoint(path, select=None):
     """Read a checkpoint; returns (config dict, dict of name -> array).
 
     Streams the file once, reading each tensor straight into its array and
@@ -301,10 +318,12 @@ def load_checkpoint(path, keep=None):
     (a pipe) is read whole into memory first, as its size is known only
     then.
 
-    keep, if given, is called with the config once it is read and returns
-    a predicate over tensor names: a tensor it refuses is read through the
-    checksum a chunk at a time, checked as any other, and returned as a
-    SkippedTensor instead of an array.
+    select, if given, is called with the config once it is read and returns
+    a function of a tensor's name: None reads the tensor whole, and sorted
+    row indices (along its first axis; none at all, say) read it by rows.
+    Such a tensor passes through the checksum a chunk at a time, is checked
+    as any other, and is returned as a SelectedRows that holds those rows
+    alone.
     """
     with open(path, "rb") as fh:
         if not fh.seekable():  # a pipe: its size is known once it is read
@@ -316,7 +335,7 @@ def load_checkpoint(path, keep=None):
         reader = _PayloadReader(fh, size - CHECKSUM_BYTES)
         fault = None
         try:
-            result = _read_payload(reader, keep)
+            result = _read_payload(reader, select)
         except _Malformed as exc:
             fault = str(exc)
         if reader.checksum() != fh.read(CHECKSUM_BYTES):

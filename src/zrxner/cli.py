@@ -37,7 +37,12 @@ from .corpus import (
     read_conll,
     write_conll,
 )
-from .embeddings import DEFAULT_LOAD_LIMIT, EmbeddingTable, load_vec_text
+from .embeddings import (
+    DEFAULT_LOAD_LIMIT,
+    EmbeddingTable,
+    load_vec_text,
+    select_rows,
+)
 from .errors import (
     AlignmentError,
     CheckpointError,
@@ -402,17 +407,29 @@ def cmd_finetune(args):
 
 
 def cmd_tag(args):
+    # the input is read first, so that the table holds only the rows that
+    # its tokens read (select_rows); it is read without tags, so in any
+    # scheme. An input that cannot be read selects no row, and its error
+    # comes after every fault of the checkpoint
+    try:
+        dataset = _read_dataset(args.input, args.language, "test", IOB2,
+                                tag_col=None, token_col=args.token_col)
+        input_error = None
+    except (UsageError, OSError, UnicodeDecodeError) as exc:
+        dataset, input_error = [], exc
     # the table of the language to tag, else the source table
     preference = (args.language, "src")
-    model, config, tables, _ = load_model(args.checkpoint, preference)
+    model, config, tables, _ = load_model(
+        args.checkpoint, preference,
+        lambda words: select_rows(words, (t for s in dataset for t in s.tokens)))
     lang = args.language
     if lang not in model.encoders:
         lang = "src"
     table = next((tables[name] for name in preference if name in tables), None)
     if table is None:
         raise CheckpointError("checkpoint carries no embedding table")
-    dataset = _read_dataset(args.input, args.language, "test", config.scheme,
-                            tag_col=None, token_col=args.token_col)
+    if input_error is not None:
+        raise input_error
     out_scheme = IOB2 if args.to_iob2 else config.scheme
     # one BLAS thread in every process, so that the tags do not depend on
     # the number of processes or of cores
@@ -483,16 +500,19 @@ def cmd_project(args):
     _at_least("--limit", args.limit, 1)
     if args.emb:
         table = _load_table(args.emb, args.limit, "")
-        words, vectors = table.words, table.vectors
     elif args.checkpoint:
         lang = args.language
-        _, _, tables, _ = load_model(args.checkpoint, (lang,))
+        # rows 0..limit-1 alone, as a .vec table loads them; every row of
+        # the table is still checked
+        _, _, tables, _ = load_model(
+            args.checkpoint, (lang,),
+            lambda words: range(min(args.limit, len(words))))
         if lang not in tables:
             raise UsageError(f"checkpoint has no table for {lang!r}")
-        words = tables[lang].words[: args.limit]
-        vectors = tables[lang].vectors[: args.limit]
+        table = tables[lang]
     else:
         raise UsageError("pass --emb or --checkpoint")
+    words, vectors = table.words[: args.limit], table.vectors[: args.limit]
     tag_of = {}
     if args.tags:
         # the CoNLL line and column rule, so a word may hold what a .vec word may

@@ -72,9 +72,31 @@ class EmbeddingTable:
         return self._index.get(word)
 
     def row(self, word):
-        """Row of the exact match, else of the lowercase match, else -1."""
+        """Row of the exact match, else of the first word with the same
+        lowercase form, else -1; `select_rows` follows the same rule."""
         i = self._index.get(word)
         return self._lower.get(word.lower(), -1) if i is None else i
+
+
+def select_rows(words, tokens):
+    """The sorted indices of the rows of a table of words that `row` reads
+    for tokens: each token's exact word, else the first word with the same
+    lowercase form. A table of these rows alone, in this order, gives each
+    token the vector that the whole table gives it, or -1 where that has
+    none. One pass over the words, with no map over the whole vocabulary."""
+    tokens = set(tokens)
+    lowered = {token.lower() for token in tokens}
+    exact, found, first = [], set(), {}
+    for i, word in enumerate(words):
+        if word in tokens:
+            exact.append(i)
+            found.add(word)
+        low = word.lower()
+        if low in lowered:
+            lowered.remove(low)  # the first word of this form takes it
+            first[low] = i
+    fallback = {first[t.lower()] for t in tokens - found if t.lower() in first}
+    return sorted(fallback.union(exact))
 
 
 def _fields(line):

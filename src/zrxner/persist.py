@@ -8,10 +8,11 @@ table in float32 already, so what they train and select on is what a
 checkpoint stores, and saving writes the table's own bytes. A float64
 table, which only the library builds, is rounded to float32 a chunk at a
 time as it is saved. No table is copied, and a loader that names the table
-it needs holds that one alone. Vocabulary lists ride in the flat config
-block: words are whitespace-free by construction, characters are stored as
-one string in index order. The `numeric.` entries that the commands add
-(NumPy, BLAS build and thread count) describe the run; no loader reads them.
+it needs holds that one alone, and only the rows it reads. Vocabulary lists
+ride in the flat config block: words are whitespace-free by construction,
+characters are stored as one string in index order. The `numeric.` entries
+that the commands add (NumPy, BLAS build and thread count) describe the
+run; no loader reads them.
 """
 
 from dataclasses import replace
@@ -20,7 +21,6 @@ import numpy as np
 
 from .align import LinearMapper
 from .checkpoint import (
-    SkippedTensor,
     flat_to_fields,
     load_checkpoint,
     save_checkpoint,
@@ -108,7 +108,7 @@ def _table_language(name):
     return None
 
 
-def load_model(path, languages=None):
+def load_model(path, languages=None, rows=None):
     """Rebuild (model, train_config, tables, raw config) from a checkpoint.
     A missing key, a config value that does not parse or that the range
     checks refuse, and a tensor whose shape is not the model's are artifact
@@ -116,15 +116,29 @@ def load_model(path, languages=None):
 
     languages, if given, lists table languages in order of preference: of
     them only the first whose words the config holds is loaded, and every
-    other table is checked as it is read but never held, so tables holds
-    at most that one."""
+    other table is checked as it is read but none of its rows is held, so
+    tables holds at most that one. rows, if given with languages, is called
+    with that table's words and returns the sorted indices of the rows to
+    hold (`select_rows` gives those a tagger reads): the table then holds
+    those rows and their words alone, and every row is still checked."""
+    wanted = None
 
-    def keep(config):
+    def select(config):
+        nonlocal wanted
         wanted = next((lang for lang in languages
                        if f"emb.{lang}.words" in config), None)
-        return lambda name: _table_language(name) in (None, wanted)
 
-    config, tensors = load_checkpoint(path, None if languages is None else keep)
+        def rows_of(name):
+            lang = _table_language(name)
+            if lang is None or (lang == wanted and rows is None):
+                return None
+            if lang != wanted:
+                return ()
+            return rows(config[f"emb.{lang}.words"].split(" "))
+
+        return rows_of
+
+    config, tensors = load_checkpoint(path, None if languages is None else select)
     if config.get("kind") != "tagger":
         raise CheckpointError(f"{path} is not a tagger checkpoint")
 
@@ -166,12 +180,15 @@ def load_model(path, languages=None):
         if lang is None:
             continue
         words = required(f"emb.{lang}.words").split(" ")
+        language = config.get(f"emb.{lang}.language", lang)
         try:
-            if isinstance(arr, SkippedTensor):
-                check_table(words, arr.shape, lambda: arr.finite)
-            else:
+            if isinstance(arr, np.ndarray):
+                tables[lang] = EmbeddingTable(words, arr, language)
+                continue
+            check_table(words, arr.shape, lambda: arr.finite)
+            if lang == wanted:
                 tables[lang] = EmbeddingTable(
-                    words, arr, config.get(f"emb.{lang}.language", lang))
+                    [words[i] for i in arr.rows], arr.values, language)
         except UsageError as exc:
             raise CheckpointError(f"{path}: tensor {key}: {exc}") from None
     return model, train_config, tables, config

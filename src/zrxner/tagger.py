@@ -500,8 +500,9 @@ class PreparedSentence:
     def word_vecs(self):
         """(m, dim) float64 rows of the tokens, widened from the table's
         storage dtype."""
-        vecs = self.table.vectors[self.rows].astype(np.float64, copy=False)
-        vecs[self.rows < 0] = 0.0
+        found = self.rows >= 0  # a table may have no row for -1 to index
+        vecs = np.zeros((len(self.rows), self.table.dim))
+        vecs[found] = self.table.vectors[self.rows[found]]
         return vecs
 
 

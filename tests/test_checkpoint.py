@@ -11,7 +11,7 @@ from zrxner.checkpoint import (
     CHUNK_BYTES,
     FORMAT_VERSION,
     MAGIC,
-    SkippedTensor,
+    SelectedRows,
     load_checkpoint,
     save_checkpoint,
 )
@@ -305,40 +305,75 @@ def test_reader_matches_whole_file_reader_on_damaged_files(tmp_path):
     assert None in messages  # some rewrites still load, and load alike
 
 
-def _skip_all(config):
-    return lambda name: False
+def _by_rows(rows_of):
+    """A load_checkpoint selection that reads every tensor by the rows
+    rows_of(name) gives, or whole where that is None."""
+    return lambda config: rows_of
 
 
-def _assert_skipped_like(skipped, tensors):
-    assert list(skipped) == list(tensors)
+def _assert_selected_like(selected, tensors, rows_of):
+    """selected holds each tensor of tensors (the whole load) as the
+    SelectedRows of the rows rows_of(name) gives that it has."""
+    assert list(selected) == list(tensors)
     for name, arr in tensors.items():
-        assert skipped[name] == SkippedTensor(arr.shape, arr.dtype,
-                                              bool(np.isfinite(arr).all()))
+        got = selected[name]
+        assert isinstance(got, SelectedRows)
+        by_rows = arr if arr.ndim else arr.reshape(1)  # a scalar is one row
+        rows = [i for i in rows_of(name) if i < len(by_rows)]
+        assert got.shape == arr.shape
+        assert got.finite is bool(np.isfinite(arr).all())
+        assert got.rows.tolist() == rows
+        assert got.values.dtype == arr.dtype
+        assert got.values.tobytes() == by_rows[rows].tobytes()
+
+
+def _table_checkpoint(path):
+    """A checkpoint of a 7-row float32 table that holds an infinity, a
+    float64 tensor and a NaN scalar; its bytes."""
+    table = np.arange(14, dtype=np.float32).reshape(7, 2) / 3
+    table[4, 1] = np.inf
+    save_checkpoint(path, {"a": "1"}, {
+        "t": table, "w": np.arange(6, dtype=np.float64).reshape(2, 3),
+        "s": np.float64(np.nan)})
+    return path.read_bytes()
+
+
+# rows of every tensor, by name: none, the first, the last of the intact
+# file, and scattered; indices beyond a tensor's rows are dropped
+SELECTIONS = {
+    "none": lambda name: (),
+    "first": lambda name: (0,),
+    "last": lambda name: ({"t": 6, "w": 1}.get(name, 0),),
+    "scattered": lambda name: (0, 2, 3, 6),
+}
 
 
 def test_skipped_tensors_keep_every_refusal_on_damaged_files(tmp_path):
-    # a tensor the caller does not keep is hashed and checked, never held,
-    # and refused exactly as a kept one
-    blob = _small_checkpoint(tmp_path / "ok.zrx")
+    # a tensor read by rows is hashed and checked whole, holds only the rows
+    # selected, and is refused exactly as a tensor read whole
     path = tmp_path / "m.zrx"
-    keep_w = lambda config: lambda name: name == "w"
-    for data in _damaged_variants(blob):
+    selections = [*SELECTIONS.values(),
+                  lambda name: None if name == "w" else (1, 5)]
+    variants = [data for make in (_small_checkpoint, _table_checkpoint)
+                for data in _damaged_variants(make(tmp_path / "ok.zrx"))]
+    for data in variants:
         path.write_bytes(data)
         full, full_exc = _outcome(load_checkpoint, path)
-        for keep in (_skip_all, keep_w):
-            got, exc = _outcome(load_checkpoint, path, keep)
+        for rows_of in selections:
+            got, exc = _outcome(load_checkpoint, path, _by_rows(rows_of))
             if full_exc is not None:
                 assert type(exc) is type(full_exc) and str(exc) == str(full_exc)
                 continue
             assert exc is None, exc
             config, tensors = got
             assert config == full[0]
-            kept = {k: v for k, v in tensors.items() if isinstance(v, np.ndarray)}
-            assert set(kept) == ({"w"} & set(tensors) if keep is keep_w else set())
-            _assert_same_load((config, kept),
-                              (full[0], {k: full[1][k] for k in kept}))
-            _assert_skipped_like({k: v for k, v in tensors.items() if k not in kept},
-                                 {k: v for k, v in full[1].items() if k not in kept})
+            whole = {k: v for k, v in tensors.items() if isinstance(v, np.ndarray)}
+            assert set(whole) == {k for k in tensors if rows_of(k) is None}
+            _assert_same_load((config, whole),
+                              (full[0], {k: full[1][k] for k in whole}))
+            _assert_selected_like(
+                {k: v for k, v in tensors.items() if k not in whole},
+                {k: v for k, v in full[1].items() if k not in whole}, rows_of)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -351,18 +386,24 @@ def test_skipped_tensor_checks_every_chunk_without_holding_it(tmp_path, dtype):
         arr = np.random.default_rng(size).normal(size=size).astype(dtype)
         if bad is not None:
             arr[bad] = (np.inf, np.nan)[size % 2]
-        tensors = {"big": arr, "small": np.ones(3)}
+        # the same values as rows of 3, which do not divide a chunk
+        rows3 = arr[: size - size % 3].reshape(-1, 3)
+        tensors = {"big": arr, "rows3": rows3, "small": np.ones(3)}
         save_checkpoint(path, {"k": "v"}, tensors)
-        tracemalloc.start()
-        try:
-            config, got = load_checkpoint(path, _skip_all)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert config == {"k": "v"}
-        _assert_skipped_like(got, tensors)
-        assert got["big"].finite is (bad is None)
-        assert peak < 2 * CHUNK_BYTES  # one chunk and its finiteness mask
+        for rows in [(), (0,), (size - 1,), (size // 3 - 1,),
+                     range(0, size, step // 3 + 1), (step - 1, step, step + 1)]:
+            rows_of = lambda name, rows=[i for i in rows if i >= 0]: rows
+            tracemalloc.start()
+            try:
+                config, got = load_checkpoint(path, _by_rows(rows_of))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert config == {"k": "v"}
+            _assert_selected_like(got, tensors, rows_of)
+            assert got["big"].finite is (bad is None)
+            # one chunk and its finiteness mask, beside the rows selected
+            assert peak < 2 * CHUNK_BYTES + (16 << 10)
 
 
 def _rewritten(path, field, value):

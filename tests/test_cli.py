@@ -462,21 +462,21 @@ def test_checkpoint_table_words_disagreeing_with_rows_exit_3(
         3, "tensor emb.tgt.vectors: words and vectors disagree\n")
 
 
-def _src_table_data(blob):
-    """Offset of the source table's first value in checkpoint bytes."""
-    name = b"emb.src.vectors"
+def _table_data(blob, lang="src"):
+    """Offset of a table's first value in checkpoint bytes."""
+    name = f"emb.{lang}.vectors".encode()
     return blob.index(name) + len(name) + 4 + 2 * 4 + 1  # rank, dims, dtype
 
 
 def _flip_in_src_table(blob):
-    at = _src_table_data(blob) + 100
+    at = _table_data(blob) + 100
     return blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1:]
 
 
 def _overstate_src_rows(blob):
     import hashlib
 
-    at = _src_table_data(blob) - 1 - 2 * 4  # the row count
+    at = _table_data(blob) - 1 - 2 * 4  # the row count
     payload = blob[:at] + (2**31).to_bytes(4, "little") + blob[at + 4:-8]
     return payload + hashlib.sha256(payload).digest()[:8]
 
@@ -511,16 +511,79 @@ def test_fault_in_the_table_tag_does_not_read_exit_3(
                         damage) == (3, message)
 
 
+def _unread_tgt_row(config, tensors, workdir):
+    """A row of the target table that no token of the tagged input reads."""
+    table = EmbeddingTable(config["emb.tgt.words"].split(" "),
+                           tensors["emb.tgt.vectors"])
+    read = {table.row(t) for s in _read_dataset(workdir["tgt_dev"], "", "test",
+                                                IOB2, tag_col=None)
+            for t in s.tokens}
+    return max(set(range(len(table))) - read)
+
+
+def _flip_in_tgt_row(row, dim):
+    def damage(blob):
+        at = _table_data(blob, "tgt") + 4 * dim * row  # float32 values
+        return blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1:]
+    return damage
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("non-finite", "tensor emb.tgt.vectors: non-finite vector entries\n"),
+    ("flip", "artifact error: checksum mismatch: file is corrupt\n"),
+])
+def test_fault_in_a_row_tag_does_not_read_exit_3(
+        pretrained_path, workdir, tmp_path, capsys, fault, message):
+    # the table tag reads holds only the rows its input reads; every other
+    # row is still hashed and checked as it is read
+    config, tensors = load_checkpoint(pretrained_path)
+    table = tensors["emb.tgt.vectors"]
+    row = _unread_tgt_row(config, tensors, workdir)
+    damage = None
+    if fault == "non-finite":
+        table[row, -1] = np.nan
+    else:
+        damage = _flip_in_tgt_row(row, table.shape[1])
+    assert _tag_crafted(config, tensors, workdir, tmp_path, capsys,
+                        damage) == (3, message)
+
+
+@pytest.mark.parametrize("bad_input", ["missing", "not utf-8", "ragged"])
+def test_corrupt_checkpoint_is_reported_before_a_bad_input(
+        pretrained_path, tmp_path, capsys, bad_input):
+    # tag reads its input before the checkpoint, and still reports the
+    # checkpoint's fault first, with its exit code
+    path = tmp_path / "corrupt.zrx"
+    with open(pretrained_path, "rb") as fh:
+        path.write_bytes(_flip_in_src_table(fh.read()))
+    conll = tmp_path / "in.conll"
+    if bad_input == "not utf-8":
+        conll.write_bytes(b"caf\xe9\n")
+    elif bad_input == "ragged":
+        conll.write_text("a b\nc\n", encoding="utf-8")
+    argv = ["tag", "--input", str(conll), "--output", str(tmp_path / "out"),
+            "--token-col", "1"]
+    assert main([*argv, "--checkpoint", str(path)]) == 3
+    assert capsys.readouterr().err == \
+        "artifact error: checksum mismatch: file is corrupt\n"
+    # the input's own error, with the intact checkpoint
+    assert main([*argv, "--checkpoint", pretrained_path]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def _tables_loaded(monkeypatch, full):
-    """A list that collects the table languages of each load_model call
-    of the CLI; with full, every call loads every table."""
+    """A list that collects, for each load_model call of the CLI, the rows
+    that each table it returns holds, by language; with full, every call
+    loads every table whole."""
     import zrxner.cli as cli_mod
 
     seen = []
 
-    def spy(path, languages=None):
-        result = load_model(path, None if full else languages)
-        seen.append(sorted(result[2]))
+    def spy(path, languages=None, rows=None):
+        result = (load_model(path) if full
+                  else load_model(path, languages, rows))
+        seen.append({lang: len(table) for lang, table in result[2].items()})
         return result
 
     monkeypatch.setattr(cli_mod, "load_model", spy)
@@ -551,14 +614,22 @@ def test_tag_and_project_read_one_table_as_a_full_load_would(
             else _source_only(pretrained_path, tmp_path))
     io_flags = {"tag": ["--input", workdir["tgt_dev"], "--output"],
                 "project": ["--manifest", str(tmp_path / "m.json"), "--out"]}
+    stored = load_model(path)[2]
+    if argv[0] == "tag":  # the rows that the input's tokens read
+        tokens = {t for s in _read_dataset(workdir["tgt_dev"], "", "test", IOB2,
+                                           tag_col=None) for t in s.tokens}
+        # none where the table is the source one, which reads no target word
+        held = len({stored[table].row(t) for t in tokens} - {-1})
+    else:
+        held = min(int(argv[-1]), len(stored[table]))
     outputs = []
     for full in (False, True):
         seen = _tables_loaded(monkeypatch, full)
         out = tmp_path / f"out{full}"
         assert main([argv[0], "--checkpoint", path, *argv[1:],
                      *io_flags[argv[0]], str(out)]) == 0
-        assert seen == [[table] if not full or checkpoint == "src_only"
-                        else ["src", "tgt"]]
+        assert seen == [{lang: len(stored[lang]) for lang in stored} if full
+                        else {table: held}]
         extra = (tmp_path / "m.json").read_bytes() if argv[0] == "project" else b""
         outputs.append((out.read_bytes(), extra))
     assert outputs[0] == outputs[1]

@@ -12,6 +12,7 @@ from zrxner.embeddings import (
     apply_mapper,
     load_vec_text,
     normalize,
+    select_rows,
     write_vec_text,
 )
 from zrxner.errors import ParseError, UsageError
@@ -62,6 +63,42 @@ def test_lookup_exact_lower_unk():
     assert table.row("Paris") == 0  # lowercase hit
     assert table.row("LONDON") == 1
     assert table.row("tokyo") == -1  # UNK: the tagger reads all zeros
+
+
+# case forms that collide in lowercase, some of them only through Unicode
+# case rules: lowercase that changes the length, and a final sigma
+CASE_FORMS = ["paris", "Paris", "PARIS", "pArIs", "berlin", "Berlin", "BERLIN",
+              "\u01c5emal", "\u01c6emal", "\u01c4emal", "stra\u00dfe", "STRASSE",
+              "\u0130stanbul", "i\u0307stanbul", "\u03a3\u0391\u03a3",
+              "\u03c3\u03b1\u03c2", "\u03c3\u03b1\u03c3"]
+
+
+def test_selected_rows_give_every_token_the_whole_tables_vector():
+    # the rows select_rows picks, alone, look every token up as the whole
+    # table does: exact, lowercase-only, out-of-vocabulary and repeated
+    # tokens, over vocabularies with case collisions at several ranks
+    rng = np.random.default_rng(20261020)
+    filler = [f"w{i}" for i in range(30)]
+    for case in range(400):
+        pool = CASE_FORMS + filler
+        picks = rng.integers(0, len(pool), int(rng.integers(0, 40)))
+        words = list(dict.fromkeys(pool[k] for k in picks))
+        vectors = rng.normal(size=(len(words), 3)).astype(np.float32)
+        full = EmbeddingTable(words, vectors)
+        asked = (CASE_FORMS + words + [w.upper() for w in words]
+                 + [w.lower() for w in words] + ["unknown", "W1", ""])
+        tokens = [asked[k] for k in rng.integers(0, len(asked),
+                                                 int(rng.integers(0, 30)))]
+        rows = select_rows(words, tokens)
+        assert rows == sorted(set(rows))
+        assert set(rows) == {full.row(t) for t in tokens} - {-1}  # those alone
+        assert select_rows(iter(words), iter(tokens)) == rows  # one pass
+        part = EmbeddingTable([words[i] for i in rows], vectors[rows])
+        for token in tokens:
+            want, got = full.row(token), part.row(token)
+            assert (want == -1) == (got == -1), (case, token)
+            if want >= 0:
+                assert part.vectors[got].tobytes() == full.vectors[want].tobytes()
 
 
 def test_normalize_unit():

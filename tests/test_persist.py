@@ -6,7 +6,7 @@ import pytest
 from zrxner.align import LinearMapper
 from zrxner.checkpoint import CHUNK_BYTES, load_checkpoint, save_checkpoint
 from zrxner.corpus import IOB2
-from zrxner.embeddings import EmbeddingTable, apply_mapper
+from zrxner.embeddings import EmbeddingTable, apply_mapper, select_rows
 from zrxner.errors import CheckpointError
 from zrxner.numeric import Rng
 from zrxner.persist import (
@@ -222,6 +222,33 @@ def test_one_table_load_falls_back_in_order_of_preference(tmp_path):
     assert list(load_model(path, ("tgt", "src"))[2]) == ["src"]
     assert load_model(path, ("tgt",))[2] == {}
     assert list(load_model(path)[2]) == ["src"]
+
+
+def test_row_selection_holds_the_rows_its_tokens_read(tmp_path):
+    path = tmp_path / "m.zrx"
+    words = _two_table_checkpoint(path)["tgt"].words
+    rng = np.random.default_rng(9)
+    picked = [words[i] for i in rng.integers(0, len(words), 80)]
+    # exact, lowercase-only, out-of-table and repeated tokens, about 100
+    tokens = picked + [w.upper() for w in picked[:15]] + ["unknown", "TGT"]
+    tokens += picked[:5]
+    (_, _, loaded, _), peak = _traced_peak(
+        load_model, path, ("tgt", "src"), lambda ws: select_rows(ws, tokens))
+    full = load_model(path)[2]["tgt"]
+    # the rows read, the set of the words, one chunk and its finiteness mask
+    assert peak < full.vectors.nbytes // 4
+    assert list(loaded) == ["tgt"]
+    part = loaded["tgt"]
+    assert len(part) == len({full.row(t) for t in tokens} - {-1}) < 100
+    assert (part.language, part.vectors.dtype) == ("tgt", np.float32)
+    for token in tokens:
+        want, got = full.row(token), part.row(token)
+        assert (want == -1) == (got == -1)
+        if want >= 0:
+            assert part.words[got] == full.words[want]
+            assert part.vectors[got].tobytes() == full.vectors[want].tobytes()
+    # none of the rows of a table is held where no token reads one
+    assert len(load_model(path, ("tgt",), lambda ws: [])[2]["tgt"]) == 0
 
 
 def test_save_model_rounds_float64_tables_a_chunk_at_a_time(tmp_path):
