@@ -242,19 +242,27 @@ class _PayloadReader:
         if rows is not None:
             rows = np.asarray(rows, dtype=np.int64).reshape(-1)
             rows = rows[rows < n_rows]
-        try:  # a selection gets the same rank check, on its own array
-            arr = np.empty(shape if rows is None else (len(rows), *row_shape),
-                           dtype)
-        except ValueError:  # NumPy before 2.0 allows 32 dimensions
+            row_bytes = n_bytes // n_rows if n_rows else 0
+            step = max(1, CHUNK_BYTES // max(row_bytes, 1))
+        try:
+            # a selection is refused where the whole tensor is: a tensor
+            # with no values is allocated whole, which takes no memory, and
+            # otherwise the buffer and the selection, of its rank and of at
+            # most its rows, fail only where it does (NumPy before 2.0
+            # allows 32 dimensions, and NumPy leaves zero dimensions out of
+            # its size check)
+            if rows is None or not n_bytes:
+                arr = np.empty(shape, dtype)
+            if rows is not None:
+                buf = np.empty((min(step, n_rows), *row_shape), dtype)
+                arr = np.empty((len(rows), *row_shape), dtype)
+        except ValueError:
             raise _Malformed(f"tensor rank {len(shape)} is not supported") from None
         self.left -= n_bytes
         if rows is None:
             for part in _byte_chunks(arr):
                 self._read_into(part)
             return arr
-        row_bytes = n_bytes // n_rows if n_rows else 0
-        step = max(1, CHUNK_BYTES // max(row_bytes, 1))
-        buf = np.empty((min(step, n_rows), *row_shape), dtype)
         finite = True
         for lo in range(0, n_rows, step):
             part = buf[: min(step, n_rows - lo)]

@@ -108,7 +108,7 @@ def _table_language(name):
     return None
 
 
-def load_model(path, languages=None, rows=None):
+def load_model(path, languages=None, rows=lambda words: range(len(words))):
     """Rebuild (model, train_config, tables, raw config) from a checkpoint.
     A missing key, a config value that does not parse or that the range
     checks refuse, and a tensor whose shape is not the model's are artifact
@@ -117,9 +117,9 @@ def load_model(path, languages=None, rows=None):
     languages, if given, lists table languages in order of preference: of
     them only the first whose words the config holds is loaded, and every
     other table is checked as it is read but none of its rows is held, so
-    tables holds at most that one. rows, if given with languages, is called
-    with that table's words and returns the sorted indices of the rows to
-    hold (`select_rows` gives those a tagger reads): the table then holds
+    tables holds at most that one. rows is then called with that table's
+    words and returns the sorted indices of the rows to hold, every row by
+    default (`select_rows` gives those a tagger reads): the table holds
     those rows and their words alone, and every row is still checked."""
     wanted = None
 
@@ -130,7 +130,7 @@ def load_model(path, languages=None, rows=None):
 
         def rows_of(name):
             lang = _table_language(name)
-            if lang is None or (lang == wanted and rows is None):
+            if lang is None:
                 return None
             if lang != wanted:
                 return ()

@@ -403,7 +403,8 @@ def test_skipped_tensor_checks_every_chunk_without_holding_it(tmp_path, dtype):
             _assert_selected_like(got, tensors, rows_of)
             assert got["big"].finite is (bad is None)
             # one chunk and its finiteness mask, beside the rows selected
-            assert peak < 2 * CHUNK_BYTES + (16 << 10)
+            kept = sum(v.values.nbytes + v.rows.nbytes for v in got.values())
+            assert peak < 2 * CHUNK_BYTES + kept
 
 
 def _rewritten(path, field, value):
@@ -455,6 +456,31 @@ def test_rank_beyond_numpy_is_a_checkpoint_error(tmp_path, rank):
         load_checkpoint(path)
     with pytest.raises(ValueError):  # the whole-file reader's traceback
         oracles.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("shape, message", [
+    ((5, 0, 2**30, 2**30), "tensor rank 4 is not supported"),
+    ((2**21, 0, 2**20, 2**20), "tensor rank 4 is not supported"),
+    ((2**20, 0, 2**20, 2**20), None),
+])
+def test_tensor_without_values_is_refused_by_rows_as_whole(tmp_path, shape,
+                                                           message):
+    # a tensor of zero size fits the file whatever its other dimensions, and
+    # NumPy refuses some of them; a load by rows refuses the same ones
+    path = tmp_path / "m.zrx"
+    tensor = struct.pack(f"<I1sI{len(shape)}IB", 1, b"t", len(shape), *shape, 0)
+    payload = (MAGIC + struct.pack("<HI", FORMAT_VERSION, 0)
+               + struct.pack("<I", 1) + tensor)
+    path.write_bytes(_signed(payload))
+    full, full_exc = _outcome(load_checkpoint, path)
+    assert (None if full_exc is None else str(full_exc)) == message
+    for rows_of in SELECTIONS.values():
+        got, exc = _outcome(load_checkpoint, path, _by_rows(rows_of))
+        if message is not None:
+            assert type(exc) is CheckpointError and str(exc) == message
+            continue
+        assert exc is None, exc
+        _assert_selected_like(got[1], full[1], rows_of)
 
 
 def test_structural_fault_in_a_corrupt_file_reports_the_checksum(tmp_path):

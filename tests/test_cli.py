@@ -580,9 +580,8 @@ def _tables_loaded(monkeypatch, full):
 
     seen = []
 
-    def spy(path, languages=None, rows=None):
-        result = (load_model(path) if full
-                  else load_model(path, languages, rows))
+    def spy(path, *selection):
+        result = load_model(path) if full else load_model(path, *selection)
         seen.append({lang: len(table) for lang, table in result[2].items()})
         return result
 
