@@ -13,15 +13,22 @@ file as one bytes object (a file that cannot seek, such as a pipe, is read
 whole before it is loaded). A tensor saved in a narrower dtype than its
 array is converted a chunk at a time, and a loader may hold only some rows
 of a tensor, or none: the whole tensor is still hashed and checked, a chunk
-of whole rows at a time. The config block is also the flat form of the run
-settings (FlatConfig).
+of whole rows at a time. Such a tensor of a file that can be read again
+also says where the file stores it (StoredTensor), and a save copies its
+bytes from there, a chunk at a time, once the whole file is hashed again and
+found unchanged since it was loaded. A save writes a new file beside its
+path and renames it into place, so one that is refused or fails midway
+leaves any file at that path as it was. The config block is also the flat
+form of the run settings (FlatConfig).
 """
 
 import hashlib
 import io
 import math
 import os
+import stat
 import struct
+import weakref
 from collections import namedtuple
 from dataclasses import fields
 
@@ -43,8 +50,14 @@ _TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 # What load_checkpoint returns for a tensor its caller reads by rows: the
 # tensor's shape, whether every value it holds is finite, the sorted indices
-# of the rows kept (along its first axis) and an array of those rows alone.
-SelectedRows = namedtuple("SelectedRows", "shape finite rows values")
+# of the rows kept (along its first axis), an array of those rows alone, and
+# the StoredTensor of the whole tensor, or None where the file was read from
+# a pipe and cannot be read again.
+SelectedRows = namedtuple("SelectedRows", "shape finite rows values stored")
+# A tensor as a loaded checkpoint file stores it: the file (a _LoadedFile),
+# the offset of its values, its shape and its stored dtype. save_checkpoint
+# takes it in place of an array and copies its bytes from the file.
+StoredTensor = namedtuple("StoredTensor", "file offset shape dtype")
 
 
 def config_to_text(config):
@@ -148,21 +161,79 @@ def _put_tensor(put, arr, dtype):
         put(memoryview(part.view(np.uint8)))
 
 
+def _put_stored(put, stored, dtype):
+    """Pass put the bytes the file stores for the StoredTensor stored in
+    dtype, read from the file it was loaded from CHUNK_BYTES at a time into
+    one buffer and converted as _put_tensor converts an array."""
+    n_bytes = math.prod(stored.shape) * stored.dtype.itemsize
+    buf = bytearray(min(n_bytes, CHUNK_BYTES))
+    fh = stored.file.fh
+    fh.seek(stored.offset)
+    for lo in range(0, n_bytes, CHUNK_BYTES):
+        part = memoryview(buf)[: min(CHUNK_BYTES, n_bytes - lo)]
+        if fh.readinto(part) != len(part):  # the file shrank since it was checked
+            raise stored.file.changed()
+        _put_tensor(put, np.frombuffer(part, stored.dtype), dtype)
+
+
+def _replace_file(path, write):
+    """Call write with a binary file that then becomes the file at path: it
+    is written beside path and renamed over it, so a write that raises
+    leaves no file of its own and any file at path as it was. The new file
+    keeps the mode of the file it replaces, as a write in place would. A
+    path that exists and is not a regular file (a device, a pipe) is
+    written in place; a symbolic link is followed."""
+    given, path = path, os.path.realpath(path)
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "wb") as fh:
+            write(fh)
+        return
+    temp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    try:
+        # the mode a new file at path would get
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        exc.filename = given  # a fault of the directory: name the output
+        raise
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            write(fh)
+        if mode is not None:
+            os.chmod(temp, stat.S_IMODE(mode))
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
 def save_checkpoint(path, config, tensors, float32=()):
     """Write config (dict of str->str-able) and named float arrays.
 
     A tensor named in float32 is stored as little-endian f32; any other
-    tensor as f32 or f64 where its array is one of them, else as f64.
-    Every entry is encoded and checked before the file is created, so a
-    refused input leaves no file. Then the header and each tensor go to the
-    file and the checksum CHUNK_BYTES at a time, from the array's own buffer
-    or converted one chunk at a time: beside its inputs, saving holds one
-    chunk and copies only tensors that are not C-contiguous.
+    tensor as f32 or f64 where its array is one of them, else as f64. In
+    place of an array a tensor may be a StoredTensor, whose bytes are
+    copied from the file it was loaded from: every such file is first hashed
+    again whole, and a file that no longer holds what it held when loaded
+    raises CheckpointError, so the new checksum certifies only bytes that
+    were checked.
+    Every entry is encoded and checked before the file is written. Then the
+    header and each tensor go to the file and the checksum CHUNK_BYTES at a
+    time, from the array's own buffer, converted or copied one chunk at a
+    time: beside its inputs, saving holds at most two chunks and copies only
+    tensors that are not C-contiguous. The file is written beside path and
+    renamed into place (_replace_file), so a refused or failed save leaves
+    any file at path as it was, and the file it copies from may be path.
     """
     config_bytes = config_to_text(config).encode("utf-8")
     entries = []
     for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name])  # stores rank 0 as rank 1
+        arr = tensors[name]
+        if not isinstance(arr, StoredTensor):
+            arr = np.ascontiguousarray(arr)  # stores rank 0 as rank 1
         if name in float32:
             dtype = np.dtype("<f4")
         elif arr.dtype in _DTYPE_TAGS:
@@ -170,12 +241,16 @@ def save_checkpoint(path, config, tensors, float32=()):
         else:
             dtype = np.dtype("<f8")
         name_bytes = name.encode("utf-8")
-        header = struct.pack(f"<I{len(name_bytes)}sI{arr.ndim}IB", len(name_bytes),
-                             name_bytes, arr.ndim, *arr.shape,
-                             _DTYPE_TAGS[dtype])
+        rank = len(arr.shape)
+        header = struct.pack(f"<I{len(name_bytes)}sI{rank}IB", len(name_bytes),
+                             name_bytes, rank, *arr.shape, _DTYPE_TAGS[dtype])
         entries.append((header, arr, dtype))
-    digest = hashlib.sha256()
-    with open(path, "wb") as fh:
+    for loaded in {id(arr.file): arr.file for _, arr, _ in entries
+                   if isinstance(arr, StoredTensor)}.values():
+        loaded.check()
+
+    def write(fh):
+        digest = hashlib.sha256()
 
         def put(data):
             fh.write(data)
@@ -186,8 +261,36 @@ def save_checkpoint(path, config, tensors, float32=()):
         put(struct.pack("<I", len(entries)))
         for header, arr, dtype in entries:
             put(header)
-            _put_tensor(put, arr, dtype)
+            if isinstance(arr, StoredTensor):
+                _put_stored(put, arr, dtype)
+            else:
+                _put_tensor(put, arr, dtype)
         fh.write(digest.digest()[:CHECKSUM_BYTES])
+
+    _replace_file(path, write)
+
+
+class _LoadedFile:
+    """A checkpoint file that load_checkpoint read tensors of by rows, held
+    open for save_checkpoint to copy them from. It holds its own descriptor,
+    so it stays the file that was loaded where its path is replaced or
+    removed, and it is closed once nothing refers to it."""
+
+    def __init__(self, fh, path):
+        self.path = path
+        self.fh = os.fdopen(os.dup(fh.fileno()), "rb")
+        weakref.finalize(self, self.fh.close)
+        self.payload = self.checksum = None  # set once the load succeeds
+
+    def changed(self):
+        return CheckpointError(f"{self.path} changed since it was loaded")
+
+    def check(self):
+        """Hash the whole file again, CHUNK_BYTES at a time, and raise
+        CheckpointError unless it holds what it held when loaded."""
+        self.fh.seek(0)
+        if _PayloadReader(self.fh, self.payload).checksum() != self.checksum:
+            raise self.changed()
 
 
 class _PayloadReader:
@@ -196,8 +299,8 @@ class _PayloadReader:
     that would pass the end of the payload raises _Malformed before
     anything is read or allocated for it."""
 
-    def __init__(self, fh, size):
-        self.fh, self.left = fh, size
+    def __init__(self, fh, size, loaded=None):
+        self.fh, self.left, self.loaded = fh, size, loaded
         self.digest = hashlib.sha256()
 
     def _check_fits(self, n, what):
@@ -232,10 +335,11 @@ class _PayloadReader:
     def tensor(self, shape, dtype, rows=None):
         """The next tensor of the payload, of shape and dtype: a new array
         of it, or, given rows (sorted indices along its first axis), a
-        SelectedRows whose array holds those rows alone. A tensor read by
-        rows passes through the checksum and the finiteness check a chunk
-        of whole rows at a time (at most CHUNK_BYTES, or one row where a row
-        is larger), and indices beyond its rows are dropped."""
+        SelectedRows whose array holds those rows alone, and whose stored
+        tensor is in the _LoadedFile the reader was given, if any. A tensor
+        read by rows passes through the checksum and the finiteness check a
+        chunk of whole rows at a time (at most CHUNK_BYTES, or one row where
+        a row is larger), and indices beyond its rows are dropped."""
         n_bytes = math.prod(shape) * dtype.itemsize
         self._check_fits(n_bytes, "tensor data")
         n_rows, row_shape = (shape[0], shape[1:]) if shape else (1, ())
@@ -263,6 +367,8 @@ class _PayloadReader:
             for part in _byte_chunks(arr):
                 self._read_into(part)
             return arr
+        stored = (None if self.loaded is None else
+                  StoredTensor(self.loaded, self.fh.tell(), shape, dtype))
         finite = True
         for lo in range(0, n_rows, step):
             part = buf[: min(step, n_rows - lo)]
@@ -270,17 +376,18 @@ class _PayloadReader:
             finite = finite and bool(np.isfinite(part).all())
             first, end = np.searchsorted(rows, (lo, lo + len(part)))
             arr[first:end] = part[rows[first:end] - lo]
-        return SelectedRows(shape, finite, rows, arr)
+        return SelectedRows(shape, finite, rows, arr, stored)
 
     def checksum(self):
         """The checksum of the whole payload, reading (CHUNK_BYTES at a
-        time) whatever of it is still unread."""
+        time into one buffer) whatever of it is still unread."""
+        buf = memoryview(bytearray(min(self.left, CHUNK_BYTES)))
         while self.left:
-            data = self.fh.read(min(self.left, CHUNK_BYTES))
-            if not data:
+            got = self.fh.readinto(buf[: min(self.left, len(buf))])
+            if not got:
                 break
-            self.digest.update(data)
-            self.left -= len(data)
+            self.digest.update(buf[:got])
+            self.left -= got
         return self.digest.digest()[:CHECKSUM_BYTES]
 
 
@@ -331,23 +438,30 @@ def load_checkpoint(path, select=None):
     row indices (along its first axis; none at all, say) read it by rows.
     Such a tensor passes through the checksum a chunk at a time, is checked
     as any other, and is returned as a SelectedRows that holds those rows
-    alone.
+    alone, and, unless the file is read from a pipe, the StoredTensor that
+    save_checkpoint copies the whole tensor from.
     """
     with open(path, "rb") as fh:
+        loaded = None
         if not fh.seekable():  # a pipe: its size is known once it is read
             fh = io.BytesIO(fh.read())
+        elif select is not None:
+            loaded = _LoadedFile(fh, path)
         size = fh.seek(0, os.SEEK_END)
         fh.seek(0)
         if size < len(MAGIC) + 2 + CHECKSUM_BYTES:
             raise CheckpointError("file too short to be a checkpoint")
-        reader = _PayloadReader(fh, size - CHECKSUM_BYTES)
+        reader = _PayloadReader(fh, size - CHECKSUM_BYTES, loaded)
         fault = None
         try:
             result = _read_payload(reader, select)
         except _Malformed as exc:
             fault = str(exc)
-        if reader.checksum() != fh.read(CHECKSUM_BYTES):
+        checksum = reader.checksum()
+        if checksum != fh.read(CHECKSUM_BYTES):
             raise CheckpointError("checksum mismatch: file is corrupt")
     if fault is not None:
         raise CheckpointError(fault)
+    if loaded is not None:
+        loaded.payload, loaded.checksum = size - CHECKSUM_BYTES, checksum
     return result

@@ -28,6 +28,7 @@ from . import workers
 from .checkpoint import text_to_config
 from .corpus import (
     IOB2,
+    Dataset,
     _columns,
     build_char_vocab,
     convert_scheme,
@@ -140,6 +141,34 @@ def _read_dataset(path, language, role, scheme, tag_col=-1, token_col=0):
                           language=language, role=role, scheme=scheme)
 
 
+def _read_early(path, *args, **kwargs):
+    """_read_dataset(path, ...), or the error that reading it raised, or
+    None without a path. A command reads its inputs this way before its
+    checkpoint, so that the tables hold only the rows that their tokens
+    read, and raises an input's error (`_read`) after every fault of the
+    checkpoint, where it used to read that input."""
+    if not path:
+        return None
+    try:
+        return _read_dataset(path, *args, **kwargs)
+    except (UsageError, OSError, UnicodeDecodeError) as exc:
+        return exc
+
+
+def _read(early):
+    """The dataset that _read_early read, or its error raised."""
+    if isinstance(early, Exception):
+        raise early
+    return early
+
+
+def _tokens(*early):
+    """The set of the tokens of the datasets that _read_early read; an
+    input that could not be read has none."""
+    return {token for dataset in early if isinstance(dataset, Dataset)
+            for sent in dataset for token in sent.tokens}
+
+
 def _convert_dataset(dataset, to_scheme):
     if dataset.scheme == to_scheme:
         return dataset
@@ -239,22 +268,29 @@ def cmd_align(args):
 # pretrain
 
 
-def _build_eval_sets(args, src_dev, model_scheme, src_table, tgt_table):
+def _eval_splits(args, src_dev):
+    """(split, language, role, path) of each evaluation split; src_dev is
+    the path of the source dev split, if any."""
+    return (("src_dev", "src", "dev", src_dev),
+            ("tgt_dev", "tgt", "dev", args.tgt_dev),
+            ("tgt_test", "tgt", "test", args.tgt_test))
+
+
+def _build_eval_sets(args, src_dev, model_scheme, src_table, tgt_table,
+                     read=None):
     """The evaluation splits given on the command line, in the model's
-    scheme; src_dev is the path of the source dev split, if any."""
+    scheme; src_dev is the path of the source dev split, if any. read maps
+    a split to its dataset, read from its path by default."""
     tables = {"src": src_table, "tgt": tgt_table}
     sets = []
-    for split, lang, role, path in (
-        ("src_dev", "src", "dev", src_dev),
-        ("tgt_dev", "tgt", "dev", args.tgt_dev),
-        ("tgt_test", "tgt", "test", args.tgt_test),
-    ):
+    for split, lang, role, path in _eval_splits(args, src_dev):
         if not path:
             continue
         if tables[lang] is None:
             raise UsageError(f"--{split.replace('_', '-')} requires --{lang}-emb")
-        dataset = _read_dataset(path, lang, role, args.input_scheme,
-                                tag_col=args.tag_col, token_col=args.token_col)
+        dataset = (_read_dataset(path, lang, role, args.input_scheme,
+                                 tag_col=args.tag_col, token_col=args.token_col)
+                   if read is None else read(split))
         sets.append(EvalSet(split, lang, tables[lang],
                             _convert_dataset(dataset, model_scheme)))
     return sets
@@ -329,21 +365,48 @@ def _parse_seeds(text):
     return seeds
 
 
+def _finetune_rows(early):
+    """The load_model row selection of finetune, given what _read_early read
+    of each corpus, by split: each table holds the rows that the tokens of
+    its language's corpora read. Without a target table (--tgt-emb), the
+    source table is held whole, as a mapper may rewrite it."""
+    tokens = {lang: _tokens(*(read for split, read in early.items()
+                              if split.startswith(lang)))
+              for lang in ("src", "tgt")}
+
+    def rows(words_of):
+        if "tgt" not in words_of:
+            return {"src": None}
+        return {lang: select_rows(words, tokens[lang])
+                for lang, words in words_of.items() if lang in tokens}
+
+    return rows
+
+
 def cmd_finetune(args):
     seeds = _parse_seeds(args.seeds)
     file_cfg = _read_config_file(args.config)
     _config(TrainingConfig, file_cfg, args)  # range checks before any read
-    model, config, tables, _ = load_model(args.checkpoint)
+    # the corpora are read before the checkpoint, in any scheme, to select
+    # the rows their tokens read; a checkpoint that is not a regular file
+    # cannot be read again to copy its tables, so its tables are held whole
+    early = {
+        "src_train": _read_early(args.src_train, "src", "train",
+                                 args.input_scheme, tag_col=args.tag_col,
+                                 token_col=args.token_col),
+        "tgt_train": _read_early(args.tgt_train, "tgt", "train",
+                                 args.input_scheme, tag_col=None,
+                                 token_col=args.token_col),
+        **{split: _read_early(path, lang, role, args.input_scheme,
+                              tag_col=args.tag_col, token_col=args.token_col)
+           for split, lang, role, path in _eval_splits(args, args.src_dev)},
+    }
+    model, config, tables, _ = load_model(
+        args.checkpoint,
+        _finetune_rows(early) if os.path.isfile(args.checkpoint) else None)
     config = _config(TrainingConfig, {**config.to_flat(), **file_cfg}, args)
-    src_train = _convert_dataset(
-        _read_dataset(args.src_train, "src", "train", args.input_scheme,
-                      tag_col=args.tag_col, token_col=args.token_col),
-        config.scheme,
-    )
-    tgt_train = _read_dataset(
-        args.tgt_train, "tgt", "train", config.scheme, tag_col=None,
-        token_col=args.token_col,
-    )
+    src_train = _convert_dataset(_read(early["src_train"]), config.scheme)
+    tgt_train = _convert_dataset(_read(early["tgt_train"]), config.scheme)
     src_table = tables.get("src")
     tgt_table = tables.get("tgt")
     if tgt_table is None:
@@ -354,7 +417,7 @@ def cmd_finetune(args):
         _, tgt_table = common_space_tables(src_table, tgt_raw, mapper)
         del tgt_raw  # freed here where the mapper replaced it
     eval_sets = _build_eval_sets(args, args.src_dev, config.scheme, src_table,
-                                 tgt_table)
+                                 tgt_table, lambda split: _read(early[split]))
     base_state = snapshot_state(model)
     per_seed = {}
     paths = {}
@@ -407,29 +470,25 @@ def cmd_finetune(args):
 
 
 def cmd_tag(args):
-    # the input is read first, so that the table holds only the rows that
-    # its tokens read (select_rows); it is read without tags, so in any
-    # scheme. An input that cannot be read selects no row, and its error
-    # comes after every fault of the checkpoint
-    try:
-        dataset = _read_dataset(args.input, args.language, "test", IOB2,
-                                tag_col=None, token_col=args.token_col)
-        input_error = None
-    except (UsageError, OSError, UnicodeDecodeError) as exc:
-        dataset, input_error = [], exc
+    # the input is read first, without tags, so in any scheme (_read_early)
+    early = _read_early(args.input, args.language, "test", IOB2, tag_col=None,
+                        token_col=args.token_col)
     # the table of the language to tag, else the source table
     preference = (args.language, "src")
-    model, config, tables, _ = load_model(
-        args.checkpoint, preference,
-        lambda words: select_rows(words, (t for s in dataset for t in s.tokens)))
+
+    def rows(words_of):
+        lang = next((lang for lang in preference if lang in words_of), None)
+        return {} if lang is None else {
+            lang: select_rows(words_of[lang], _tokens(early))}
+
+    model, config, tables, _ = load_model(args.checkpoint, rows)
     lang = args.language
     if lang not in model.encoders:
         lang = "src"
     table = next((tables[name] for name in preference if name in tables), None)
     if table is None:
         raise CheckpointError("checkpoint carries no embedding table")
-    if input_error is not None:
-        raise input_error
+    dataset = _read(early)
     out_scheme = IOB2 if args.to_iob2 else config.scheme
     # one BLAS thread in every process, so that the tags do not depend on
     # the number of processes or of cores
@@ -504,9 +563,9 @@ def cmd_project(args):
         lang = args.language
         # rows 0..limit-1 alone, as a .vec table loads them; every row of
         # the table is still checked
-        _, _, tables, _ = load_model(
-            args.checkpoint, (lang,),
-            lambda words: range(min(args.limit, len(words))))
+        _, _, tables, _ = load_model(args.checkpoint, lambda words_of: {
+            name: range(min(args.limit, len(words)))
+            for name, words in words_of.items() if name == lang})
         if lang not in tables:
             raise UsageError(f"checkpoint has no table for {lang!r}")
         table = tables[lang]

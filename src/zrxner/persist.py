@@ -7,12 +7,14 @@ the readers of their rows widen to float64 exactly. The commands hold every
 table in float32 already, so what they train and select on is what a
 checkpoint stores, and saving writes the table's own bytes. A float64
 table, which only the library builds, is rounded to float32 a chunk at a
-time as it is saved. No table is copied, and a loader that names the table
-it needs holds that one alone, and only the rows it reads. Vocabulary lists
-ride in the flat config block: words are whitespace-free by construction,
-characters are stored as one string in index order. The `numeric.` entries
-that the commands add (NumPy, BLAS build and thread count) describe the
-run; no loader reads them.
+time as it is saved. No table is copied. A loader says which rows of each
+table to hold, none, some or every; every row is still checked. A table
+held by rows (CheckpointRows) saves as the whole table it was loaded from:
+its words as the config held them and its values copied from the file.
+Vocabulary lists ride in the flat config block: words are whitespace-free
+by construction, characters are stored as one string in index order. The
+`numeric.` entries that the commands add (NumPy, BLAS build and thread
+count) describe the run; no loader reads them.
 """
 
 from dataclasses import replace
@@ -28,7 +30,7 @@ from .checkpoint import (
 from .corpus import PAD_CHAR, UNK_CHAR
 from .embeddings import EmbeddingTable, check_table
 from .errors import CheckpointError, UsageError
-from .numeric import RNG_ALGORITHM, Rng
+from .numeric import RNG_ALGORITHM
 from .tagger import Tagger, TaggerConfig
 from .trainer import TrainingConfig
 
@@ -69,11 +71,24 @@ def _chars_from_text(text):
     return vocab
 
 
+class CheckpointRows(EmbeddingTable):
+    """Some rows of a table that a checkpoint file stores: a table of those
+    rows and their words, which save_model saves as the whole stored table,
+    from stored_words (the config's words entry) and stored (the
+    checkpoint's StoredTensor)."""
+
+    def __init__(self, words, vectors, language, stored_words, stored):
+        super().__init__(words, vectors, language)
+        self.stored_words, self.stored = stored_words, stored
+
+
 def save_model(path, model, train_config, tables, extra_config=None):
     """Persist a tagger with its common-space embedding tables.
 
     tables maps language keys ('src', 'tgt') to the EmbeddingTables the
     model was trained against, so tagging needs nothing but the checkpoint.
+    A CheckpointRows table is saved whole, its values copied from the file
+    it was loaded from.
     """
     config = {
         "kind": "tagger",
@@ -94,51 +109,61 @@ def save_model(path, model, train_config, tables, extra_config=None):
     for lang, table in tables.items():
         if table is None:
             continue
-        config[f"emb.{lang}.words"] = " ".join(table.words)
+        stored = isinstance(table, CheckpointRows)
+        config[f"emb.{lang}.words"] = (table.stored_words if stored
+                                       else " ".join(table.words))
         config[f"emb.{lang}.language"] = table.language
-        tensors[f"emb.{lang}.vectors"] = table.vectors
+        tensors[f"emb.{lang}.vectors"] = table.stored if stored else table.vectors
     save_checkpoint(path, config, tensors, float32={
         name for name in tensors if _table_language(name) is not None})
 
 
-def _table_language(name):
-    """The language of a table tensor's name, else None."""
-    if name.startswith("emb.") and name.endswith(".vectors"):
-        return name[len("emb.") : -len(".vectors")]
+def _table_language(name, suffix=".vectors"):
+    """The language of a table tensor's name (of a table's words key, with
+    suffix ".words"), else None."""
+    if name.startswith("emb.") and name.endswith(suffix):
+        return name[len("emb.") : -len(suffix)]
     return None
 
 
-def load_model(path, languages=None, rows=lambda words: range(len(words))):
+class _NoDraws:
+    """The rng of a model whose every tensor a checkpoint then overwrites:
+    it draws nothing, and gives arrays left uninitialized."""
+
+    @staticmethod
+    def normal(shape, scale=1.0):
+        return np.empty(shape)
+
+
+def load_model(path, rows=None):
     """Rebuild (model, train_config, tables, raw config) from a checkpoint.
     A missing key, a config value that does not parse or that the range
     checks refuse, and a tensor whose shape is not the model's are artifact
     errors naming the key or the tensor.
 
-    languages, if given, lists table languages in order of preference: of
-    them only the first whose words the config holds is loaded, and every
-    other table is checked as it is read but none of its rows is held, so
-    tables holds at most that one. rows is then called with that table's
-    words and returns the sorted indices of the rows to hold, every row by
-    default (`select_rows` gives those a tagger reads): the table holds
-    those rows and their words alone, and every row is still checked."""
-    wanted = None
+    rows, if given, is called with a dict that maps the language of each
+    table in the checkpoint to its words, and returns a dict that maps the
+    language of each table to hold to the rows to hold: sorted indices
+    (`select_rows` gives those a tagger reads), or None for every row. Such
+    a table holds those rows and their words alone, as a CheckpointRows
+    where the file can be read again, and a table whose language is left out
+    holds none and is not returned. Every row of every table is still
+    checked. Without rows, every table is held whole."""
+
+    chosen = {}
 
     def select(config):
-        nonlocal wanted
-        wanted = next((lang for lang in languages
-                       if f"emb.{lang}.words" in config), None)
+        chosen.update(rows({
+            lang: config[key].split(" ") for key in config
+            if (lang := _table_language(key, ".words")) is not None}))
 
         def rows_of(name):
             lang = _table_language(name)
-            if lang is None:
-                return None
-            if lang != wanted:
-                return ()
-            return rows(config[f"emb.{lang}.words"].split(" "))
+            return None if lang is None else chosen.get(lang, ())
 
         return rows_of
 
-    config, tensors = load_checkpoint(path, None if languages is None else select)
+    config, tensors = load_checkpoint(path, None if rows is None else select)
     if config.get("kind") != "tagger":
         raise CheckpointError(f"{path} is not a tagger checkpoint")
 
@@ -163,7 +188,7 @@ def load_model(path, languages=None, rows=lambda words: range(len(words))):
     char_vocab = _chars_from_text(config.get("chars", ""))
     languages = tuple(required("languages").split(" "))
     tagger_cfg = replace(train_config.tagger_config(word_dim, tags), **structure)
-    model = Tagger(tagger_cfg, char_vocab, Rng(train_config.seed), languages)
+    model = Tagger(tagger_cfg, char_vocab, _NoDraws(), languages)
     params = model.all_parameters()
     missing = set(params) - set(tensors)
     if missing:
@@ -179,16 +204,21 @@ def load_model(path, languages=None, rows=lambda words: range(len(words))):
         lang = _table_language(key)
         if lang is None:
             continue
-        words = required(f"emb.{lang}.words").split(" ")
+        words_key = f"emb.{lang}.words"
+        words = required(words_key).split(" ")
         language = config.get(f"emb.{lang}.language", lang)
         try:
             if isinstance(arr, np.ndarray):
                 tables[lang] = EmbeddingTable(words, arr, language)
                 continue
             check_table(words, arr.shape, lambda: arr.finite)
-            if lang == wanted:
-                tables[lang] = EmbeddingTable(
-                    [words[i] for i in arr.rows], arr.values, language)
+            if lang not in chosen:
+                continue
+            held = [words[i] for i in arr.rows]
+            tables[lang] = (
+                EmbeddingTable(held, arr.values, language) if arr.stored is None
+                else CheckpointRows(held, arr.values, language,
+                                    config[words_key], arr.stored))
         except UsageError as exc:
             raise CheckpointError(f"{path}: tensor {key}: {exc}") from None
     return model, train_config, tables, config

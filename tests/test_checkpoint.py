@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -553,3 +554,169 @@ def test_checkpoint_read_from_a_pipe(tmp_path):
         if write_end is not None:
             os.close(write_end)
     _assert_same_load(got, load_checkpoint(tmp_path / "m.zrx"))
+
+
+# ---------------------------------------------------------------------------
+# Tensors copied through from the file they were loaded from; atomic saves
+
+
+def _stored(path):
+    """(config, name -> StoredTensor) of the checkpoint at path, read by rows
+    with none held."""
+    config, got = load_checkpoint(path, lambda config: lambda name: ())
+    return config, {name: selected.stored for name, selected in got.items()}
+
+
+def _listing(path):
+    return sorted(entry.name for entry in path.iterdir())
+
+
+def _two_chunk_tensors():
+    rng = np.random.default_rng(7)
+    return {"t32": rng.normal(size=(3000, 100)).astype(np.float32),
+            "t64": rng.normal(size=(700, 300)),  # two chunks of f64
+            "empty": np.zeros((0, 4), np.float32), "s": np.float64(2.5)}
+
+
+def test_stored_tensors_save_as_their_arrays_do(tmp_path):
+    tensors = _two_chunk_tensors()
+    save_checkpoint(tmp_path / "in.zrx", {"k": "v"}, tensors)
+    config, stored = _stored(tmp_path / "in.zrx")
+    assert {name: (s.shape, s.dtype) for name, s in stored.items()} == {
+        name: (np.atleast_1d(arr).shape, arr.dtype)
+        for name, arr in tensors.items()}
+    # some stored, some arrays; the f64 tensor also rounded to f32
+    mixed = {**stored, "w": np.arange(6.0).reshape(2, 3)}
+    for float32 in ((), {"t64"}):
+        save_checkpoint(tmp_path / "copied.zrx", config, mixed, float32=float32)
+        save_checkpoint(tmp_path / "whole.zrx", config,
+                        {**tensors, "w": mixed["w"]}, float32=float32)
+        assert (tmp_path / "copied.zrx").read_bytes() == \
+            (tmp_path / "whole.zrx").read_bytes()
+    # a pipe cannot be read again: its tensors read by rows have no StoredTensor
+    blob = (tmp_path / "in.zrx").read_bytes()
+    read_end, write_end = os.pipe()
+    writer = threading.Thread(target=lambda: (os.write(write_end, blob),
+                                              os.close(write_end)))
+    writer.start()
+    try:
+        _, got = load_checkpoint(f"/dev/fd/{read_end}",
+                                 lambda config: lambda name: ())
+    finally:
+        writer.join()
+        os.close(read_end)
+    assert {selected.stored for selected in got.values()} == {None}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_copying_a_stored_tensor_holds_at_most_two_chunks(tmp_path, dtype):
+    table = np.random.default_rng(8).normal(size=(20000, 300)).astype(dtype)
+    save_checkpoint(tmp_path / "in.zrx", {"k": "v"}, {"emb": table})
+    _, stored = _stored(tmp_path / "in.zrx")
+    tracemalloc.start()
+    try:
+        # stored as float32: a float64 table is rounded a chunk at a time
+        save_checkpoint(tmp_path / "out.zrx", {"k": "v"}, stored,
+                        float32={"emb"})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * CHUNK_BYTES
+    save_checkpoint(tmp_path / "whole.zrx", {"k": "v"}, {"emb": table},
+                    float32={"emb"})
+    assert (tmp_path / "out.zrx").read_bytes() == \
+        (tmp_path / "whole.zrx").read_bytes()
+
+
+@pytest.mark.parametrize("change", ["config", "values", "truncated"])
+def test_a_save_from_a_changed_file_is_refused_and_writes_nothing(tmp_path,
+                                                                  change):
+    path = tmp_path / "in.zrx"
+    save_checkpoint(path, {"k": "v"}, _two_chunk_tensors())
+    _, stored = _stored(path)
+    out = tmp_path / "out.zrx"
+    out.write_bytes(b"an earlier file")
+    size = path.stat().st_size
+    with open(path, "r+b") as fh:  # in place: the loaded file itself changes
+        if change == "truncated":
+            fh.truncate(size - 100)
+        else:
+            fh.seek({"config": 12, "values": size // 2}[change])
+            byte = fh.read(1)
+            fh.seek(-1, os.SEEK_CUR)
+            fh.write(bytes([byte[0] ^ 1]))
+    with pytest.raises(CheckpointError) as exc:
+        save_checkpoint(out, {"k": "v"}, stored)
+    assert str(exc.value) == f"{path} changed since it was loaded"
+    assert out.read_bytes() == b"an earlier file"
+    assert _listing(tmp_path) == ["in.zrx", "out.zrx"]
+
+
+def test_a_save_copies_from_the_file_loaded_where_its_path_is_replaced(
+        tmp_path):
+    tensors = _two_chunk_tensors()
+    path = tmp_path / "in.zrx"
+    save_checkpoint(path, {"k": "v"}, tensors)
+    want = path.read_bytes()
+    _, stored = _stored(path)
+    # the save writes the path it copies from, then the file at that path
+    # is replaced by another; each save still copies the file loaded
+    save_checkpoint(path, {"k": "v"}, stored)
+    assert path.read_bytes() == want
+    save_checkpoint(tmp_path / "other.zrx", {"k": "w"}, {"x": np.ones(3)})
+    os.replace(tmp_path / "other.zrx", path)
+    save_checkpoint(tmp_path / "again.zrx", {"k": "v"}, stored)
+    assert (tmp_path / "again.zrx").read_bytes() == want
+    assert _listing(tmp_path) == ["again.zrx", "in.zrx"]
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_a_save_that_fails_midway_leaves_its_path_as_it_was(
+        tmp_path, monkeypatch, existing):
+    import errno
+
+    import zrxner.checkpoint as ck
+
+    real, calls = ck._put_tensor, []
+
+    def full_disk(put, arr, dtype):
+        calls.append(arr)
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        real(put, arr, dtype)
+
+    monkeypatch.setattr(ck, "_put_tensor", full_disk)
+    out = tmp_path / "out.zrx"
+    if existing:
+        out.write_bytes(b"an earlier file")
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(out, {}, {"a": np.ones(3), "b": np.ones(4)})
+    assert len(calls) == 2
+    assert _listing(tmp_path) == (["out.zrx"] if existing else [])
+    if existing:
+        assert out.read_bytes() == b"an earlier file"
+
+
+def test_a_save_follows_a_link_and_writes_a_device_in_place(tmp_path):
+    tensors = {"a": np.ones(2)}
+    save_checkpoint(tmp_path / "want.zrx", {}, tensors)
+    link = tmp_path / "link.zrx"
+    link.symlink_to(tmp_path / "real.zrx")
+    save_checkpoint(link, {}, tensors)
+    assert link.is_symlink()
+    assert (tmp_path / "real.zrx").read_bytes() == \
+        (tmp_path / "want.zrx").read_bytes()
+    umask = os.umask(0)
+    os.umask(umask)
+    assert (tmp_path / "real.zrx").stat().st_mode & 0o777 == 0o666 & ~umask
+    # a file saved over keeps its mode, as it did when written in place
+    (tmp_path / "real.zrx").chmod(0o640)
+    save_checkpoint(link, {}, {"b": np.ones(3)})
+    assert (tmp_path / "real.zrx").stat().st_mode & 0o777 == 0o640
+    save_checkpoint(os.devnull, {}, tensors)
+    assert not os.path.isfile(os.devnull)
+    # a directory that does not exist is named as the output's
+    missing = tmp_path / "no" / "m.zrx"
+    with pytest.raises(FileNotFoundError) as exc:
+        save_checkpoint(missing, {}, tensors)
+    assert exc.value.filename == missing

@@ -574,14 +574,14 @@ def test_corrupt_checkpoint_is_reported_before_a_bad_input(
 
 def _tables_loaded(monkeypatch, full):
     """A list that collects, for each load_model call of the CLI, the rows
-    that each table it returns holds, by language; with full, every call
-    loads every table whole."""
+    that each table it returns holds, by language; the call's row selection
+    is forwarded, and with full every call loads every table whole."""
     import zrxner.cli as cli_mod
 
     seen = []
 
-    def spy(path, *selection):
-        result = load_model(path) if full else load_model(path, *selection)
+    def spy(path, rows=None):
+        result = load_model(path, None if full else rows)
         seen.append({lang: len(table) for lang, table in result[2].items()})
         return result
 
@@ -1745,3 +1745,223 @@ def test_finetune_config_flags_reach_the_checkpoint(workdir, flagged_pretrain,
         assert manifest["train." + name] == value, flag
     # what finetune was not told stays as pretrain embedded it
     assert raw["train.word_hidden"] == "6" and raw["train.seed"] == "4"
+
+
+# ---------------------------------------------------------------------------
+# finetune holds the rows its corpora read, and copies its tables through
+
+
+@pytest.fixture(scope="module")
+def shared_pretrained(workdir, mapper_path):
+    """A cross_shared base checkpoint."""
+    out = str(workdir["root"] / "shared.zrx")
+    assert main([
+        "pretrain", "--train", workdir["src_train"], "--dev",
+        workdir["src_dev"], "--src-emb", workdir["src_emb"], "--tgt-emb",
+        workdir["tgt_emb"], "--mapper", mapper_path, "--variant",
+        "cross_shared", "--scheme", "IOBES", "--input-scheme", "IOB2",
+        "--seed", "1", "--epochs", "2", "--eval-interval", "30",
+        "--char-dim", "8", "--char-hidden", "8", "--word-hidden", "16",
+        "--head-hidden", "16", "--out", out,
+    ]) == 0
+    return out
+
+
+FINETUNE_SPLITS = {"src": ("src_train", "src_dev"),
+                   "tgt": ("tgt_train", "tgt_dev", "tgt_test")}
+
+
+def _finetune_inputs(workdir, seeds="0"):
+    return ["--src-train", workdir["src_train"], "--tgt-train",
+            workdir["tgt_train"], "--src-dev", workdir["src_dev"],
+            "--tgt-dev", workdir["tgt_dev"], "--tgt-test", workdir["tgt_test"],
+            "--input-scheme", "IOB2", "--select", "tgt_dev", "--seeds", seeds,
+            "--rounds", "1", "--n-steps", "4", "--eval-interval", "2"]
+
+
+def _with_unread_rows(path, tmp_path):
+    """A copy of the checkpoint at path whose tables end in rows of words
+    that no corpus holds; its path."""
+    config, tensors = load_checkpoint(path)
+    for lang in ("src", "tgt"):
+        vectors = tensors[f"emb.{lang}.vectors"]
+        extra = np.random.default_rng(3).normal(size=(40, vectors.shape[1]))
+        tensors[f"emb.{lang}.vectors"] = np.concatenate(
+            [vectors, extra.astype(np.float32)])
+        config[f"emb.{lang}.words"] += "".join(f" unread{i}" for i in range(40))
+    out = tmp_path / f"padded.{os.path.basename(path)}"
+    save_checkpoint(out, config, tensors)
+    return str(out)
+
+
+def _rows_read(workdir, table, lang):
+    """The rows of table that the tokens of lang's finetune corpora read."""
+    return {table.row(t) for split in FINETUNE_SPLITS[lang]
+            for s in _read_dataset(workdir[split], "", "test", IOB2,
+                                   tag_col=None)
+            for t in s.tokens} - {-1}
+
+
+def _finetune_run(monkeypatch, capsys, run, full, argv):
+    """(tables held, {file: bytes}, stdout) of finetune argv run in the new
+    directory run, writing its outputs there by relative paths; with full,
+    every table is loaded whole."""
+    run.mkdir()
+    monkeypatch.chdir(run)
+    seen = _tables_loaded(monkeypatch, full)
+    capsys.readouterr()
+    assert main(["finetune", *argv, "--out", "ft", "--manifest", "ft.json",
+                 "--log", "ft.log"]) == 0
+    out = capsys.readouterr().out
+    return seen, {p.name: p.read_bytes() for p in sorted(run.iterdir())}, out
+
+
+@pytest.mark.parametrize("base, seeds", [
+    ("cross_word", "0"), ("cross_word", "0,1,2"), ("cross_shared", "0"),
+    ("cross_shared", "0,1,2"), ("tgt_emb", "0,1")])
+def test_finetune_outputs_are_those_of_a_whole_table_load(
+        workdir, pretrained_path, shared_pretrained, mapper_path, tmp_path,
+        monkeypatch, capsys, base, seeds):
+    path = {"cross_word": pretrained_path, "cross_shared": shared_pretrained,
+            "tgt_emb": None}[base]
+    argv = _finetune_inputs(workdir, seeds)
+    if path is not None:
+        path = _with_unread_rows(path, tmp_path)
+    else:  # the source table may be mapped, so it is held whole
+        path = _source_only(pretrained_path, tmp_path)
+        argv += ["--tgt-emb", workdir["tgt_emb"], "--mapper", mapper_path]
+    stored = load_model(path)[2]
+    (rows_seen, *rows_out), (full_seen, *full_out) = [
+        _finetune_run(monkeypatch, capsys, tmp_path / f"full{full}", full,
+                      ["--checkpoint", path, *argv])
+        for full in (False, True)]
+    assert rows_out == full_out
+    files, out = rows_out
+    n = len(seeds.split(","))
+    assert len(files) == 2 * n + 1  # checkpoints, logs and the manifest
+    assert out.count("\n") == n + 1
+    assert full_seen == [{lang: len(stored[lang]) for lang in stored}]
+    if base == "tgt_emb":
+        assert rows_seen == [{"src": len(stored["src"])}]
+        return
+    held = {lang: len(_rows_read(workdir, stored[lang], lang))
+            for lang in stored}
+    assert rows_seen == [held]
+    assert all(held[lang] < len(stored[lang]) for lang in held)
+
+
+def test_finetune_reads_a_checkpoint_pipe_whole(workdir, pretrained_path,
+                                               tmp_path, monkeypatch, capsys):
+    # a pipe cannot be read again to copy its tables: they are held whole
+    with open(pretrained_path, "rb") as fh:
+        blob = fh.read()
+    read_end, write_end = os.pipe()
+    writer = threading.Thread(target=lambda: (os.write(write_end, blob),
+                                              os.close(write_end)))
+    writer.start()
+    try:
+        piped = _finetune_run(monkeypatch, capsys, tmp_path / "pipe", False,
+                              ["--checkpoint", f"/dev/fd/{read_end}",
+                               *_finetune_inputs(workdir)])
+    finally:
+        writer.join()
+        os.close(read_end)
+    whole = _finetune_run(monkeypatch, capsys, tmp_path / "file", True,
+                          ["--checkpoint", pretrained_path,
+                           *_finetune_inputs(workdir)])
+    assert piped == whole
+
+
+@pytest.mark.parametrize("lang", ["src", "tgt"])
+def test_fault_in_a_row_finetune_does_not_read_exit_3(
+        pretrained_path, workdir, tmp_path, capsys, lang):
+    config, tensors = load_checkpoint(_with_unread_rows(pretrained_path,
+                                                        tmp_path))
+    vectors = tensors[f"emb.{lang}.vectors"]
+    table = EmbeddingTable(config[f"emb.{lang}.words"].split(" "), vectors)
+    row = min(set(range(len(table))) - _rows_read(workdir, table, lang))
+    vectors[row, -1] = np.nan
+    path = tmp_path / "crafted.zrx"
+    save_checkpoint(path, config, tensors)
+    code = main(["finetune", "--checkpoint", str(path),
+                 *_finetune_inputs(workdir), "--out", str(tmp_path / "ft")])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"artifact error: {path}: tensor emb.{lang}.vectors: non-finite "
+        "vector entries\n")
+    assert not list(tmp_path.glob("ft*"))
+
+
+@pytest.mark.parametrize("split", ["src_train", "tgt_test"])
+@pytest.mark.parametrize("bad_input", ["missing", "not utf-8", "ragged"])
+def test_corrupt_checkpoint_is_reported_before_a_bad_corpus_by_finetune(
+        pretrained_path, workdir, tmp_path, capsys, split, bad_input):
+    # finetune reads its corpora before the checkpoint, and still reports
+    # the checkpoint's fault first, with its exit code
+    path = tmp_path / "corrupt.zrx"
+    with open(pretrained_path, "rb") as fh:
+        path.write_bytes(_flip_in_src_table(fh.read()))
+    conll = tmp_path / "in.conll"
+    if bad_input == "not utf-8":
+        conll.write_bytes(b"caf\xe9 O\n")
+    elif bad_input == "ragged":
+        conll.write_text("a b\nc\n", encoding="utf-8")
+    argv = _finetune_inputs(workdir)
+    argv[argv.index(workdir[split])] = str(conll)
+    argv += ["--token-col", "1", "--out", str(tmp_path / "ft")]
+    assert main(["finetune", "--checkpoint", str(path), *argv]) == 3
+    assert capsys.readouterr().err == \
+        "artifact error: checksum mismatch: file is corrupt\n"
+    # the corpus's own error, with the intact checkpoint
+    assert main(["finetune", "--checkpoint", pretrained_path, *argv]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not list(tmp_path.glob("ft*"))
+
+
+def test_checkpoint_rewritten_before_the_save_exit_3_and_writes_nothing(
+        pretrained_path, workdir, tmp_path, capsys, monkeypatch):
+    import zrxner.cli as cli_mod
+
+    path = tmp_path / "base.zrx"
+    with open(pretrained_path, "rb") as fh:
+        path.write_bytes(fh.read())
+    finetune = cli_mod.augmented_finetune
+
+    def rewriting(*args):
+        # a byte of a table row changes in place, after the load
+        at = _table_data(path.read_bytes(), "tgt")
+        with open(path, "r+b") as fh:
+            fh.seek(at)
+            byte = fh.read(1)
+            fh.seek(at)
+            fh.write(bytes([byte[0] ^ 1]))
+        return finetune(*args)
+
+    monkeypatch.setattr(cli_mod, "augmented_finetune", rewriting)
+    code = main(["finetune", "--checkpoint", str(path),
+                 *_finetune_inputs(workdir), "--out", str(tmp_path / "ft"),
+                 "--manifest", str(tmp_path / "ft.json")])
+    assert code == 3
+    assert capsys.readouterr().err == \
+        f"artifact error: {path} changed since it was loaded\n"
+    assert os.listdir(tmp_path) == ["base.zrx"]
+
+
+@pytest.mark.parametrize("seeds", ["0", "0,1"])
+def test_finetune_may_write_over_its_own_checkpoint(pretrained_path, workdir,
+                                                    tmp_path, seeds):
+    # the first seed's checkpoint replaces the file that every seed copies
+    # its tables from; each copies the file it loaded
+    with open(pretrained_path, "rb") as fh:
+        blob = fh.read()
+    for run, name in (("own", "ft.seed0.zrx"), ("other", "base.zrx")):
+        (tmp_path / run).mkdir()
+        (tmp_path / run / name).write_bytes(blob)
+        assert main(["finetune", "--checkpoint", str(tmp_path / run / name),
+                     *_finetune_inputs(workdir, seeds),
+                     "--out", str(tmp_path / run / "ft")]) == 0
+    names = [f"ft.seed{seed}.zrx" for seed in seeds.split(",")]
+    assert sorted(os.listdir(tmp_path / "own")) == names
+    for name in names:
+        assert (tmp_path / "own" / name).read_bytes() == \
+            (tmp_path / "other" / name).read_bytes()

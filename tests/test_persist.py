@@ -198,7 +198,8 @@ def test_one_table_load_holds_that_table_alone(tmp_path):
     vocab, vocab_bytes = _traced_peak(lambda: EmbeddingTable(
         tables["tgt"].words, np.zeros((len(tables["tgt"]), 0), np.float32)))
     del vocab, tables
-    (one, _, loaded, config), peak = _traced_peak(load_model, path, ("tgt",))
+    (one, _, loaded, config), peak = _traced_peak(
+        load_model, path, lambda words_of: {"tgt": None})  # every row
     # the unread table costs a chunk and the set of its words
     assert peak <= params_bytes + table_bytes + vocab_bytes + (4 << 20)
     assert peak < params_bytes + 2 * table_bytes
@@ -210,17 +211,29 @@ def test_one_table_load_holds_that_table_alone(tmp_path):
     for name, arr in model.all_parameters().items():
         assert one.all_parameters()[name].tobytes() == arr.tobytes()
     assert config == load_model(path)[3]
-    assert list(load_model(path, ("tgt", "src"))[2]) == ["tgt"]
-    assert list(load_model(path, ("src", "tgt"))[2]) == ["src"]
-    assert load_model(path, ("xx",))[2] == {}
+    assert list(load_model(path, lambda words_of: {"src": (0, 5)})[2]) == ["src"]
+    assert load_model(path, lambda words_of: {})[2] == {}
+    assert load_model(path, lambda words_of: {"xx": None})[2] == {}
 
 
 def test_one_table_load_falls_back_in_order_of_preference(tmp_path):
+    # the selection is told which tables the checkpoint holds, so it can
+    # fall back from one language to another, as tag does
     model, config, tables = _two_table_model(30, 5)
     path = tmp_path / "src_only.zrx"
     save_model(path, model, config, {"src": tables["src"]})
-    assert list(load_model(path, ("tgt", "src"))[2]) == ["src"]
-    assert load_model(path, ("tgt",))[2] == {}
+    told = []
+
+    def prefer(*langs):
+        def rows(words_of):
+            told.append(dict(words_of))
+            lang = next((lang for lang in langs if lang in words_of), None)
+            return {} if lang is None else {lang: None}
+        return rows
+
+    assert list(load_model(path, prefer("tgt", "src"))[2]) == ["src"]
+    assert told == [{"src": tables["src"].words}]
+    assert load_model(path, prefer("tgt"))[2] == {}
     assert list(load_model(path)[2]) == ["src"]
 
 
@@ -233,7 +246,8 @@ def test_row_selection_holds_the_rows_its_tokens_read(tmp_path):
     tokens = picked + [w.upper() for w in picked[:15]] + ["unknown", "TGT"]
     tokens += picked[:5]
     (_, _, loaded, _), peak = _traced_peak(
-        load_model, path, ("tgt", "src"), lambda ws: select_rows(ws, tokens))
+        load_model, path,
+        lambda words_of: {"tgt": select_rows(words_of["tgt"], tokens)})
     full = load_model(path)[2]["tgt"]
     # the rows read, the set of the words, one chunk and its finiteness mask
     assert peak < full.vectors.nbytes // 4
@@ -248,7 +262,53 @@ def test_row_selection_holds_the_rows_its_tokens_read(tmp_path):
             assert part.words[got] == full.words[want]
             assert part.vectors[got].tobytes() == full.vectors[want].tobytes()
     # none of the rows of a table is held where no token reads one
-    assert len(load_model(path, ("tgt",), lambda ws: [])[2]["tgt"]) == 0
+    assert len(load_model(path, lambda words_of: {"tgt": []})[2]["tgt"]) == 0
+
+
+def test_finetune_load_holds_the_rows_its_corpora_read_and_saves_tables_whole(
+        tmp_path):
+    from zrxner.cli import _finetune_rows
+    from zrxner.corpus import Dataset, TaggedSentence
+
+    path = tmp_path / "m.zrx"
+    stored = _two_table_checkpoint(path)
+    rng = np.random.default_rng(10)
+    # about 100 tokens over the two languages' corpora, as finetune reads
+    # them: exact, lowercase-only and out-of-table words, and an unreadable
+    # corpus, which reads no row
+    tokens = {lang: [stored[lang].words[i] for i in rng.integers(0, 20000, 40)]
+              for lang in ("src", "tgt")}
+    tokens["src"] += [w.upper() for w in tokens["src"][:8]] + ["unknown"]
+    early = {"src_train": Dataset([TaggedSentence(tokens["src"][:30], None)]),
+             "src_dev": Dataset([TaggedSentence(tokens["src"][30:], None)]),
+             "tgt_train": Dataset([TaggedSentence(tokens["tgt"], None)]),
+             "tgt_dev": OSError("unreadable")}
+    (model, config, loaded, _), peak = _traced_peak(
+        load_model, path, _finetune_rows(early))
+    full_model, _, full, _ = load_model(path)
+    table_bytes = full["tgt"].vectors.nbytes
+    # the rows read, the words of each table, one chunk and its mask
+    assert peak < table_bytes // 4
+    for lang in ("src", "tgt"):
+        part = loaded[lang]
+        assert len(part) == len({full[lang].row(t) for t in tokens[lang]} - {-1})
+        for token in tokens[lang]:
+            got, want = part.row(token), full[lang].row(token)
+            assert (got == -1) == (want == -1)
+            if want >= 0:
+                assert part.vectors[got].tobytes() == \
+                    full[lang].vectors[want].tobytes()
+    for name, arr in full_model.all_parameters().items():
+        assert model.all_parameters()[name].tobytes() == arr.tobytes()
+    # a save copies each table from the file: beside the config block, which
+    # holds the words, at most two chunks
+    words_bytes = sum(len(" ".join(t.words)) for t in full.values())
+    _, save_peak = _traced_peak(save_model, tmp_path / "copied.zrx", model,
+                                config, loaded)
+    assert save_peak <= 2 * CHUNK_BYTES + 4 * words_bytes
+    save_model(tmp_path / "whole.zrx", full_model, config, full)
+    assert (tmp_path / "copied.zrx").read_bytes() == \
+        (tmp_path / "whole.zrx").read_bytes() == path.read_bytes()
 
 
 def test_save_model_rounds_float64_tables_a_chunk_at_a_time(tmp_path):
