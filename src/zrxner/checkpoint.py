@@ -15,11 +15,11 @@ array is converted a chunk at a time, and a loader may hold only some rows
 of a tensor, or none: the whole tensor is still hashed and checked, a chunk
 of whole rows at a time. Such a tensor of a file that can be read again
 also says where the file stores it (StoredTensor), and a save copies its
-bytes from there, a chunk at a time, once the whole file is hashed again and
-found unchanged since it was loaded. A save writes a new file beside its
-path and renames it into place, so one that is refused or fails midway
-leaves any file at that path as it was. The config block is also the flat
-form of the run settings (FlatConfig).
+bytes from there, a chunk at a time, hashing them as it copies: bytes that
+are not those the load checked refuse the save. A save writes a new file
+beside its path and renames it into place, so one that is refused or fails
+midway leaves any file at that path as it was. The config block is also
+the flat form of the run settings (FlatConfig).
 """
 
 import hashlib
@@ -55,9 +55,12 @@ _TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 # a pipe and cannot be read again.
 SelectedRows = namedtuple("SelectedRows", "shape finite rows values stored")
 # A tensor as a loaded checkpoint file stores it: the file (a _LoadedFile),
-# the offset of its values, its shape and its stored dtype. save_checkpoint
-# takes it in place of an array and copies its bytes from the file.
-StoredTensor = namedtuple("StoredTensor", "file offset shape dtype")
+# the offset of its values, its shape, its stored dtype, and the file's
+# running checksum as the load had it before the tensor's bytes (a hashlib
+# object) and once they had passed through it (its digest). save_checkpoint
+# takes it in place of an array and copies its bytes from the file; bytes
+# that take the one checksum to the other are those the load checked.
+StoredTensor = namedtuple("StoredTensor", "file offset shape dtype before after")
 
 
 def config_to_text(config):
@@ -164,16 +167,24 @@ def _put_tensor(put, arr, dtype):
 def _put_stored(put, stored, dtype):
     """Pass put the bytes the file stores for the StoredTensor stored in
     dtype, read from the file it was loaded from CHUNK_BYTES at a time into
-    one buffer and converted as _put_tensor converts an array."""
+    one buffer and converted as _put_tensor converts an array. The bytes
+    read also go through a copy of the checksum the load had before them;
+    unless they take it to the digest the load had after them, they are not
+    the bytes that were checked, and CheckpointError is raised once they
+    are all put."""
     n_bytes = math.prod(stored.shape) * stored.dtype.itemsize
     buf = bytearray(min(n_bytes, CHUNK_BYTES))
+    digest = stored.before.copy()
     fh = stored.file.fh
     fh.seek(stored.offset)
     for lo in range(0, n_bytes, CHUNK_BYTES):
         part = memoryview(buf)[: min(CHUNK_BYTES, n_bytes - lo)]
         if fh.readinto(part) != len(part):  # the file shrank since it was checked
             raise stored.file.changed()
+        digest.update(part)
         _put_tensor(put, np.frombuffer(part, stored.dtype), dtype)
+    if digest.digest() != stored.after:
+        raise stored.file.changed()
 
 
 def _replace_file(path, write):
@@ -216,10 +227,10 @@ def save_checkpoint(path, config, tensors, float32=()):
     A tensor named in float32 is stored as little-endian f32; any other
     tensor as f32 or f64 where its array is one of them, else as f64. In
     place of an array a tensor may be a StoredTensor, whose bytes are
-    copied from the file it was loaded from: every such file is first hashed
-    again whole, and a file that no longer holds what it held when loaded
-    raises CheckpointError, so the new checksum certifies only bytes that
-    were checked.
+    copied from the file it was loaded from and hashed as they are copied:
+    where they are not the bytes the load checked (the file changed since),
+    the save raises CheckpointError before the file is put at path, so a
+    checksum it writes certifies only bytes that were checked.
     Every entry is encoded and checked before the file is written. Then the
     header and each tensor go to the file and the checksum CHUNK_BYTES at a
     time, from the array's own buffer, converted or copied one chunk at a
@@ -245,9 +256,6 @@ def save_checkpoint(path, config, tensors, float32=()):
         header = struct.pack(f"<I{len(name_bytes)}sI{rank}IB", len(name_bytes),
                              name_bytes, rank, *arr.shape, _DTYPE_TAGS[dtype])
         entries.append((header, arr, dtype))
-    for loaded in {id(arr.file): arr.file for _, arr, _ in entries
-                   if isinstance(arr, StoredTensor)}.values():
-        loaded.check()
 
     def write(fh):
         digest = hashlib.sha256()
@@ -280,17 +288,9 @@ class _LoadedFile:
         self.path = path
         self.fh = os.fdopen(os.dup(fh.fileno()), "rb")
         weakref.finalize(self, self.fh.close)
-        self.payload = self.checksum = None  # set once the load succeeds
 
     def changed(self):
         return CheckpointError(f"{self.path} changed since it was loaded")
-
-    def check(self):
-        """Hash the whole file again, CHUNK_BYTES at a time, and raise
-        CheckpointError unless it holds what it held when loaded."""
-        self.fh.seek(0)
-        if _PayloadReader(self.fh, self.payload).checksum() != self.checksum:
-            raise self.changed()
 
 
 class _PayloadReader:
@@ -367,8 +367,7 @@ class _PayloadReader:
             for part in _byte_chunks(arr):
                 self._read_into(part)
             return arr
-        stored = (None if self.loaded is None else
-                  StoredTensor(self.loaded, self.fh.tell(), shape, dtype))
+        offset, before = self.fh.tell(), self.digest.copy()
         finite = True
         for lo in range(0, n_rows, step):
             part = buf[: min(step, n_rows - lo)]
@@ -376,6 +375,9 @@ class _PayloadReader:
             finite = finite and bool(np.isfinite(part).all())
             first, end = np.searchsorted(rows, (lo, lo + len(part)))
             arr[first:end] = part[rows[first:end] - lo]
+        stored = (None if self.loaded is None else StoredTensor(
+            self.loaded, offset, shape, dtype, before,
+            self.digest.copy().digest()))
         return SelectedRows(shape, finite, rows, arr, stored)
 
     def checksum(self):
@@ -457,11 +459,8 @@ def load_checkpoint(path, select=None):
             result = _read_payload(reader, select)
         except _Malformed as exc:
             fault = str(exc)
-        checksum = reader.checksum()
-        if checksum != fh.read(CHECKSUM_BYTES):
+        if reader.checksum() != fh.read(CHECKSUM_BYTES):
             raise CheckpointError("checksum mismatch: file is corrupt")
     if fault is not None:
         raise CheckpointError(fault)
-    if loaded is not None:
-        loaded.payload, loaded.checksum = size - CHECKSUM_BYTES, checksum
     return result

@@ -368,15 +368,12 @@ def _parse_seeds(text):
 def _finetune_rows(early):
     """The load_model row selection of finetune, given what _read_early read
     of each corpus, by split: each table holds the rows that the tokens of
-    its language's corpora read. Without a target table (--tgt-emb), the
-    source table is held whole, as a mapper may rewrite it."""
+    its language's corpora read."""
     tokens = {lang: _tokens(*(read for split, read in early.items()
                               if split.startswith(lang)))
               for lang in ("src", "tgt")}
 
     def rows(words_of):
-        if "tgt" not in words_of:
-            return {"src": None}
         return {lang: select_rows(words, tokens[lang])
                 for lang, words in words_of.items() if lang in tokens}
 

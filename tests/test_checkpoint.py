@@ -628,28 +628,65 @@ def test_copying_a_stored_tensor_holds_at_most_two_chunks(tmp_path, dtype):
         (tmp_path / "whole.zrx").read_bytes()
 
 
-@pytest.mark.parametrize("change", ["config", "values", "truncated"])
-def test_a_save_from_a_changed_file_is_refused_and_writes_nothing(tmp_path,
-                                                                  change):
+def _flip_byte(path, at):
+    """Change the byte at offset at of the file at path, in place: the file
+    a load holds open changes too."""
+    with open(path, "r+b") as fh:
+        fh.seek(at)
+        byte = fh.read(1)
+        fh.seek(at)
+        fh.write(bytes([byte[0] ^ 1]))
+
+
+@pytest.mark.parametrize("change", ["values", "truncated", "while saving"])
+def test_a_save_from_a_changed_file_is_refused_and_writes_nothing(
+        tmp_path, monkeypatch, change):
+    import zrxner.checkpoint as ck
+
     path = tmp_path / "in.zrx"
     save_checkpoint(path, {"k": "v"}, _two_chunk_tensors())
     _, stored = _stored(path)
     out = tmp_path / "out.zrx"
     out.write_bytes(b"an earlier file")
     size = path.stat().st_size
-    with open(path, "r+b") as fh:  # in place: the loaded file itself changes
-        if change == "truncated":
-            fh.truncate(size - 100)
-        else:
-            fh.seek({"config": 12, "values": size // 2}[change])
-            byte = fh.read(1)
-            fh.seek(-1, os.SEEK_CUR)
-            fh.write(bytes([byte[0] ^ 1]))
+    # a byte of t64, the last tensor copied
+    at = stored["t64"].offset + 1000
+    if change == "truncated":
+        os.truncate(path, size - 100)
+    elif change == "values":
+        _flip_byte(path, at)
+    else:  # the tensors copied before it were as loaded
+        real, copied = ck._put_tensor, []
+
+        def changing(put, arr, dtype):
+            if not copied:
+                _flip_byte(path, at)
+            copied.append(arr)
+            real(put, arr, dtype)
+
+        monkeypatch.setattr(ck, "_put_tensor", changing)
     with pytest.raises(CheckpointError) as exc:
         save_checkpoint(out, {"k": "v"}, stored)
     assert str(exc.value) == f"{path} changed since it was loaded"
     assert out.read_bytes() == b"an earlier file"
     assert _listing(tmp_path) == ["in.zrx", "out.zrx"]
+
+
+def test_a_save_copies_the_tensor_bytes_that_were_checked_alone(tmp_path):
+    # the config and the tensors a save is not given come from memory or
+    # not at all: a change to them in the file refuses nothing
+    tensors = _two_chunk_tensors()
+    path = tmp_path / "in.zrx"
+    save_checkpoint(path, {"k": "v"}, tensors)
+    config, stored = _stored(path)
+    _flip_byte(path, 12)  # in the config block
+    _flip_byte(path, stored["t32"].offset)
+    del stored["t32"]
+    save_checkpoint(tmp_path / "copied.zrx", config, stored)
+    del tensors["t32"]
+    save_checkpoint(tmp_path / "whole.zrx", config, tensors)
+    assert (tmp_path / "copied.zrx").read_bytes() == \
+        (tmp_path / "whole.zrx").read_bytes()
 
 
 def test_a_save_copies_from_the_file_loaded_where_its_path_is_replaced(
@@ -720,3 +757,29 @@ def test_a_save_follows_a_link_and_writes_a_device_in_place(tmp_path):
     with pytest.raises(FileNotFoundError) as exc:
         save_checkpoint(missing, {}, tensors)
     assert exc.value.filename == missing
+
+
+def test_a_save_in_a_directory_it_cannot_write_names_the_output(
+        tmp_path, monkeypatch):
+    import errno
+
+    import zrxner.checkpoint as ck
+
+    # a file that may be written in a directory that may not: the new file
+    # cannot be made beside it, and the error names the output's path, which
+    # is left as it was
+    out = tmp_path / "m.zrx"
+    out.write_bytes(b"an earlier file")
+    real = os.open
+
+    def no_new_files(path, flags, *args):
+        if flags & os.O_CREAT and os.path.dirname(path) == str(tmp_path):
+            raise OSError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return real(path, flags, *args)
+
+    monkeypatch.setattr(ck.os, "open", no_new_files)
+    with pytest.raises(PermissionError) as exc:
+        save_checkpoint(out, {}, {"a": np.ones(2)})
+    assert exc.value.filename == out
+    assert _listing(tmp_path) == ["m.zrx"]
+    assert out.read_bytes() == b"an earlier file"

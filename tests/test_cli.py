@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 import zrxner
+from zrxner.align import LinearMapper
 from zrxner.checkpoint import load_checkpoint, save_checkpoint
 from zrxner.cli import _load_table, _load_tables, _read_dataset, main
 from zrxner.corpus import IOB2, read_conll
 from zrxner.embeddings import EmbeddingTable, write_vec_text
 from zrxner.errors import ParseError
 from zrxner.numeric import Rng
-from zrxner.persist import load_mapper, load_model, save_model
+from zrxner.persist import load_mapper, load_model, save_mapper, save_model
 from zrxner.tagger import Tagger
 from zrxner.trainer import TrainingConfig
 
@@ -1784,6 +1785,8 @@ def _with_unread_rows(path, tmp_path):
     that no corpus holds; its path."""
     config, tensors = load_checkpoint(path)
     for lang in ("src", "tgt"):
+        if f"emb.{lang}.vectors" not in tensors:
+            continue
         vectors = tensors[f"emb.{lang}.vectors"]
         extra = np.random.default_rng(3).normal(size=(40, vectors.shape[1]))
         tensors[f"emb.{lang}.vectors"] = np.concatenate(
@@ -1818,18 +1821,24 @@ def _finetune_run(monkeypatch, capsys, run, full, argv):
 
 @pytest.mark.parametrize("base, seeds", [
     ("cross_word", "0"), ("cross_word", "0,1,2"), ("cross_shared", "0"),
-    ("cross_shared", "0,1,2"), ("tgt_emb", "0,1")])
+    ("cross_shared", "0,1,2"), ("tgt_emb", "0,1"), ("tgt_emb_s2t", "0")])
 def test_finetune_outputs_are_those_of_a_whole_table_load(
         workdir, pretrained_path, shared_pretrained, mapper_path, tmp_path,
         monkeypatch, capsys, base, seeds):
-    path = {"cross_word": pretrained_path, "cross_shared": shared_pretrained,
-            "tgt_emb": None}[base]
     argv = _finetune_inputs(workdir, seeds)
-    if path is not None:
-        path = _with_unread_rows(path, tmp_path)
-    else:  # the source table may be mapped, so it is held whole
+    if base.startswith("tgt_emb"):
+        # the target table comes from --tgt-emb, whole; the source table is
+        # held by rows whichever side the mapper maps
         path = _source_only(pretrained_path, tmp_path)
-        argv += ["--tgt-emb", workdir["tgt_emb"], "--mapper", mapper_path]
+        mapper = load_mapper(mapper_path)[0]  # t_to_s
+        direction = "s_to_t" if base == "tgt_emb_s2t" else mapper.direction
+        save_mapper(tmp_path / "mapper.zrx", LinearMapper(mapper.w, direction))
+        argv += ["--tgt-emb", workdir["tgt_emb"],
+                 "--mapper", str(tmp_path / "mapper.zrx")]
+    else:
+        path = {"cross_word": pretrained_path,
+                "cross_shared": shared_pretrained}[base]
+    path = _with_unread_rows(path, tmp_path)
     stored = load_model(path)[2]
     (rows_seen, *rows_out), (full_seen, *full_out) = [
         _finetune_run(monkeypatch, capsys, tmp_path / f"full{full}", full,
@@ -1841,9 +1850,6 @@ def test_finetune_outputs_are_those_of_a_whole_table_load(
     assert len(files) == 2 * n + 1  # checkpoints, logs and the manifest
     assert out.count("\n") == n + 1
     assert full_seen == [{lang: len(stored[lang]) for lang in stored}]
-    if base == "tgt_emb":
-        assert rows_seen == [{"src": len(stored["src"])}]
-        return
     held = {lang: len(_rows_read(workdir, stored[lang], lang))
             for lang in stored}
     assert rows_seen == [held]
