@@ -46,9 +46,13 @@ class Rng:
         return self._gen.random(size)
 
 
-def sigmoid(z):
-    """Logistic function through tanh, which cannot overflow."""
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+def sigmoid(z, out=None):
+    """Logistic function through tanh, which cannot overflow. With out
+    (which may be z) it is written there."""
+    out = np.multiply(0.5, z, out=out)
+    np.tanh(out, out=out)
+    np.add(1.0, out, out=out)
+    return np.multiply(0.5, out, out=out)
 
 
 def dropout_mask(rng, shape, rate):
@@ -81,11 +85,24 @@ def svd_square(m):
     return u, s, vh.T
 
 
-def global_grad_norm(grads):
-    """L2 norm over every entry of a dict of gradient arrays."""
+def _scratch(grads):
+    """One float64 buffer as large as the largest gradient."""
+    return np.empty(max((g.size for g in grads.values()), default=0))
+
+
+def _like(scratch, g):
+    """The leading part of scratch, shaped like g."""
+    return scratch[: g.size].reshape(g.shape)
+
+
+def global_grad_norm(grads, scratch=None):
+    """L2 norm over every entry of a dict of gradient arrays. Each square
+    is formed in scratch (see `_scratch`), one tensor at a time."""
+    if scratch is None:
+        scratch = _scratch(grads)
     total = 0.0
     for g in grads.values():
-        total += float((g * g).sum())
+        total += float(np.multiply(g, g, out=_like(scratch, g)).sum())
     return float(np.sqrt(total))
 
 
@@ -103,13 +120,14 @@ def clipped_sgd_step(params, grads, lr, clip):
     missing = set(grads) - set(params)
     if missing:
         raise UsageError(f"gradients for unknown parameters: {sorted(missing)}")
-    norm = global_grad_norm(grads)
+    scratch = _scratch(grads)
+    norm = global_grad_norm(grads, scratch)
     scale = clip / norm if norm > clip else 1.0
     for name, g in grads.items():
         p = params[name]
         if p.shape != g.shape:
             raise UsageError(f"shape mismatch for {name}: {p.shape} vs {g.shape}")
-        p -= (lr * scale) * g
+        p -= np.multiply(lr * scale, g, out=_like(scratch, g))
     return params
 
 

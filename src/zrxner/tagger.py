@@ -12,6 +12,15 @@ input and weight gradients. The CRF and Viterbi work on zero-padded
 (B, m, K) scores with per-sentence lengths. Evaluation goes through its
 input in chunks of about EVAL_TOKENS tokens and keeps no backward caches.
 
+A batch's input rows are written into one block. A recurrent pass that
+trains keeps three blocks, laid out step after step: the gates, the cells,
+and the states that each step reads; every step writes its rows in place.
+Back-propagation through time then overwrites each step's gates with the
+gradient on its input projections and its cells with their tanh, so the
+gate block is the projection gradient that the weight products read, and
+no per-step array outlives its step. An evaluation pass keeps one step of
+each block, and the char encoder no states but the final ones.
+
 Gradients are derived analytically: CRF node/edge gradients come from
 forward-backward marginals, the rest is back-propagation through time. All
 math is float64. The finite-difference suite checks every tensor, and
@@ -76,11 +85,10 @@ def crf_nll_grads(scores, trans, paths, lengths):
     dtrans[bos, :k] = dscores[:, 0].sum(axis=0)
     dtrans[:k, eos] = dscores[rows, lengths - 1].sum(axis=0)
     ps, pp = sent[pos < lengths[sent] - 1], pos[pos < lengths[sent] - 1]
-    dtrans[:k, :k] = np.exp(
-        alpha[ps, pp][:, :, None] + inner
-        + (scores[ps, pp + 1] + beta[ps, pp + 1])[:, None, :]
-        - logz[ps, None, None]
-    ).sum(axis=0)
+    pairs = alpha[ps, pp][:, :, None] + inner  # (N', K, K), in place
+    pairs += (scores[ps, pp + 1] + beta[ps, pp + 1])[:, None, :]
+    pairs -= logz[ps, None, None]
+    dtrans[:k, :k] = np.exp(pairs, out=pairs).sum(axis=0)
     # the gold path: its emissions, then its transitions BOS..EOS
     tags = np.concatenate([np.asarray(p, dtype=np.int64) for p in paths])
     dscores[sent, pos, tags] -= 1.0
@@ -151,8 +159,9 @@ class BiLstm:
     def project(self, rows):
         """Input projections of rows (n, I): (n * cells, 4H), row
         cells * p + d holding element p for cell d."""
-        return (rows @ self.w.reshape(-1, self.w.shape[-1]).T
-                + self.b.ravel()).reshape(-1, 4 * self.hidden_dim)
+        proj = rows @ self.w.reshape(-1, self.w.shape[-1]).T
+        proj += self.b.ravel()
+        return proj.reshape(-1, 4 * self.hidden_dim)
 
     def feed(self, index):
         """Rows of `project` that the directions read for the (2, n) element
@@ -197,70 +206,115 @@ def _schedule(lengths):
     return order, steps
 
 
-def _recur(bi, proj, feeds, keep):
+def _recur(bi, proj, feeds, keep=False, out=None, at=None):
     """Run both directions of bi over packed sequences, longest first.
 
     feeds[t] (2, n_t) picks the rows of proj that the running sequences
-    read at step t. Returns (the states of every step, a list of
-    (2, n_t, H); the final state of every sequence (2, n_0, H); the cache
-    for `_recur_backward`, or None unless keep).
+    read at step t. Returns (the final state of every sequence (2, n_0, H);
+    the cache for `_recur_backward`, or None unless keep). With out
+    (2N, H) and at, step t's states also go to the rows at[t] (2, n_t) of
+    out.
+
+    With keep, the gates, cells and read states of every step are kept in
+    three blocks, (2, S, 4H), (2, S, H) and (2, S, H), where S is the total
+    of the n_t and step t owns the rows from its offset: the state block
+    holds at step t's rows the states that step reads (zeros at t = 0).
+    Without keep each block is one step long and is overwritten.
     """
     hdim = bi.hidden_dim
     ut = bi.u.transpose(0, 2, 1)
-    h = c = np.zeros((2, feeds[0].shape[1], hdim))
-    final = np.empty_like(h)
-    hs, cache = [], []
-    for t, feed in enumerate(feeds):
-        n = feed.shape[1]
-        gates = proj[feed] + h[:, :n] @ ut  # i, f, o, candidate
-        gates[..., : 3 * hdim] = sigmoid(gates[..., : 3 * hdim])
-        gates[..., 3 * hdim :] = np.tanh(gates[..., 3 * hdim :])
-        c = (gates[..., hdim : 2 * hdim] * c[:, :n]
-             + gates[..., :hdim] * gates[..., 3 * hdim :])
-        h = gates[..., 2 * hdim : 3 * hdim] * np.tanh(c)
-        if keep:
-            cache.append((gates, c, h))
-        done = feeds[t + 1].shape[1] if t + 1 < len(feeds) else 0
-        final[:, done:n] = h[:, done:]
-        hs.append(h)
-    return hs, final, (cache if keep else None)
+    sizes = [feed.shape[1] for feed in feeds]
+    starts = (list(itertools.accumulate(sizes, initial=0)) if keep
+              else [0] * (len(sizes) + 1))
+    rows = starts[-1] if keep else sizes[0]
+    gates = np.empty((2, rows, 4 * hdim))
+    cells = np.empty((2, rows, hdim))
+    read = np.empty((2, rows, hdim))
+    read[:, : sizes[0]] = 0.0
+    final = np.empty((2, sizes[0], hdim))
+    work = np.empty((2, sizes[0], 4 * hdim))
+    for t, (feed, n) in enumerate(zip(feeds, sizes)):
+        done = sizes[t + 1] if t + 1 < len(sizes) else 0
+        lo = starts[t]
+        z, c = gates[:, lo : lo + n], cells[:, lo : lo + n]
+        for d in range(2):  # "clip" takes straight into out, "raise" buffers
+            np.take(proj, feed[d], axis=0, out=z[d], mode="clip")
+        z += np.matmul(read[:, lo : lo + n], ut, out=work[:, :n])
+        sigmoid(z[..., : 3 * hdim], out=z[..., : 3 * hdim])  # i, f, o
+        np.tanh(z[..., 3 * hdim :], out=z[..., 3 * hdim :])  # candidate
+        i, f, o = (z[..., k * hdim : (k + 1) * hdim] for k in range(3))
+        if t:
+            prev = starts[t - 1]
+            np.multiply(f, cells[:, prev : prev + n], out=c)
+        else:
+            np.multiply(f, 0.0, out=c)
+        c += np.multiply(i, z[..., 3 * hdim :], out=work[:, :n, :hdim])
+        nxt = starts[t + 1]
+        for h, part in ((read[:, nxt : nxt + done], slice(0, done)),
+                        (final[:, done:n], slice(done, n))):
+            np.tanh(c[:, part], out=h)
+            h *= o[:, part]
+            if out is not None:
+                out[at[t][:, part]] = h
+    return final, ([sizes, gates, cells, read] if keep else None)
 
 
-def _recur_backward(bi, cache, dfinal, dsteps=None):
-    """BPTT through `_recur`, freeing its cache step by step.
+def _recur_backward(bi, cache, dfinal, dout=None, at=None):
+    """BPTT through `_recur`, in place: each step's gradient on its
+    projections overwrites its gates, and its cells are overwritten. The
+    cache is emptied, so that each block is freed once it is read.
 
-    dfinal (2, n_0, H) is the gradient on the final states; dsteps[t], when
-    given, the gradient on the states of step t. Returns (the gradient on
-    the projections read by every step, concatenated over the steps as
-    (2, S, 4H); the gradient on the recurrent weights, (cells, 4H, H)).
+    dfinal (2, n_0, H) is the gradient on the final states; dout (2N, H),
+    when given, the gradient on the `out` of `_recur`, whose rows at[t] hold
+    step t's states. Returns (the gradient on the projections read by
+    every step, the (2, S, 4H) gate block; the gradient on the recurrent
+    weights, (cells, 4H, H)).
     """
+    sizes, gates, cells, read = cache
+    cache.clear()
     hdim = bi.hidden_dim
+    starts = list(itertools.accumulate(sizes, initial=0))
     dh = np.array(dfinal, dtype=np.float64)
     dc = np.zeros_like(dh)
-    dzs, h_prev = [None] * len(cache), [None] * len(cache)
-    for t in range(len(cache) - 1, -1, -1):
-        gates, c, _ = cache.pop()
-        n = gates.shape[1]
-        ifo, g = gates[..., : 3 * hdim], gates[..., 3 * hdim :]
-        c_prev = cache[-1][1][:, :n] if t else 0.0
-        h_prev[t] = cache[-1][2][:, :n] if t else np.zeros((2, n, hdim))
-        tc = np.tanh(c)
-        dh_t = dh[:, :n] if dsteps is None else dh[:, :n] + dsteps[t]
-        dc_t = dh_t * gates[..., 2 * hdim : 3 * hdim] * (1.0 - tc * tc) + dc[:, :n]
-        dz = np.empty_like(gates)
-        dz[..., :hdim] = dc_t * g
-        dz[..., hdim : 2 * hdim] = dc_t * c_prev
-        dz[..., 2 * hdim : 3 * hdim] = dh_t * tc
-        dz[..., : 3 * hdim] *= ifo * (1.0 - ifo)
-        dz[..., 3 * hdim :] = dc_t * gates[..., :hdim] * (1.0 - g * g)
-        dc[:, :n] = dc_t * gates[..., hdim : 2 * hdim]
-        dh[:, :n] = dz @ bi.u
-        dzs[t] = dz
-    dz = np.concatenate(dzs, axis=1)
-    h_prev = np.concatenate(h_prev, axis=1)
+    work = np.empty((2,) + dh.shape)
+    for t in range(len(sizes) - 1, -1, -1):
+        n, lo = sizes[t], starts[t]
+        z, tc = gates[:, lo : lo + n], cells[:, lo : lo + n]
+        i, f, o, g = (z[..., k * hdim : (k + 1) * hdim] for k in range(4))
+        a, b = work[0, :, :n], work[1, :, :n]
+        np.tanh(tc, out=tc)
+        dh_t, dc_t = dh[:, :n], dc[:, :n]
+        if dout is not None:
+            dh_t += dout[at[t]]
+        np.multiply(dh_t, o, out=b)  # dc_t += dh_t * o * (1 - tc * tc)
+        b *= np.subtract(1.0, np.multiply(tc, tc, out=a), out=a)
+        dc_t += b
+        # each gate's gradient times its derivative, o, i, candidate, f
+        np.multiply(o, np.subtract(1.0, o, out=a), out=a)
+        np.multiply(dh_t, tc, out=o)
+        o *= a
+        np.multiply(i, np.subtract(1.0, i, out=a), out=a)
+        np.multiply(dc_t, g, out=b)
+        b *= a
+        np.subtract(1.0, np.multiply(g, g, out=a), out=a)
+        np.multiply(dc_t, i, out=g)
+        g *= a
+        i[...] = b
+        np.multiply(f, np.subtract(1.0, f, out=a), out=a)
+        if t:
+            prev = starts[t - 1]
+            np.multiply(dc_t, cells[:, prev : prev + n], out=b)
+        else:
+            np.multiply(dc_t, 0.0, out=b)
+        b *= a
+        dc_t *= f
+        f[...] = b
+        np.matmul(z, bi.u, out=dh_t)
+    del cells  # before the weight product
     if bi.tied:
-        return dz, (dz.reshape(-1, 4 * hdim).T @ h_prev.reshape(-1, hdim))[None]
-    return dz, dz.transpose(0, 2, 1) @ h_prev
+        return gates, (gates.reshape(-1, 4 * hdim).T
+                       @ read.reshape(-1, hdim))[None]
+    return gates, gates.transpose(0, 2, 1) @ read
 
 
 def _scatter_add(index, values, n_rows):
@@ -278,7 +332,7 @@ def bilstm_final(bi, table, seqs, keep=False):
     ids = np.concatenate(seqs)
     order, steps = _schedule([len(s) for s in seqs])
     feeds = [bi.feed(ids[s]) for s in steps]
-    _, final, cache = _recur(bi, bi.project(table), feeds, keep)
+    final, cache = _recur(bi, bi.project(table), feeds, keep)
     out = np.empty((len(seqs), 2 * bi.hidden_dim))
     out[order] = final.transpose(1, 0, 2).reshape(len(seqs), -1)
     return out, ((table, order, feeds, cache) if keep else None)
@@ -303,10 +357,9 @@ def bilstm_states(bi, xs, lengths, keep=False):
     None)."""
     _, steps = _schedule(lengths)
     feeds = [bi.feed(s) for s in steps]
-    hs, _, cache = _recur(bi, bi.project(xs), feeds, keep)
     at = [2 * s + np.array([[0], [1]]) for s in steps]  # row 2p + direction
     out = np.empty((2 * len(xs), bi.hidden_dim))
-    out[np.concatenate(at, axis=1)] = np.concatenate(hs, axis=1)
+    _, cache = _recur(bi, bi.project(xs), feeds, keep, out, at)
     return out.reshape(len(xs), -1), ((xs, at, feeds, cache) if keep else None)
 
 
@@ -317,12 +370,13 @@ def bilstm_states_backward(bi, cache, dstates):
     hdim = bi.hidden_dim
     dh = np.ascontiguousarray(dstates).reshape(-1, hdim)
     dz, du = _recur_backward(bi, rec, np.zeros((2, at[0].shape[1], hdim)),
-                             [dh[a] for a in at])
+                             dh, at)
     # each direction reads every row once; tied directions read the same rows
     rows = np.concatenate(feeds, axis=1)
     dproj = np.zeros((len(xs) * len(bi.w), 4 * hdim))
     dproj[rows[0]] = dz[0]
     dproj[rows[1]] += dz[1]
+    del dz
     return bi.grads(xs, dproj, du)
 
 
@@ -496,14 +550,12 @@ class PreparedSentence:
     def __len__(self):
         return len(self.tokens)
 
-    @property
-    def word_vecs(self):
-        """(m, dim) float64 rows of the tokens, widened from the table's
-        storage dtype."""
+    def write_word_vecs(self, out):
+        """Write the tokens' rows into out (m, dim), widened from the
+        table's storage dtype; a token without a row (-1) gets zeros."""
         found = self.rows >= 0  # a table may have no row for -1 to index
-        vecs = np.zeros((len(self.rows), self.table.dim))
-        vecs[found] = self.table.vectors[self.rows[found]]
-        return vecs
+        out[found] = self.table.vectors[self.rows[found]]
+        out[~found] = 0.0
 
 
 def transition_mask(tags, scheme):
@@ -528,11 +580,18 @@ def batch_forward(model, lang, batch, masks=None, keep=False):
     """(scores, lengths, cache) of a batch of PreparedSentences: emission
     scores (B, m, K) zero-padded past each sentence's length, and with keep
     the cache for `batch_backward`. masks, when given, holds each sentence's
-    dropout mask."""
+    dropout mask.
+
+    The input rows (N, I), each token's char representation then its word
+    vector, are written into one block, sentence after sentence."""
     enc = model.encoders[lang]
     lengths = np.array([len(p) for p in batch])
-    x = np.vstack([p.word_vecs for p in batch])
-    inverse = char_cache = mask = None
+    spans = [slice(end - m, end) for m, end in zip(lengths, np.cumsum(lengths))]
+    cdim = model.cfg.input_dim - model.cfg.word_dim
+    x = np.empty((int(lengths.sum()), model.cfg.input_dim))
+    for p, rows in zip(batch, spans):
+        p.write_word_vecs(x[rows, cdim:])
+    inverse = char_cache = None
     if enc.char is not None:
         unique = {}
         inverse = np.array([unique.setdefault(tok, len(unique))
@@ -540,23 +599,25 @@ def batch_forward(model, lang, batch, masks=None, keep=False):
         reprs, char_cache = bilstm_final(
             enc.char, model.char_emb, [model.char_ids(t) for t in unique], keep
         )
-        x = np.hstack([reprs[inverse], x])
+        x[:, :cdim] = reprs[inverse]
     if masks is not None:
-        mask = np.vstack(masks)
-        x = x * mask
+        for mask, rows in zip(masks, spans):
+            x[rows] *= mask
     states, word_cache = bilstm_states(enc.word, x, lengths, keep)
-    t = np.tanh(states @ model.head["dense_w"].T + model.head["dense_b"])
+    t = states @ model.head["dense_w"].T
+    t += model.head["dense_b"]
+    np.tanh(t, out=t)
     valid = np.arange(lengths.max()) < lengths[:, None]
     scores = np.zeros(valid.shape + (model.cfg.n_tags,))
     scores[valid] = t @ model.head["tag_w"].T
-    cache = (inverse, char_cache, mask, word_cache, states, t, valid)
+    cache = (inverse, char_cache, masks, spans, word_cache, states, t, valid)
     return scores, lengths, (cache if keep else None)
 
 
 def batch_backward(model, lang, cache, dscores, dtrans):
     """Gradient of every trainable tensor of theta_lang, given those of the
     padded emission scores and of the transitions."""
-    inverse, char_cache, mask, word_cache, states, t, valid = cache
+    inverse, char_cache, masks, spans, word_cache, states, t, valid = cache
     enc = model.encoders[lang]
     head = model.head
     dscores = dscores[valid]
@@ -571,10 +632,12 @@ def batch_backward(model, lang, cache, dscores, dtrans):
                                             dzh @ head["dense_w"])
     grads.update(_per_direction(f"enc.{lang}.word", cell_grads))
     if enc.char is not None:
-        if mask is not None:
-            dx = dx * mask
         cdim = 2 * model.cfg.char_hidden
-        dreprs = _scatter_add(inverse, dx[:, :cdim], len(char_cache[1]))
+        dx = dx[:, :cdim]
+        if masks is not None:
+            for mask, rows in zip(masks, spans):
+                dx[rows] *= mask[:, :cdim]
+        dreprs = _scatter_add(inverse, dx, len(char_cache[1]))
         demb, cell_grads = bilstm_final_backward(enc.char, char_cache, dreprs)
         grads.update(_per_direction(f"enc.{lang}.char", cell_grads))
         grads["char_emb"] = demb
@@ -600,7 +663,9 @@ def backward_pass(model, lang, batch, masks=None):
     loss = float(nll.sum()) * scale
     if not np.isfinite(loss):
         raise NumericalError("non-finite training loss")
-    grads = batch_backward(model, lang, cache, dscores * scale, dtrans * scale)
+    dscores *= scale
+    dtrans *= scale
+    grads = batch_backward(model, lang, cache, dscores, dtrans)
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise NumericalError(f"non-finite gradient for {name}")

@@ -414,11 +414,19 @@ def encode_token_chars(model, lang, token):
     return final
 
 
+def _word_vecs(prep):
+    """(m, dim) float64 rows of the tokens; zeros for a token without a row
+    (-1)."""
+    return np.array([prep.table.vectors[r] if r >= 0
+                     else np.zeros(prep.table.dim) for r in prep.rows],
+                    dtype=np.float64)
+
+
 def _embed_forward(model, lang, prep):
     """(m, input_dim) rows plus the char caches needed for backward."""
     enc = model.encoders[lang]
     if enc.char is None:
-        return prep.word_vecs.copy(), None
+        return _word_vecs(prep), None
     reprs = {}
     for token in prep.tokens:
         if token not in reprs:
@@ -427,9 +435,9 @@ def _embed_forward(model, lang, prep):
             reprs[token] = (final, cache, ids)
     cdim = 2 * model.cfg.char_hidden
     x = np.empty((len(prep), model.cfg.input_dim))
+    x[:, cdim:] = _word_vecs(prep)
     for t, token in enumerate(prep.tokens):
         x[t, :cdim] = reprs[token][0]
-        x[t, cdim:] = prep.word_vecs[t]
     return x, reprs
 
 

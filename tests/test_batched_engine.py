@@ -2,13 +2,25 @@
 oracles.py: loss and every gradient tensor within 1e-10, Viterbi paths
 identical (ties included), and CRF statistics against enumeration."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import zrxner.tagger as tagger
+from zrxner.corpus import IOBES
+from zrxner.embeddings import EmbeddingTable
 from zrxner.errors import UsageError
 from zrxner.numeric import Rng, dropout_mask
-from zrxner.tagger import backward_pass, crf_nll_grads, predict, viterbi
+from zrxner.tagger import (
+    Tagger,
+    TaggerConfig,
+    backward_pass,
+    crf_nll_grads,
+    predict,
+    viterbi,
+)
 
 import oracles
 from test_tagger import TAGS, tiny_model, tiny_table
@@ -27,24 +39,56 @@ RAGGED = [
 ]
 
 
+# the shapes that the engine's per-step offsets into its blocks must get
+# right: one step of one element, every sequence running to the last step,
+# and one sequence running alone for most of the steps
+BATCHES = {
+    "ragged": RAGGED,
+    "one": [(["bb"], ["O"])],
+    "equal": [
+        (["aa", "ba", "ab"], ["B-PER", "I-PER", "O"]),
+        (["cb", "hh", "bb"], ["O", "O", "B-PER"]),
+        (["az", "aa", "aa"], ["B-PER", "I-PER", "I-PER"]),
+    ],
+    "long": [
+        (["bb", "ab"], ["O", "B-PER"]),
+        (["ca", "cb", "ba", "aa", "hh", "cb", "ab", "bb", "az"],
+         ["O", "B-PER", "I-PER", "O", "O", "O", "B-PER", "O", "B-PER"]),
+        (["aa"], ["B-PER"]),
+        (["az", "ba"], ["O", "O"]),
+    ],
+}
+
+
+def _cases(*flags):
+    """pytest params over every combination of the boolean flags and every
+    batch; the RAGGED cases are named by the flags alone, so their ids stay
+    those of the flags-only parametrization."""
+    return [pytest.param(*combo, name,
+                         id="-".join(map(str, combo))
+                         + ("" if name == "ragged" else f"-{name}"))
+            for name in BATCHES
+            for combo in itertools.product(*flags)]
+
+
 def _masks(model, batch, seed=13):
     rng = Rng(seed)
     return [dropout_mask(rng, (len(toks), model.cfg.input_dim), 0.5)
             for toks, _ in batch]
 
 
-@pytest.mark.parametrize("tied", [False, True])
-@pytest.mark.parametrize("use_char", [True, False])
-@pytest.mark.parametrize("with_dropout", [False, True])
+@pytest.mark.parametrize("tied, use_char, with_dropout, name",
+                         _cases([False, True], [True, False], [False, True]))
 def test_loss_and_gradients_match_per_sentence_oracle(tied, use_char,
-                                                      with_dropout):
+                                                      with_dropout, name):
+    items = BATCHES[name]
     model = tiny_model(tied=tied, use_char=use_char, seed=5)
     table = tiny_table()
-    masks = _masks(model, RAGGED) if with_dropout else None
-    batch = [model.prepare(table, *item) for item in RAGGED]
+    masks = _masks(model, items) if with_dropout else None
+    batch = [model.prepare(table, *item) for item in items]
     loss, grads = backward_pass(model, "src", batch, masks)
     ref_loss, ref_grads = oracles.reference_backward_pass(
-        model, "src", table, RAGGED, masks
+        model, "src", table, items, masks
     )
     assert abs(loss - ref_loss) <= TOL
     assert list(grads) == list(ref_grads)
@@ -151,17 +195,17 @@ def test_viterbi_all_ties_pick_lowest_index_in_every_sentence():
     assert paths == [[0, 0, 0], [0], [0, 0]]
 
 
-@pytest.mark.parametrize("tied", [False, True])
-@pytest.mark.parametrize("use_char", [True, False])
+@pytest.mark.parametrize("tied, use_char, name",
+                         _cases([False, True], [True, False]))
 def test_predict_matches_per_sentence_oracle_across_chunks(tied, use_char,
-                                                          monkeypatch):
+                                                          name, monkeypatch):
     monkeypatch.setattr(tagger, "EVAL_TOKENS", 5)  # several chunks
     model = tiny_model(tied=tied, use_char=use_char, seed=9)
     model.head["trans"][:] = np.random.default_rng(3).normal(
         size=model.head["trans"].shape
     )
     table = tiny_table()
-    sentences = [toks for toks, _ in RAGGED] * 2
+    sentences = [toks for toks, _ in BATCHES[name]] * 2
     got = predict(model, "src", table, sentences)
     want = [oracles.reference_predict(model, "src", table, s) for s in sentences]
     assert got == want
@@ -175,3 +219,39 @@ def test_predict_empty_input_flat_token_list_and_empty_sentence():
         predict(model, "src", tiny_table(), ["aa", "bb"])
     with pytest.raises(UsageError, match="empty sentence"):
         predict(model, "src", tiny_table(), [["aa"], []])
+
+
+# Bytes that one backward pass may hold at its peak per token of its batch,
+# at the paper's dimensions. 42.4 KB were traced on this batch when the
+# bound was set, and 51.6 KB when BPTT kept a list of per-step arrays and
+# concatenated it; an engine that holds more per step fails here.
+BACKWARD_BYTES_PER_TOKEN = 46_000
+
+
+def test_backward_pass_traced_peak_per_token_at_paper_dims():
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    tags = ["O"] + [f"{p}-{e}" for e in ("PER", "LOC", "ORG", "MISC")
+                    for p in "BIES"]
+    cfg = TaggerConfig(word_dim=300, tags=tags, scheme=IOBES)
+    chars = {"<pad>": 0, "<unk>": 1, **{c: i + 2 for i, c in enumerate(letters)}}
+    model = Tagger(cfg, chars, Rng(0))
+    rng = np.random.default_rng(0)
+    words = list(dict.fromkeys(
+        "".join(rng.choice(list(letters), size=int(rng.integers(2, 11))))
+        for _ in range(500)))[:400]
+    table = EmbeddingTable(words, rng.normal(size=(400, 300)).astype(np.float32))
+    # CoNLL-like lengths: median 14, one sentence past 40
+    lengths = [14, 3, 22, 9, 14, 41, 1, 17, 14, 6, 28, 12, 14, 8, 19, 11]
+    batch = [model.prepare(table, [words[i] for i in rng.integers(0, 400, m)],
+                           [tags[i] for i in rng.integers(0, 17, m)])
+             for m in lengths]
+    mask_rng = Rng(1)
+    masks = [dropout_mask(mask_rng, (m, cfg.input_dim), cfg.dropout)
+             for m in lengths]
+    tracemalloc.start()
+    try:
+        backward_pass(model, "src", batch, masks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= BACKWARD_BYTES_PER_TOKEN * sum(lengths), peak / sum(lengths)

@@ -10,6 +10,7 @@ from zrxner.numeric import (
     gaussian_init,
     global_grad_norm,
     log_sum_exp,
+    sigmoid,
     svd_square,
 )
 
@@ -112,6 +113,37 @@ def test_clip_applied_update_bounded():
         clipped_sgd_step(p, {k: v.copy() for k, v in g.items()}, lr, clip)
         applied = global_grad_norm(p)
         assert applied <= lr * clip + 1e-9
+
+
+def test_clip_step_bits_match_the_formula_and_leave_grads_alone():
+    # the step forms each product in one scratch buffer; the bits must be
+    # those of p -= (lr * scale) * g with the norm summed tensor by tensor
+    rng = np.random.default_rng(17)
+    stacked = rng.normal(size=(2, 4, 3))
+    params = {"big": rng.normal(size=(5, 7)), "f": stacked[0], "b": stacked[1],
+              "vec": rng.normal(size=3)}
+    grads = {k: rng.normal(size=v.shape) * 3 for k, v in params.items()}
+    kept = {k: v.copy() for k, v in grads.items()}
+    lr, clip = 0.3, 2.0
+    norm = float(np.sqrt(sum(float((g * g).sum()) for g in kept.values())))
+    assert norm > clip
+    want = {k: v - (lr * (clip / norm)) * kept[k] for k, v in params.items()}
+    clipped_sgd_step(params, grads, lr, clip)
+    assert global_grad_norm(grads) == norm
+    for k in params:
+        assert params[k].tobytes() == want[k].tobytes(), k
+        assert grads[k].tobytes() == kept[k].tobytes(), k
+    assert params["f"].base is stacked  # views stay views
+
+
+def test_sigmoid_in_place_matches_the_new_array():
+    z = np.random.default_rng(3).normal(size=(4, 6)) * 5
+    want = 0.5 * (1.0 + np.tanh(0.5 * z))
+    assert sigmoid(z).tobytes() == want.tobytes()
+    view = z[:, 1:4]
+    got = sigmoid(view, out=view)
+    assert got is view
+    assert got.tobytes() == want[:, 1:4].tobytes()
 
 
 def test_clip_shape_mismatch():

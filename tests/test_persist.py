@@ -337,8 +337,9 @@ def test_loaded_float32_rows_widen_exactly(tmp_path):
     widened = EmbeddingTable(table.words, table.vectors.astype(np.float64),
                              table.language)  # what loading used to build
     tokens = ["tgt3", "TGT7", "unknown", "tgt49", "tgt3"]
-    got = model.prepare(table, tokens).word_vecs
-    want = model.prepare(widened, tokens).word_vecs
+    got, want = np.full((2, len(tokens), 5), np.nan)
+    model.prepare(table, tokens).write_word_vecs(got)
+    model.prepare(widened, tokens).write_word_vecs(want)
     assert got.dtype == np.float64
     assert got.tobytes() == want.tobytes()
     assert not got[2].any()  # the out-of-table word
